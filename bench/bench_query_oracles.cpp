@@ -35,7 +35,7 @@ namespace hublab {
 namespace {
 
 /// Pairs per workload; pair streams come from the same WorkloadGenerator
-/// serve-sim serves (oracle/workload.hpp), generated once per family and
+/// `hublab serve` serves (oracle/workload.hpp), generated once per family and
 /// shared by every phase.  Power of two so the google-benchmark loops can
 /// mask instead of dividing.
 constexpr std::size_t kQueryPairs = 1024;

@@ -31,7 +31,6 @@
 #include "bench/harness.hpp"
 #include "graph/generators.hpp"
 #include "oracle/oracle.hpp"
-#include "oracle/serve.hpp"
 #include "oracle/server.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -208,11 +207,8 @@ int main(int argc, char** argv) {
   std::unique_ptr<DistanceOracle> oracle;
   {
     auto span = harness.phase("build-oracle");
-    serve::SimConfig build;
-    build.oracle = serve::OracleKind::kPllFlat;
-    build.bp_roots = harness.bp_roots();
-    build.threads = harness.threads();
-    oracle = serve::make_oracle(g, build);
+    oracle = serve::make_oracle(g, serve::OracleKind::kPllFlat,
+                                PllConfig{harness.bp_roots(), harness.threads()});
   }
 
   LadderSummary scalar1w;

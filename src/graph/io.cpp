@@ -14,6 +14,7 @@ Graph read_edge_list(std::istream& in) {
   std::size_t n = 0;
   std::size_t m = 0;
   if (!(in >> n >> m)) throw ParseError("edge list: missing 'n m' header");
+  if (n > kInvalidVertex) throw ParseError("edge list: vertex count exceeds the vertex range");
   GraphBuilder b(n);
   std::string rest;
   std::getline(in, rest);  // consume end of header line
@@ -60,6 +61,7 @@ Graph read_dimacs(std::istream& in) {
       std::string tag;
       std::size_t m = 0;
       if (!(ls >> tag >> n >> m) || tag != "sp") throw ParseError("dimacs: bad 'p sp n m' line");
+      if (n > kInvalidVertex) throw ParseError("dimacs: vertex count exceeds the vertex range");
       b = GraphBuilder(n);
       have_header = true;
     } else if (kind == 'a') {

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <sstream>
 
 #include "util/error.hpp"
 
@@ -26,6 +27,21 @@ T read_pod(std::istream& in) {
   return value;
 }
 
+/// Smallest on-disk footprint of one vertex (its label size) and of one
+/// label entry (hub + distance).
+constexpr std::uint64_t kCountBytes = sizeof(std::uint64_t);
+constexpr std::uint64_t kEntryBytes = sizeof(std::uint32_t) + sizeof(std::uint64_t);
+
+/// Bytes between the read position of a seekable stream and its end.
+std::uint64_t bytes_left(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(here);
+  if (!in || end < here) throw ParseError("labeling file: cannot determine its size");
+  return static_cast<std::uint64_t>(end - here);
+}
+
 }  // namespace
 
 void save_labeling(const HubLabeling& labeling, std::ostream& out) {
@@ -44,6 +60,13 @@ void save_labeling(const HubLabeling& labeling, std::ostream& out) {
 }
 
 HubLabeling load_labeling(std::istream& in) {
+  if (in.tellg() == std::istream::pos_type(-1)) {
+    // Unseekable (a pipe): buffer it so the size checks below see the end.
+    std::stringstream buffered;
+    buffered << in.rdbuf();
+    buffered.clear();  // an empty copy sets failbit; a stringstream always seeks
+    return load_labeling(buffered);
+  }
   char magic[4];
   in.read(magic, sizeof magic);
   if (!in || std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
@@ -52,12 +75,22 @@ HubLabeling load_labeling(std::istream& in) {
   const auto version = read_pod<std::uint32_t>(in);
   if (version != kLabelingFormatVersion) throw ParseError("labeling file: unsupported version");
   const auto n = read_pod<std::uint64_t>(in);
-  if (n > (1ULL << 32)) throw ParseError("labeling file: implausible vertex count");
+  if (n >= kInvalidVertex) throw ParseError("labeling file: vertex count exceeds the vertex range");
+  // Declared sizes are checked against the bytes actually present before
+  // anything is allocated for them.  Invariant: `left` holds at least the
+  // counts of the vertices not yet read.
+  std::uint64_t left = bytes_left(in);
+  if (n > left / kCountBytes) throw ParseError("labeling file: vertex count exceeds file size");
 
   HubLabeling labeling(n);
   for (std::uint64_t v = 0; v < n; ++v) {
     const auto count = read_pod<std::uint64_t>(in);
+    left -= kCountBytes;
     if (count > n) throw ParseError("labeling file: label larger than vertex count");
+    if (count > (left - (n - v - 1) * kCountBytes) / kEntryBytes) {
+      throw ParseError("labeling file: label size exceeds file size");
+    }
+    left -= count * kEntryBytes;
     std::uint64_t prev_hub_plus_one = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
       const auto hub = read_pod<std::uint32_t>(in);

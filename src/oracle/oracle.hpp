@@ -31,8 +31,8 @@ class DistanceOracle {
   /// itself is not counted; all oracles share it).
   [[nodiscard]] virtual std::size_t space_bytes() const = 0;
 
-  /// Attribution variant of distance() (`hublab explain`, serve-sim's
-  /// slow-query capture): same answer, plus the probe records whatever the
+  /// Attribution variant of distance() (`hublab explain`, the server's
+  /// per-query scan attribution at batch 1): same answer, plus the probe records whatever the
   /// oracle's kernel can attribute — label sizes, entries scanned, common
   /// hubs compared, meeting hub (util/querystats.hpp).  Oracles without an
   /// instrumented kernel answer through plain distance() and leave the

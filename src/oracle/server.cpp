@@ -10,8 +10,11 @@
 #include <span>
 #include <utility>
 
+#include "hub/pll.hpp"
+#include "oracle/contraction_hierarchy.hpp"
 #include "oracle/oracle.hpp"
 #include "oracle/workload.hpp"
+#include "util/assert.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
@@ -28,12 +31,13 @@ namespace hublab::serve {
 
 namespace {
 
-/// One scheduled query in flight between the generator and a shard worker.
+/// One query in flight: between the generator and a shard worker under
+/// open arrivals, inside its worker's block under closed arrivals.
 struct QueryItem {
   Vertex s = 0;
   Vertex t = 0;
   std::uint64_t seq = 0;         ///< position in the pre-generated stream
-  std::uint64_t arrival_ns = 0;  ///< scheduled arrival offset from loop start
+  std::uint64_t arrival_ns = 0;  ///< arrival offset from loop start (closed: take time)
   /// Simulated arrival-to-completion latency (kVirtual only; computed on
   /// the generator so the value is independent of real scheduling).
   std::uint64_t virtual_latency_ns = 0;
@@ -70,6 +74,14 @@ struct GeneratorStats {
   std::uint64_t rejected = 0;
   QuantileSketch queue_depth;
   std::map<std::uint64_t, WindowAccum> windows;  ///< offered/rejected only
+};
+
+/// A shard worker's block buffers, sized once to the drain batch.
+struct Block {
+  explicit Block(std::size_t batch) : items(batch), pairs(batch), answers(batch) {}
+  std::vector<QueryItem> items;
+  std::vector<std::pair<Vertex, Vertex>> pairs;
+  std::vector<HubQueryResult> answers;
 };
 
 /// Scheduled arrival offsets (ns from loop start), ascending.  The RNG
@@ -199,10 +211,44 @@ void emit_registry_metrics(const ServerResult& result, const ServerConfig& confi
 
 }  // namespace
 
+std::string_view oracle_kind_name(OracleKind kind) noexcept {
+  switch (kind) {
+    case OracleKind::kPllFlat: return "pll-flat";
+    case OracleKind::kCh: return "ch";
+    case OracleKind::kBidij: return "bidij";
+  }
+  return "pll-flat";
+}
+
+std::optional<OracleKind> parse_oracle_kind(std::string_view name) noexcept {
+  if (name == "pll-flat") return OracleKind::kPllFlat;
+  if (name == "ch") return OracleKind::kCh;
+  if (name == "bidij") return OracleKind::kBidij;
+  return std::nullopt;
+}
+
+std::unique_ptr<DistanceOracle> make_oracle(const Graph& g, OracleKind kind,
+                                            const PllConfig& pll) {
+  if (g.num_vertices() == 0) throw InvalidArgument("serve: empty graph");
+  switch (kind) {
+    case OracleKind::kPllFlat: {
+      const auto order = make_vertex_order(g, VertexOrder::kDegreeDescending);
+      // Single-pass finalize straight into the flat layout.
+      return std::make_unique<FlatHubLabelOracle>(pruned_landmark_labeling_flat(g, order, pll));
+    }
+    case OracleKind::kCh:
+      return std::make_unique<ContractionHierarchy>(g);
+    case OracleKind::kBidij:
+      return std::make_unique<BidirectionalOracle>(g);
+  }
+  HUBLAB_UNREACHABLE();
+}
+
 std::string_view arrival_kind_name(ArrivalKind kind) noexcept {
   switch (kind) {
     case ArrivalKind::kPoisson: return "poisson";
     case ArrivalKind::kBurst: return "burst";
+    case ArrivalKind::kClosed: return "closed";
   }
   return "poisson";
 }
@@ -210,6 +256,7 @@ std::string_view arrival_kind_name(ArrivalKind kind) noexcept {
 std::optional<ArrivalKind> parse_arrival_kind(std::string_view name) noexcept {
   if (name == "poisson") return ArrivalKind::kPoisson;
   if (name == "burst") return ArrivalKind::kBurst;
+  if (name == "closed") return ArrivalKind::kClosed;
   return std::nullopt;
 }
 
@@ -241,34 +288,18 @@ std::optional<TimingMode> parse_timing_mode(std::string_view name) noexcept {
   return std::nullopt;
 }
 
-ServerResult run_server(const Graph& g, const ServerConfig& config, Tracer* tracer) {
-  if (g.num_vertices() == 0) throw InvalidArgument("serve: empty graph");
-  Tracer local_tracer;
-  Tracer& t = tracer != nullptr ? *tracer : local_tracer;
-  std::unique_ptr<DistanceOracle> oracle;
-  double build_s = 0.0;
-  {
-    auto span = t.span("build-oracle");
-    Timer build_timer;
-    SimConfig build_config;
-    build_config.oracle = config.oracle;
-    build_config.bp_roots = config.bp_roots;
-    build_config.threads = config.workers;
-    oracle = make_oracle(g, build_config);
-    build_s = build_timer.elapsed_s();
-  }
-  ServerResult result = run_server_on(g, *oracle, config, &t);
-  result.build_s = build_s;
-  return result;
-}
-
 ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
                            const ServerConfig& config, Tracer* tracer) {
+  const bool closed = config.arrival == ArrivalKind::kClosed;
+  const bool virtual_timing = config.timing == TimingMode::kVirtual;
   if (g.num_vertices() == 0) throw InvalidArgument("serve: empty graph");
   if (config.num_queries == 0) throw InvalidArgument("serve: --queries must be >= 1");
-  if (!(config.qps > 0.0)) throw InvalidArgument("serve: --qps must be > 0");
+  if (!closed && !(config.qps > 0.0)) throw InvalidArgument("serve: --qps must be > 0");
   if (config.batch == 0) throw InvalidArgument("serve: --batch must be >= 1");
   if (config.ring_capacity == 0) throw InvalidArgument("serve: --ring must be >= 1");
+  if (closed && virtual_timing) {
+    throw InvalidArgument("serve: --timing virtual needs an open-loop arrival (poisson|burst)");
+  }
   if (par::in_parallel_region()) {
     throw InvalidArgument("serve: cannot run inside a parallel region");
   }
@@ -280,13 +311,8 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
   result.oracle_name = oracle.name();
   result.workload_name = workload_kind_name(config.workload);
   result.workers = std::clamp<std::size_t>(config.workers, 1, kMaxServeWorkers);
-  result.offered_qps = config.qps;
+  result.offered_qps = closed ? 0.0 : config.qps;
   result.space_bytes = oracle.space_bytes();
-  if (const auto* hub = dynamic_cast<const HubLabelOracle*>(&oracle)) {
-    result.space_bytes_flat = FlatHubLabeling(hub->labeling()).memory_bytes();
-  } else if (const auto* flat = dynamic_cast<const FlatHubLabelOracle*>(&oracle)) {
-    result.space_bytes_flat = flat->labeling().memory_bytes();
-  }
   const std::size_t workers = result.workers;
   const std::size_t batch = config.batch;
 
@@ -299,45 +325,44 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
     WorkloadGenerator workload(g, config.workload, config.seed);
     pairs = workload.block(config.num_queries);
   }
-  std::vector<std::uint64_t> arrivals;
-  {
-    auto span = t.span("gen-arrivals");
-    arrivals = arrival_schedule(config);
-  }
   result.offered = pairs.size();
 
-  // Telemetry trim bounds, by scheduled arrival offset.  Each bound is
-  // clamped to a quarter of the schedule span so short smoke runs always
-  // keep recorded samples; trimmed queries are still answered and
-  // checksummed.
-  const std::uint64_t span_ns = arrivals.back();
-  const std::uint64_t warm_end_ns = std::min(config.warmup_ms * 1'000'000, span_ns / 4);
-  const std::uint64_t cool_begin_ns =
-      config.cooldown_ms > 0
-          ? span_ns - std::min(config.cooldown_ms * 1'000'000, span_ns / 4)
-          : ~std::uint64_t{0};
-
+  // Open loop only: the schedule, the telemetry trim bounds and the rings.
+  // Each trim bound is clamped to a quarter of the schedule span so short
+  // smoke runs always keep recorded samples; trimmed queries are still
+  // answered and checksummed.
+  std::vector<std::uint64_t> arrivals;
+  std::uint64_t warm_end_ns = 0;
+  std::uint64_t cool_begin_ns = ~std::uint64_t{0};
   std::vector<std::unique_ptr<SpscRing<QueryItem>>> rings;
-  rings.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    rings.push_back(std::make_unique<SpscRing<QueryItem>>(config.ring_capacity));
+  if (!closed) {
+    {
+      auto span = t.span("gen-arrivals");
+      arrivals = arrival_schedule(config);
+    }
+    const std::uint64_t span_ns = arrivals.back();
+    warm_end_ns = std::min(config.warmup_ms * 1'000'000, span_ns / 4);
+    if (config.cooldown_ms > 0) {
+      cool_begin_ns = span_ns - std::min(config.cooldown_ms * 1'000'000, span_ns / 4);
+    }
+    rings.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      rings.push_back(std::make_unique<SpscRing<QueryItem>>(config.ring_capacity));
+    }
   }
-  const std::size_t ring_capacity = rings.front()->capacity();
 
   // kVirtual: decide latencies/depths/shedding up front, deterministically,
   // against the same rounded ring bound the real rings enforce.
   VirtualPlan plan;
-  const bool virtual_timing = config.timing == TimingMode::kVirtual;
   if (virtual_timing) {
-    plan = virtual_presim(arrivals, workers, ring_capacity, config);
+    plan = virtual_presim(arrivals, workers, rings.front()->capacity(), config);
   }
 
   GeneratorStats gen;
   std::vector<WorkerStats> stats(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     // Per-worker seeds derive from the run seed and the fixed worker id,
-    // so retained exemplars depend only on (seed, latencies) — the same
-    // discipline as serve-sim's per-chunk reservoirs.
+    // so retained exemplars depend only on (seed, latencies).
     stats[w].exemplars = metrics::ExemplarReservoir(
         config.seed ^ (0x9e3779b97f4a7c15ULL * (w + 1)), config.exemplars_per_bucket);
     stats[w].slow = metrics::SlowQueryLog(config.slow_query_ns, config.slow_query_capacity);
@@ -351,7 +376,7 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
   std::atomic<bool> failed{false};
 
   {
-    auto span = t.span("serve-open-loop");
+    auto span = t.span("serve-loop");
     Timer loop_timer;
     const std::uint64_t t0 = monotonic_ns();
 
@@ -408,97 +433,121 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
       }
     };
 
+    auto record = [&](WorkerStats& s, const QueryItem& item, Dist d, Vertex meeting_hub,
+                      std::uint64_t scan_cost, std::uint64_t completion_offset_ns) {
+      ++s.completed;
+      if (d != kInfDist) {
+        ++s.reachable;
+        s.checksum += d;
+      }
+      if (item.arrival_ns < warm_end_ns) {
+        ++s.trimmed_warmup;
+        return;
+      }
+      if (item.arrival_ns >= cool_begin_ns) {
+        ++s.trimmed_cooldown;
+        return;
+      }
+      const std::uint64_t latency_ns = virtual_timing
+                                           ? item.virtual_latency_ns
+                                           : completion_offset_ns - item.arrival_ns;
+      s.latency_ns.record(latency_ns);
+      const metrics::Exemplar witness{item.seq, item.s, item.t, latency_ns, scan_cost,
+                                      meeting_hub};
+      s.exemplars.offer(witness);
+      s.slow.offer(witness);
+      if (scan_cost > 0 && meeting_hub != metrics::kNoMeetingHub) {
+        s.hub_scan_cost.add(meeting_hub, scan_cost);
+      }
+      WindowAccum& win = s.windows[item.arrival_ns / window_ns];
+      ++win.queries;
+      if (d != kInfDist) ++win.reachable;
+      win.latency_ns.record(latency_ns);
+    };
+
+    // Answer block.items[0, got) and record each one.  Every member of a
+    // batched block completes when the kernel call returns.
+    auto answer = [&](WorkerStats& s, Block& block, std::size_t got) {
+      const std::uint64_t block_begin_ns = monotonic_ns();
+      if (batch >= 2) {
+        for (std::size_t j = 0; j < got; ++j) {
+          block.pairs[j] = {block.items[j].s, block.items[j].t};
+        }
+        {
+          perf::ScopedHw hw_scope(s.hw);
+          oracle.distance_batch(
+              std::span<const std::pair<Vertex, Vertex>>(block.pairs.data(), got),
+              std::span<HubQueryResult>(block.answers.data(), got));
+        }
+        const std::uint64_t completion = monotonic_ns();
+        for (std::size_t j = 0; j < got; ++j) {
+          record(s, block.items[j], block.answers[j].dist, block.answers[j].meeting_hub, 0,
+                 completion - t0);
+        }
+        s.busy_ns += completion - block_begin_ns;
+      } else {
+        for (std::size_t j = 0; j < got; ++j) {
+          metrics::QueryStats probe;
+          Dist d = kInfDist;
+          {
+            perf::ScopedHw hw_scope(s.hw);
+            d = oracle.distance_with_stats(block.items[j].s, block.items[j].t, probe);
+          }
+          record(s, block.items[j], d, probe.meeting_hub(), probe.scan_cost(),
+                 monotonic_ns() - t0);
+        }
+        s.busy_ns += monotonic_ns() - block_begin_ns;
+      }
+    };
+
     auto drain = [&](std::size_t w) {
-      WorkerStats& s = stats[w];
       SpscRing<QueryItem>& ring = *rings[w];
-      std::vector<QueryItem> items(batch);
-      std::vector<std::pair<Vertex, Vertex>> block_pairs(batch);
-      std::vector<HubQueryResult> answers(batch);
-      auto record = [&](const QueryItem& item, Dist d, Vertex meeting_hub,
-                        std::uint64_t scan_cost, std::uint64_t completion_offset_ns) {
-        ++s.completed;
-        if (d != kInfDist) {
-          ++s.reachable;
-          s.checksum += d;
-        }
-        if (item.arrival_ns < warm_end_ns) {
-          ++s.trimmed_warmup;
-          return;
-        }
-        if (item.arrival_ns >= cool_begin_ns) {
-          ++s.trimmed_cooldown;
-          return;
-        }
-        const std::uint64_t latency_ns = virtual_timing
-                                             ? item.virtual_latency_ns
-                                             : completion_offset_ns - item.arrival_ns;
-        s.latency_ns.record(latency_ns);
-        const metrics::Exemplar witness{item.seq, item.s, item.t, latency_ns, scan_cost,
-                                        meeting_hub};
-        s.exemplars.offer(witness);
-        s.slow.offer(witness);
-        if (scan_cost > 0 && meeting_hub != metrics::kNoMeetingHub) {
-          s.hub_scan_cost.add(meeting_hub, scan_cost);
-        }
-        WindowAccum& win = s.windows[item.arrival_ns / window_ns];
-        ++win.queries;
-        if (d != kInfDist) ++win.reachable;
-        win.latency_ns.record(latency_ns);
-      };
+      Block block(batch);
       for (;;) {
-        std::size_t got = ring.pop_bulk(items.data(), batch);
+        std::size_t got = ring.pop_bulk(block.items.data(), batch);
         if (got == 0) {
           if (failed.load(std::memory_order_acquire)) return;
           if (done.load(std::memory_order_acquire)) {
             // done was published after the producer's last push; one more
             // drain pass observes anything that raced the flag.
-            got = ring.pop_bulk(items.data(), batch);
+            got = ring.pop_bulk(block.items.data(), batch);
             if (got == 0) break;
           } else {
             par::yield();
             continue;
           }
         }
-        const std::uint64_t block_begin_ns = monotonic_ns();
-        if (batch >= 2) {
-          for (std::size_t j = 0; j < got; ++j) {
-            block_pairs[j] = {items[j].s, items[j].t};
-          }
-          {
-            perf::ScopedHw hw_scope(s.hw);
-            oracle.distance_batch(
-                std::span<const std::pair<Vertex, Vertex>>(block_pairs.data(), got),
-                std::span<HubQueryResult>(answers.data(), got));
-          }
-          const std::uint64_t completion = monotonic_ns();
-          for (std::size_t j = 0; j < got; ++j) {
-            record(items[j], answers[j].dist, answers[j].meeting_hub, 0, completion - t0);
-          }
-          s.busy_ns += completion - block_begin_ns;
-        } else {
-          for (std::size_t j = 0; j < got; ++j) {
-            metrics::QueryStats probe;
-            Dist d = kInfDist;
-            {
-              perf::ScopedHw hw_scope(s.hw);
-              d = oracle.distance_with_stats(items[j].s, items[j].t, probe);
-            }
-            record(items[j], d, probe.meeting_hub(), probe.scan_cost(), monotonic_ns() - t0);
-          }
-          s.busy_ns += monotonic_ns() - block_begin_ns;
-        }
+        answer(stats[w], block, got);
       }
     };
 
-    // The generator and the shard workers are hosted as workers+1
-    // single-index chunks on the deterministic pool: every executor claims
-    // exactly one long-running role, and run_chunks's ticket loop plus
-    // exception parking give us joining and deterministic rethrow for
-    // free.  Role 0 is the generator; role r >= 1 is shard worker r-1.
-    const auto roles = par::static_chunks(0, workers + 1, workers + 1);
-    par::run_chunks(roles, workers + 1, [&](const par::ChunkRange& role) {
+    // Closed loop: worker w takes its next block of its own pairs
+    // (seq % workers == w) when the previous block returned, and taking an
+    // item is its arrival — so the recorded latency is service time.
+    auto serve_closed = [&](std::size_t w) {
+      Block block(batch);
+      for (std::size_t seq = w; seq < pairs.size();) {
+        const std::uint64_t taken_ns = monotonic_ns() - t0;
+        std::size_t got = 0;
+        for (; got < batch && seq < pairs.size(); ++got, seq += workers) {
+          block.items[got] = {pairs[seq].first, pairs[seq].second, seq, taken_ns, 0};
+        }
+        answer(stats[w], block, got);
+      }
+    };
+
+    // Every role is a single-index chunk on the deterministic pool: each
+    // executor claims exactly one long-running role, and run_chunks's
+    // ticket loop plus exception parking give us joining and
+    // deterministic rethrow for free.  Open loop: role 0 is the generator
+    // and role r >= 1 is shard worker r-1.  Closed loop: role r is worker r.
+    const std::size_t num_roles = closed ? workers : workers + 1;
+    const auto roles = par::static_chunks(0, num_roles, num_roles);
+    par::run_chunks(roles, num_roles, [&](const par::ChunkRange& role) {
       try {
-        if (role.index == 0) {
+        if (closed) {
+          serve_closed(role.index);
+        } else if (role.index == 0) {
           produce();
           done.store(true, std::memory_order_release);
         } else {
@@ -513,9 +562,8 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
     result.serve_loop_s = loop_timer.elapsed_s();
   }
 
-  // Merge in fixed worker order (generator first), the same discipline as
-  // serve-sim's chunk-order merge: the merged sketch structure and every
-  // count are independent of runtime interleaving.
+  // Merge in fixed worker order (generator first): the merged sketch
+  // structure and every count are independent of runtime interleaving.
   result.rejected = gen.rejected;
   result.queue_depth = gen.queue_depth;
   result.exemplars = metrics::ExemplarReservoir(config.seed, config.exemplars_per_bucket);
@@ -549,11 +597,13 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
   }
   result.windows.reserve(merged_windows.size());
   for (const auto& [index, win] : merged_windows) {
+    // A closed-loop arrival is its worker taking it, so every window's
+    // arrivals are exactly its (never shed, never trimmed) queries.
     result.windows.push_back({index, win.queries, win.reachable,
                               static_cast<double>(win.queries) /
                                   (static_cast<double>(window_ns) / 1e9),
                               win.latency_ns.quantile(0.5), win.latency_ns.quantile(0.99),
-                              win.offered, win.rejected});
+                              closed ? win.queries : win.offered, win.rejected});
   }
   // Under kVirtual the rate is measured on the simulated clock (the wall
   // loop time includes no pacing), so it is run-to-run identical too.
@@ -574,8 +624,9 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
       capacity_ns > 0.0 ? 100.0 * static_cast<double>(total_busy_ns) / capacity_ns : 0.0;
 
   if (config.register_metrics) emit_registry_metrics(result, config);
-  HUBLAB_LOG_INFO("serve", "open loop done", log::Field("oracle", result.oracle_name),
+  HUBLAB_LOG_INFO("serve", "serve loop done", log::Field("oracle", result.oracle_name),
                   log::Field("workload", result.workload_name),
+                  log::Field("arrival", arrival_kind_name(config.arrival)),
                   log::Field("offered", result.offered),
                   log::Field("completed", result.completed),
                   log::Field("rejected", result.rejected),
@@ -588,7 +639,7 @@ void write_server_report_json(std::ostream& os, const ServerResult& result,
                               const Graph& g, std::string_view graph_family,
                               std::string_view git_rev, bool smoke, const Tracer& tracer) {
   ReportHeader header;
-  header.name = "serve-open-" + std::string(oracle_kind_name(config.oracle));
+  header.name = "serve-" + std::string(oracle_kind_name(config.oracle));
   header.git_rev = std::string(git_rev);
   header.smoke = smoke;
   header.ok = true;
@@ -631,7 +682,6 @@ void write_server_report_json(std::ostream& os, const ServerResult& result,
     w.kv("trimmed_warmup", result.trimmed_warmup);
     w.kv("trimmed_cooldown", result.trimmed_cooldown);
     w.kv("space_bytes", static_cast<std::uint64_t>(result.space_bytes));
-    w.kv("space_bytes_flat", static_cast<std::uint64_t>(result.space_bytes_flat));
     w.kv("build_s", result.build_s);
     w.kv("serve_loop_s", result.serve_loop_s);
     w.kv("worker_utilization_pct", result.worker_utilization_pct);

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -9,7 +10,7 @@
 
 #include "graph/graph.hpp"
 #include "hub/pll.hpp"
-#include "oracle/serve.hpp"
+#include "oracle/workload.hpp"
 #include "util/exemplar.hpp"
 #include "util/heavyhitter.hpp"
 #include "util/perfcount.hpp"
@@ -17,52 +18,62 @@
 #include "util/trace.hpp"
 
 /// \file server.hpp
-/// Concurrent open-loop query server: the millions-of-users scenario the
-/// ROADMAP names first.  Where serve-sim (oracle/serve.hpp) is a
-/// *closed-loop* driver — the next query starts when the previous one
-/// finishes, so the measured rate is whatever the oracle sustains and
-/// queueing never appears — this engine is *open-loop*: queries arrive on
-/// their own schedule (`--qps`, Poisson or burst) whether or not the
-/// workers keep up, which is how production traffic behaves and the only
-/// way to observe a throughput-vs-latency curve and an overload cliff
-/// (docs/performance.md, "Open-loop vs closed-loop serving").
+/// The query server: the observability testbed for the paper's core
+/// trade-off.  Theorems 1.4/4.1 trade label size against query time;
+/// tracking that across revisions needs *latency distributions* per
+/// oracle (`pll-flat`, `ch`, `bidij`) per workload (oracle/workload.hpp),
+/// not single wall clocks.  Every query lands in sketches, windows, an
+/// exemplar reservoir, a slow-query log and a scan-cost heavy hitter,
+/// reported as `SERVE_<oracle>.json` (validated by `hublab
+/// validate-bench`) plus an optional Prometheus dump.
 ///
-/// Architecture: one load-generator thread stamps each pre-generated
-/// query pair with its scheduled arrival, applies admission control, and
-/// round-robins admitted items over per-worker bounded SPSC rings
-/// (util/spsc.hpp).  Each shard worker drains its ring in blocks of up to
-/// `batch` items and answers them through DistanceOracle::distance_batch —
-/// for the flat oracle that is the SIMD batched kernel
-/// (FlatHubLabeling::query_batch), now serving its intended role as the
-/// hot path.  Latency is **arrival-to-completion**: queue wait included,
-/// so overload shows up in the sketch instead of being coordinated away
-/// (the "coordinated omission" failure mode of closed-loop drivers).
+/// One engine, three arrival kinds (docs/performance.md, "Open-loop vs
+/// closed-loop serving"):
+///  - `poisson` / `burst` are **open-loop**: queries arrive on their own
+///    schedule (`--qps`) whether or not the workers keep up, which is how
+///    production traffic behaves and the only way to observe a
+///    throughput-vs-latency curve and an overload cliff.  One
+///    load-generator thread stamps each pre-generated pair with its
+///    scheduled arrival, applies admission control, and round-robins
+///    admitted items over per-worker bounded SPSC rings (util/spsc.hpp).
+///    Latency is **arrival-to-completion**: queue wait included, so
+///    overload shows up in the sketch instead of being coordinated away
+///    (the "coordinated omission" failure mode of closed-loop drivers).
+///  - `closed` is the **closed loop**: no generator, no rings, no
+///    schedule.  Each worker takes its next block of pairs when the
+///    previous block returns, so an item "arrives" when its worker takes
+///    it and the same record path measures pure service time.
 ///
-/// Admission control: when a ring is full, `kShed` drops the query and
-/// counts it in `serve.rejected` (overload degrades into an error rate
-/// with bounded latency) while `kBlock` stalls the generator (latency
-/// grows without bound, but every query is answered — and the answered
-/// set, hence checksum/reachable, is schedule-independent).
+/// Either way shard worker `w` answers the pairs with `seq % workers == w`
+/// in blocks of up to `batch` items through DistanceOracle::distance_batch
+/// (for the flat oracle, the SIMD batched kernel
+/// FlatHubLabeling::query_batch), or one at a time through
+/// `distance_with_stats` at `batch == 1`, which keeps per-query scan-cost
+/// attribution.  Every block member is charged the block's wall time: it
+/// completes when the kernel call returns.
+///
+/// Admission control (open loop only): when a ring is full, `kShed` drops
+/// the query and counts it in `serve.rejected` (overload degrades into an
+/// error rate with bounded latency) while `kBlock` stalls the generator
+/// (latency grows without bound, but every query is answered — and the
+/// answered set, hence checksum/reachable, is schedule-independent).
 ///
 /// Determinism contract (docs/performance.md): pairs, arrival schedule,
 /// worker assignment (`seq % workers`) and per-worker telemetry merge
-/// order are all fixed by (seed, workers), so with `kBlock` admission the
-/// checksum, answer counts, and exemplar/window *population* are
-/// byte-identical across runs and worker counts; wall-clock latency
-/// values still vary.  `TimingMode::kVirtual` goes further: latencies,
-/// queue depths, and shed decisions come from a discrete-event M/D/c
-/// simulation of the configured topology (constant `virtual_service_ns`
-/// per query, computed on the generator before dispatch), while answers
-/// still flow through the real rings and kernels — two virtual runs are
-/// byte-identical end to end, which is what the determinism suites and
-/// the overload gates in bench_serve_scaling pin down.
+/// order are all fixed by (seed, workers), so with `kBlock` admission or
+/// closed arrivals the checksum, answer counts, and exemplar/window
+/// *population* are byte-identical across runs and worker counts;
+/// wall-clock latency values still vary.  `TimingMode::kVirtual` (open
+/// loop only) goes further: latencies, queue depths, and shed decisions
+/// come from a discrete-event M/D/c simulation of the configured topology
+/// (constant `virtual_service_ns` per query, computed on the generator
+/// before dispatch), while answers still flow through the real rings and
+/// kernels — two virtual runs are byte-identical end to end, which is what
+/// the determinism suites and the overload gates in bench_serve_scaling
+/// pin down.
 ///
-/// Registry metrics (docs/observability.md "The serve path"):
-/// `serve.offered` / `serve.rejected` / `serve.trimmed_warmup` /
-/// `serve.trimmed_cooldown` counters, the `serve.queue_depth` sketch,
-/// `serve.offered_qps` / `serve.achieved_qps` gauges, and per-window
-/// `serve.window.offered.<i>` / `serve.window.rejected.<i>` gauges on top
-/// of everything the closed-loop simulator already emits.
+/// Registry metrics: the `serve.*` names, `hub.scan_cost` and `perf.*`
+/// of docs/observability.md ("The serving path" taxonomy).
 
 namespace hublab {
 class DistanceOracle;  // oracle/oracle.hpp
@@ -70,10 +81,23 @@ class DistanceOracle;  // oracle/oracle.hpp
 
 namespace hublab::serve {
 
-/// Open-loop arrival process shapes.
+enum class OracleKind { kPllFlat, kCh, kBidij };
+
+[[nodiscard]] std::string_view oracle_kind_name(OracleKind kind) noexcept;
+[[nodiscard]] std::optional<OracleKind> parse_oracle_kind(std::string_view name) noexcept;
+
+/// Build one serving oracle (also the `hublab explain` path).  `pll` is
+/// the PLL construction's config (hub-label oracles only; a pure
+/// build-speed knob — the labels, and hence every answer, are identical
+/// for any value).  Throws InvalidArgument on an empty graph.
+std::unique_ptr<DistanceOracle> make_oracle(const Graph& g, OracleKind kind,
+                                            const PllConfig& pll = {});
+
+/// How queries arrive.
 enum class ArrivalKind {
-  kPoisson,  ///< exponential gaps: memoryless traffic at the offered rate
-  kBurst,    ///< back-to-back groups of `burst` arrivals, groups at the rate
+  kPoisson,  ///< open loop, exponential gaps: memoryless traffic at the offered rate
+  kBurst,    ///< open loop, back-to-back groups of `burst` arrivals, groups at the rate
+  kClosed,   ///< closed loop: each worker takes its next block when the last returns
 };
 
 /// What happens when a shard worker's ring is full at dispatch time.
@@ -100,6 +124,24 @@ enum class TimingMode {
 /// whole serve loop, so this is deliberately far below par::kMaxThreads).
 inline constexpr std::size_t kMaxServeWorkers = 64;
 
+/// One window of the per-interval serve time series.  Windows are indexed
+/// by each query's arrival offset (`offset / window_ns`; under closed
+/// arrivals, the offset at which its worker took it), so attribution is
+/// stable however long the query itself ran; `qps` divides by the nominal
+/// window length (the tail window is typically partial and reads low).
+struct WindowStats {
+  std::uint64_t index = 0;
+  std::uint64_t queries = 0;
+  std::uint64_t reachable = 0;
+  double qps = 0.0;
+  std::uint64_t p50_ns = 0;
+  std::uint64_t p99_ns = 0;
+  /// Arrivals whose offset fell in this window, and how many of them
+  /// admission control shed (always 0 under closed arrivals).
+  std::uint64_t offered = 0;
+  std::uint64_t rejected = 0;
+};
+
 struct ServerConfig {
   OracleKind oracle = OracleKind::kPllFlat;
   WorkloadKind workload = WorkloadKind::kUniform;
@@ -109,7 +151,7 @@ struct ServerConfig {
   /// Bit-parallel root count for the PLL construction (build-speed knob
   /// only; answers are identical for any value).
   std::size_t bp_roots = kPllDefaultBpRoots;
-  double qps = 50000.0;  ///< offered load (arrivals per second); > 0
+  double qps = 50000.0;  ///< offered load (arrivals per second); > 0; open loop only
   ArrivalKind arrival = ArrivalKind::kPoisson;
   std::uint64_t burst = 32;  ///< arrivals per burst group (kBurst only)
   AdmissionPolicy admission = AdmissionPolicy::kShed;
@@ -121,7 +163,8 @@ struct ServerConfig {
   /// `warmup_ms` (or the last `cooldown_ms`) of the schedule are answered
   /// and checksummed but excluded from sketches/windows/exemplars, so
   /// ramp-up allocation noise and the drain tail do not distort the
-  /// distributions.  Trimmed counts land in the report.
+  /// distributions.  Trimmed counts land in the report.  Closed arrivals
+  /// have no schedule and trim nothing.
   std::uint64_t warmup_ms = 50;
   std::uint64_t cooldown_ms = 0;
   std::uint64_t slow_query_ns = 0;  ///< slow-query log threshold; 0 disables
@@ -149,13 +192,14 @@ struct ServerResult {
   std::uint64_t trimmed_warmup = 0;   ///< completed but outside telemetry (head)
   std::uint64_t trimmed_cooldown = 0; ///< completed but outside telemetry (tail)
   std::size_t space_bytes = 0;
-  std::size_t space_bytes_flat = 0;  ///< flat SoA footprint (hub oracles)
-  double build_s = 0.0;       ///< oracle preprocessing (0 for run_server_on)
-  double serve_loop_s = 0.0;  ///< open-loop serve phase wall time
-  /// Arrival-to-completion latency of untrimmed completed queries; under
-  /// kVirtual these are simulated, deterministic values.
+  double build_s = 0.0;       ///< oracle preprocessing (set by the caller that built it)
+  double serve_loop_s = 0.0;  ///< serve phase wall time
+  /// Arrival-to-completion latency of untrimmed completed queries (pure
+  /// service time under closed arrivals); under kVirtual these are
+  /// simulated, deterministic values.
   QuantileSketch latency_ns;
-  /// Destination-ring depth sampled at each untrimmed admission decision.
+  /// Destination-ring depth sampled at each untrimmed admission decision
+  /// (empty under closed arrivals, which have no rings).
   QuantileSketch queue_depth;
   std::vector<std::uint64_t> worker_busy_ns;  ///< indexed by shard worker id
   double worker_utilization_pct = 0.0;
@@ -179,22 +223,20 @@ struct SweepPoint {
   std::uint64_t p99_ns = 0;
 };
 
-/// Build the configured oracle, then serve the open-loop workload against
-/// it (run_server_on).  Throws InvalidArgument on an empty graph or a
-/// non-positive qps.
-ServerResult run_server(const Graph& g, const ServerConfig& config, Tracer* tracer = nullptr);
-
-/// Serve against an already-built oracle (the sweep path: build once,
-/// serve each offered-load point).  Spans land in `tracer` when provided;
-/// registry emission obeys `config.register_metrics`.  Must not be called
-/// from inside a parallel region — the serve loop owns the pool.
+/// Serve the configured workload against an already-built oracle (build
+/// once, serve each offered-load point of a sweep).  Spans land in
+/// `tracer` when provided; registry emission obeys
+/// `config.register_metrics`.  Must not be called from inside a parallel
+/// region — the serve loop owns the pool.  Throws InvalidArgument on an
+/// empty graph, zero queries/batch/ring, an open-loop qps <= 0, or
+/// virtual timing with closed arrivals.
 ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
                            const ServerConfig& config, Tracer* tracer = nullptr);
 
-/// Write the schema-versioned open-loop SERVE report: the shared document
-/// (util/report.hpp) plus server members (admission/arrival/timing shape,
-/// offered/completed/rejected, trimmed counts, queue-depth quantiles,
-/// windows with offered+rejected, and the `sweep` ladder).
+/// Write the schema-versioned SERVE report (`serve-<oracle>`): the shared
+/// document (util/report.hpp) plus server members (arrival/admission/
+/// timing shape, offered/completed/rejected, trimmed counts, latency and
+/// queue-depth quantiles, windows, slow queries, and the `sweep` ladder).
 void write_server_report_json(std::ostream& os, const ServerResult& result,
                               const ServerConfig& config, const std::vector<SweepPoint>& sweep,
                               const Graph& g, std::string_view graph_family,

@@ -10,8 +10,8 @@
 #include "util/rng.hpp"
 
 /// \file workload.hpp
-/// Deterministic query-pair generation, shared by the serve-sim driver
-/// (oracle/serve.hpp), the query microbenches (bench_query_oracles) and
+/// Deterministic query-pair generation, shared by the query server
+/// (oracle/server.hpp), the query microbenches (bench_query_oracles) and
 /// tests — one implementation, so "the same workload" means the same
 /// pairs everywhere a gauge compares two query paths.
 ///

@@ -7,7 +7,7 @@
 
 /// \file bench_schema.hpp
 /// Schema checks for the machine-readable run reports — BENCH_<name>.json
-/// from bench/harness.hpp and SERVE_<oracle>.json from `hublab serve-sim`,
+/// from bench/harness.hpp and SERVE_<oracle>.json from `hublab serve`,
 /// both emitted through util/report.hpp (see docs/observability.md for the
 /// schema).  Used by `hublab validate-bench` and the bench-smoke /
 /// bench-compare stages of tools/check.sh, so a producer that silently
@@ -27,7 +27,7 @@
 ///      `branch_miss_rate` — all numbers >= 0.  `hw` appears only on
 ///      perf-capable hosts with `--perf-counters`, so reports without it
 ///      still validate.
-///   4  per-query attribution members, all optional (serve-sim emits them,
+///   4  per-query attribution members, all optional (`hublab serve` emits them,
 ///      benches do not): `windows` (array of per-window objects: required
 ///      `index`, `queries`, `qps`, `p50_ns`, `p99_ns` numbers >= 0),
 ///      `slow_queries` (array of exemplar objects) and `exemplars` /

@@ -7,7 +7,7 @@
 
 /// \file parallel.hpp
 /// Deterministic data parallelism for the embarrassingly parallel layers
-/// (per-source SSSP, labeling verification, the serve-sim query loop).
+/// (per-source SSSP, labeling verification, the serve loop's worker roles).
 ///
 /// The design constraint is the determinism contract (docs/performance.md):
 /// every result -- labels, defects, audit messages, report JSON modulo wall

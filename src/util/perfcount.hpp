@@ -26,7 +26,7 @@
 ///
 /// Counters measure user space only (`exclude_kernel`), per thread
 /// (`inherit == 0`); deltas from different threads must be accumulated
-/// explicitly (see `ScopedHw` and the serve-sim query loop).  Reads come
+/// explicitly (see `ScopedHw` and the serve loop's shard workers).  Reads come
 /// from one `read()` of the group leader (`PERF_FORMAT_GROUP`), so the
 /// five values are a consistent snapshot.
 

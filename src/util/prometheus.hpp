@@ -9,7 +9,7 @@
 /// \file prometheus.hpp
 /// Prometheus text-exposition rendering of the metrics registry
 /// (https://prometheus.io/docs/instrumenting/exposition_formats/, version
-/// 0.0.4).  `hublab serve-sim --prom-out FILE` dumps the registry through
+/// 0.0.4).  `hublab serve --prom-out FILE` dumps the registry through
 /// this so a scrape target or pushgateway can ingest a run without any
 /// bespoke tooling:
 ///

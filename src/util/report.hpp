@@ -11,7 +11,7 @@
 
 /// \file report.hpp
 /// The one emitter of schema-versioned run reports (`BENCH_<name>.json`,
-/// `SERVE_<oracle>.json`).  bench/harness.hpp and oracle/serve.cpp both
+/// `SERVE_<oracle>.json`).  bench/harness.hpp and oracle/server.cpp both
 /// delegate here, so the document shape that `util/bench_schema.hpp`
 /// validates is produced in exactly one place: header fields, per-phase
 /// wall times with counter deltas from the tracer, and the full registry

@@ -12,7 +12,7 @@
 /// Peak RSS is the max of two sources: the kernel's `getrusage` high-water
 /// mark, and the samples taken by `sample_rss_peak()` — the sampling
 /// profiler (util/profiler.hpp) calls the latter on every tick, so long
-/// serve-sim runs record the true in-flight peak even on platforms where
+/// serve runs record the true in-flight peak even on platforms where
 /// `ru_maxrss` under-reports (and the `proc.peak_rss_bytes` gauge exported
 /// to Prometheus reflects it).
 

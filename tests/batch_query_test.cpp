@@ -11,7 +11,7 @@
 #include "hub/simd_kernel.hpp"
 #include "lowerbound/gadget.hpp"
 #include "oracle/oracle.hpp"
-#include "oracle/serve.hpp"
+#include "oracle/server.hpp"
 #include "oracle/workload.hpp"
 #include "rs/rs_graph.hpp"
 #include "util/metrics.hpp"
@@ -140,36 +140,36 @@ TEST(BatchQuery, MetricsCountBlocksPairsAndGroups) {
 #endif  // HUBLAB_METRICS_ENABLED
 
 TEST(BatchQuery, ServeSimBatchedLoopIsDeterministic) {
-  // serve-sim with --batch 4: the batched chunk loop must reproduce the
-  // unbatched loop's checksum/reachability, and stay thread-count
-  // invariant (the tsan job runs this suite at 1 and 4 workers).
+  // The closed-loop server with --batch 4: the batched blocks must
+  // reproduce the per-query loop's checksum/reachability, and stay
+  // worker-count invariant (the tsan job runs this suite at 1 and 4
+  // workers).
   const Graph g = lb::LayeredGadget(lb::GadgetParams{1, 1}).graph();
-  serve::SimConfig base;
-  base.oracle = serve::OracleKind::kPllFlat;
+  const auto oracle = serve::make_oracle(g, serve::OracleKind::kPllFlat);
+  serve::ServerConfig base;
+  base.arrival = serve::ArrivalKind::kClosed;
   base.workload = serve::WorkloadKind::kUniform;
   base.num_queries = 300;
-  base.warmup = 20;
   base.seed = 5;
+  base.workers = 1;
+  base.batch = 1;
+  base.register_metrics = false;
+  const serve::ServerResult unbatched = serve::run_server_on(g, *oracle, base);
 
-  metrics::registry().reset();
-  const serve::SimResult unbatched = serve::run_sim(g, base);
-
-  serve::SimConfig batched = base;
+  serve::ServerConfig batched = base;
   batched.batch = 4;
-  metrics::registry().reset();
-  const serve::SimResult b1 = serve::run_sim(g, batched);
+  const serve::ServerResult b1 = serve::run_server_on(g, *oracle, batched);
 
-  serve::SimConfig batched4 = batched;
-  batched4.threads = 4;
-  metrics::registry().reset();
-  const serve::SimResult b4 = serve::run_sim(g, batched4);
+  serve::ServerConfig batched4 = batched;
+  batched4.workers = 4;
+  const serve::ServerResult b4 = serve::run_server_on(g, *oracle, batched4);
 
   EXPECT_EQ(b1.checksum, unbatched.checksum);
   EXPECT_EQ(b1.reachable, unbatched.reachable);
-  EXPECT_EQ(b1.queries, unbatched.queries);
+  EXPECT_EQ(b1.completed, unbatched.completed);
   EXPECT_EQ(b4.checksum, b1.checksum);
   EXPECT_EQ(b4.reachable, b1.reachable);
-  EXPECT_EQ(b4.queries, b1.queries);
+  EXPECT_EQ(b4.completed, b1.completed);
   EXPECT_EQ(b4.latency_ns.count(), b1.latency_ns.count());
 }
 

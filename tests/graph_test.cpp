@@ -158,6 +158,12 @@ TEST(GraphIo, EdgeListVertexOutOfRangeThrows) {
   EXPECT_THROW(io::read_edge_list(ss), ParseError);
 }
 
+TEST(GraphIo, EdgeListVertexCountPastVertexRangeThrows) {
+  // 2^32 + 1 vertices: ids up to 2^32 would pass `u < n` and truncate.
+  std::stringstream ss("4294967297 1\n0 1\n");
+  EXPECT_THROW(io::read_edge_list(ss), ParseError);
+}
+
 TEST(GraphIo, DimacsRoundTrip) {
   GraphBuilder b(3);
   b.add_edge(0, 1, 4);
@@ -173,6 +179,11 @@ TEST(GraphIo, DimacsRoundTrip) {
 
 TEST(GraphIo, DimacsArcBeforeHeaderThrows) {
   std::stringstream ss("a 1 2 3\n");
+  EXPECT_THROW(io::read_dimacs(ss), ParseError);
+}
+
+TEST(GraphIo, DimacsVertexCountPastVertexRangeThrows) {
+  std::stringstream ss("p sp 4294967297 1\na 1 2 1\n");
   EXPECT_THROW(io::read_dimacs(ss), ParseError);
 }
 

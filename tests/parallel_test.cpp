@@ -199,7 +199,7 @@ TEST(ParallelFor, PoolIsReusableAfterAnException) {
 }
 
 TEST(RunChunks, HonorsCallerSuppliedChunkList) {
-  // Caller-fixed chunking (the serve-sim pattern): 5 uneven chunks, results
+  // Caller-fixed chunking (the serve loop's role list): 5 uneven chunks, results
   // keyed by index.
   const std::vector<par::ChunkRange> chunks{
       {0, 10, 0}, {10, 11, 1}, {11, 40, 2}, {40, 41, 3}, {41, 64, 4}};

@@ -3,7 +3,7 @@
 // the grammar the emitter is specified to produce -- HELP/TYPE pairing,
 // label syntax, exemplar suffixes, cumulative buckets -- and the tests run
 // it over (a) a registry populated with every collector kind and (b) the
-// file `hublab serve-sim --prom-out` actually writes, so a grammar
+// file `hublab serve --prom-out` actually writes, so a grammar
 // regression in either layer fails here before any scrape does.
 
 #include "util/prometheus.hpp"
@@ -307,9 +307,9 @@ TEST(PrometheusGrammar, ServeSimPromOutRoundTrips) {
   std::ostringstream out;
   ASSERT_EQ(cli::run({"gen", "gadget-g", "--b", "2", "--l", "1", "-o", graph}, out, out), 0)
       << out.str();
-  ASSERT_EQ(cli::run({"serve-sim", graph, "--smoke", "--slow-query-ms", "0.0001",
-                      "--window-ms", "5", "--json-out", testing::TempDir() + "/prom_rt.json",
-                      "--prom-out", prom},
+  ASSERT_EQ(cli::run({"serve", graph, "--arrival", "closed", "--batch", "1", "--smoke",
+                      "--slow-query-ms", "0.0001", "--window-ms", "5", "--json-out",
+                      testing::TempDir() + "/prom_rt.json", "--prom-out", prom},
                      out, out),
             0)
       << out.str();

@@ -198,9 +198,10 @@ TEST(QuantileSketch, QuantileReturnsRecordedValues) {
 }
 
 TEST(QuantileSketch, ChunkMergeIsExecutionOrderInvariant) {
-  // The serve-sim reduction pattern (oracle/serve.cpp): the stream is cut
-  // into a *fixed* number of chunks, each chunk builds its own sketch, and
-  // the chunks are merged into the result in chunk-index order.  Workers
+  // The fixed-chunk reduction pattern: the stream is cut into a *fixed*
+  // number of chunks, each chunk builds its own sketch, and the chunks
+  // are merged into the result in chunk-index order (the server merges
+  // its per-worker sketches the same way, in worker order).  Workers
   // may *execute* chunks in any order, so the merged sketch must depend
   // only on the chunk contents and the merge order — not on when each
   // chunk sketch was built.

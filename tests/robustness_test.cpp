@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -126,6 +127,25 @@ TEST(Fuzz, LabelingLoaderNeverCrashes) {
       (void)load_labeling(stream);
     } catch (const ParseError&) {
     }
+  }
+}
+
+/// A labeling-file header (magic, version, vertex count) with no body.
+std::string labeling_header(std::uint64_t n) {
+  std::string bytes = "HLAB";
+  const std::uint32_t version = kLabelingFormatVersion;
+  bytes.append(reinterpret_cast<const char*>(&version), sizeof version);
+  bytes.append(reinterpret_cast<const char*>(&n), sizeof n);
+  return bytes;
+}
+
+TEST(Fuzz, LabelingLoaderRejectsOversizedDeclarationsBeforeAllocating) {
+  // n = 2^32 is past the vertex range; n = 2^30 fits the range but the
+  // stream holds none of the 8 bytes per vertex it declares.  Both must be
+  // refused from the header alone, not after allocating n labels.
+  for (const std::uint64_t n : {std::uint64_t{1} << 32, std::uint64_t{1} << 30}) {
+    std::stringstream stream(labeling_header(n));
+    EXPECT_THROW((void)load_labeling(stream), ParseError) << "n=" << n;
   }
 }
 

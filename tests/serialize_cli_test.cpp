@@ -250,7 +250,7 @@ TEST(Cli, ExplainAgreesWithReferenceOnFig1Gadget) {
   TempFile graph("explain_gadget");
   std::string output;
   ASSERT_EQ(run_cli({"gen", "gadget-g", "--b", "2", "--l", "1", "-o", graph.path()}, &output), 0);
-  for (const char* oracle : {"pll", "pll-flat", "ch", "bidij"}) {
+  for (const char* oracle : {"pll-flat", "ch", "bidij"}) {
     ASSERT_EQ(run_cli({"explain", graph.path(), "0", "5", "--oracle", oracle}, &output), 0)
         << oracle << ": " << output;
     EXPECT_NE(output.find("agree=yes"), std::string::npos) << output;
@@ -269,7 +269,7 @@ TEST(Cli, ExplainRejectsBadArguments) {
   std::string output;
   ASSERT_EQ(run_cli({"gen", "grid", "--rows", "3", "--cols", "3", "-o", graph.path()}, &output), 0);
   EXPECT_EQ(run_cli({"explain", graph.path(), "0"}, &output), 1);  // missing T
-  EXPECT_EQ(run_cli({"explain", graph.path(), "0", "99", "--oracle", "pll"}, &output), 1);
+  EXPECT_EQ(run_cli({"explain", graph.path(), "0", "99", "--oracle", "pll-flat"}, &output), 1);
   EXPECT_NE(output.find("out of range"), std::string::npos);
   EXPECT_EQ(run_cli({"explain", graph.path(), "0", "1", "--oracle", "warp"}, &output), 1);
   EXPECT_NE(output.find("unknown oracle"), std::string::npos);
@@ -280,8 +280,9 @@ TEST(Cli, ServeSimSlowQueryFlagsLandInReport) {
   TempFile json("serve_slow_json");
   std::string output;
   ASSERT_EQ(run_cli({"gen", "grid", "--rows", "6", "--cols", "6", "-o", graph.path()}, &output), 0);
-  ASSERT_EQ(run_cli({"serve-sim", graph.path(), "--smoke", "--queries", "200", "--slow-query-ms",
-                     "0.000001", "--window-ms", "1", "--json-out", json.path()},
+  ASSERT_EQ(run_cli({"serve", graph.path(), "--arrival", "closed", "--batch", "1", "--smoke",
+                     "--queries", "200", "--slow-query-ms", "0.000001", "--window-ms", "1",
+                     "--json-out", json.path()},
                     &output),
             0)
       << output;
@@ -303,18 +304,42 @@ TEST(Cli, ServeSimPromOutFailsCleanlyOnUnwritablePath) {
   TempFile json("serve_prom_fail_json");
   std::string output;
   ASSERT_EQ(run_cli({"gen", "grid", "--rows", "4", "--cols", "4", "-o", graph.path()}, &output), 0);
-  EXPECT_EQ(run_cli({"serve-sim", graph.path(), "--smoke", "--queries", "100", "--json-out",
-                     json.path(), "--prom-out", "/nonexistent-dir/prom.txt"},
+  EXPECT_EQ(run_cli({"serve", graph.path(), "--arrival", "closed", "--batch", "1", "--smoke",
+                     "--queries", "100", "--json-out", json.path(), "--prom-out",
+                     "/nonexistent-dir/prom.txt"},
                     &output),
             1);
-  EXPECT_NE(output.find("error: serve-sim: cannot write /nonexistent-dir/prom.txt"),
+  EXPECT_NE(output.find("error: serve: cannot write /nonexistent-dir/prom.txt"),
             std::string::npos)
       << output;
-  EXPECT_EQ(run_cli({"serve-sim", graph.path(), "--smoke", "--queries", "100", "--window-ms",
-                     "0"},
+  EXPECT_EQ(run_cli({"serve", graph.path(), "--arrival", "closed", "--batch", "1", "--smoke",
+                     "--queries", "100", "--window-ms", "0"},
                     &output),
             1);
   EXPECT_NE(output.find("--window-ms must be > 0"), std::string::npos) << output;
+}
+
+TEST(Cli, NumericOptionsRejectBadValues) {
+  // Unparsable and out-of-range numbers are usage errors naming the flag,
+  // never an uncaught exception out of the command.
+  TempFile graph("numeric_opts");
+  std::string output;
+  ASSERT_EQ(run_cli({"gen", "grid", "--rows", "3", "--cols", "3", "-o", graph.path()}, &output), 0);
+  const std::vector<std::vector<std::string>> cases = {
+      {"serve", graph.path(), "--qps", "abc"},
+      {"serve", graph.path(), "--arrival", "closed", "--queries", "abc"},
+      {"serve", graph.path(), "--queries", "99999999999999999999999"},
+      {"serve", graph.path(), "--qps", "1e999"},
+      {"serve", graph.path(), "--workers", "-2"},
+      {"serve", graph.path(), "--batch", "4x"},
+      {"gen", "gnm", "--n", "ten"},
+  };
+  for (const std::vector<std::string>& args : cases) {
+    const std::string& flag = args[args.size() - 2];
+    EXPECT_EQ(run_cli(args, &output), 1) << flag << ": " << output;
+    EXPECT_NE(output.find("error: "), std::string::npos) << output;
+    EXPECT_NE(output.find(flag), std::string::npos) << flag << ": " << output;
+  }
 }
 
 }  // namespace

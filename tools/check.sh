@@ -10,7 +10,9 @@
 #   7. bench smoke: every bench --smoke + JSON schema validation
 #   8. bench-compare: smoke runs vs bench/baselines/  (relaxed thresholds)
 #   9. trajectory: headline gauges appended to bench/trajectory.jsonl
-#  10. serve-sim smoke + SERVE_*.json schema validation + Prometheus dump
+#  10. closed-loop serve smoke: `hublab serve --arrival closed` (per-query
+#      with a Prometheus dump, 4 workers, and the ch oracle), every
+#      SERVE_*.json schema-validated
 #  11. open-loop serve smoke: `hublab serve` at low wall QPS (nothing
 #      shed) and under virtual-time overload (deterministic shedding),
 #      both reports schema-validated
@@ -69,14 +71,15 @@ ctest --preset asan-ubsan -j "${jobs}"
 stage "3/14 TSan build + parallel-path tests"
 # The suites that drive util/parallel's pool with threads > 1: the pool
 # itself, every parallelized hub-labeling entry point, the flat kernel, the
-# threaded serve loop and the sketch merges it reduces with, plus the open
-# -loop server's SPSC rings and generator/worker handoff.  -fsanitize=
+# sketch merges the server reduces with, and the server itself — its SPSC
+# rings and generator/worker handoff (open loop) and its independent
+# workers (closed loop, report and batch suites).  -fsanitize=
 # thread aborts on the first data race (no recovery), so a green run means
 # zero reports.
 cmake --preset tsan
 cmake --build --preset tsan -j "${jobs}"
 ctest --preset tsan -j "${jobs}" \
-  -R 'StaticChunks|ResolveThreads|HardwareThreads|ParallelFor|RunChunks|ParallelDeterminism|FlatHubLabeling|BatchQuery|RunSim|QuantileSketch|PllBp|SpscRing|ServeOpen'
+  -R 'StaticChunks|ResolveThreads|HardwareThreads|ParallelFor|RunChunks|ParallelDeterminism|FlatHubLabeling|BatchQuery|QuantileSketch|PllBp|SpscRing|ServeOpen|ServeClosed|ServeReport'
 
 stage "4/14 clang-tidy gate"
 cmake --build --preset dev --target run-tidy
@@ -208,19 +211,32 @@ with open(path, "w") as fh:
 print(f"trajectory: {len(lines)} point(s), latest {json.dumps(headline)}")
 PY
 
-stage "10/14 serve-sim smoke + SERVE_*.json schema validation"
+stage "10/14 closed-loop serve smoke + SERVE_*.json schema validation"
+# Three closed-loop runs (each worker takes its next block when the last
+# returns): per-query with a Prometheus dump, 4 workers, and the CH oracle.
 (cd "${smoke_dir}" \
   && "${repo_root}/build/dev/tools/hublab" gen gadget-g --b 2 --l 1 -o serve_graph.txt > /dev/null \
-  && "${repo_root}/build/dev/tools/hublab" serve-sim serve_graph.txt \
-       --oracle pll --workload uniform --smoke --prom-out SERVE_pll.prom > /dev/null \
-  && "${repo_root}/build/dev/tools/hublab" serve-sim serve_graph.txt \
-       --oracle pll-flat --workload uniform --smoke --threads 4 \
-       --json-out SERVE_pll_flat.json > /dev/null)
-build/dev/tools/hublab validate-bench --quiet "${smoke_dir}"/SERVE_*.json
-grep -q "hublab_serve_query_ns" "${smoke_dir}/SERVE_pll.prom"
-grep -q "hublab_proc_peak_rss_bytes" "${smoke_dir}/SERVE_pll.prom"
-grep -q '"threads": 4' "${smoke_dir}/SERVE_pll_flat.json"
-echo "serve-sim: SERVE_*.json schema-valid, Prometheus dump has serve metrics"
+  && "${repo_root}/build/dev/tools/hublab" serve serve_graph.txt --arrival closed \
+       --oracle pll-flat --workload uniform --smoke --batch 1 \
+       --json-out SERVE_closed_batch1.json --prom-out SERVE_closed.prom > /dev/null \
+  && "${repo_root}/build/dev/tools/hublab" serve serve_graph.txt --arrival closed \
+       --oracle pll-flat --workload uniform --smoke --workers 4 \
+       --json-out SERVE_closed_4w.json > /dev/null \
+  && "${repo_root}/build/dev/tools/hublab" serve serve_graph.txt --arrival closed \
+       --oracle ch --workload uniform --smoke \
+       --json-out SERVE_closed_ch.json > /dev/null)
+build/dev/tools/hublab validate-bench --quiet "${smoke_dir}"/SERVE_closed_*.json
+grep -q "hublab_serve_query_ns" "${smoke_dir}/SERVE_closed.prom"
+grep -q "hublab_proc_peak_rss_bytes" "${smoke_dir}/SERVE_closed.prom"
+grep -q '"threads": 4' "${smoke_dir}/SERVE_closed_4w.json"
+python3 - "${smoke_dir}" <<'PY'
+import json, sys
+with open(f"{sys.argv[1]}/SERVE_closed_4w.json") as fh:
+    doc = json.load(fh)
+assert doc["arrival"] == "closed", doc["arrival"]
+assert doc["queries"] == doc["offered"], (doc["queries"], doc["offered"])
+PY
+echo "serve-closed: SERVE_closed_*.json schema-valid, every query answered, Prometheus dump has serve metrics"
 
 stage "11/14 open-loop serve smoke (hublab serve, wall + virtual overload)"
 # Two runs against the gadget graph from stage 10: a wall-clock run at a

@@ -1,5 +1,6 @@
 #include "tools/cli.hpp"
 
+#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -21,7 +22,6 @@
 #include "lowerbound/certify.hpp"
 #include "lowerbound/gadget.hpp"
 #include "oracle/oracle.hpp"
-#include "oracle/serve.hpp"
 #include "oracle/server.hpp"
 #include "rs/rs_graph.hpp"
 #include "sumindex/sumindex.hpp"
@@ -56,6 +56,27 @@ bool is_boolean_flag(const std::string& name) {
          name == "--perf-counters";
 }
 
+/// Parse all of `s` as a number of type T.  Anything else — empty, a sign
+/// on an unsigned value, trailing characters, out of range — is an
+/// InvalidArgument naming `what` (the flag or positional it came from).
+template <typename T>
+T parse_number(const std::string& s, const std::string& what) {
+  T value{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    throw InvalidArgument("value out of range for " + what + ": " + s);
+  }
+  if (ec != std::errc() || ptr != end) {
+    throw InvalidArgument("expected a number for " + what + ", got: " + s);
+  }
+  return value;
+}
+
+std::uint64_t parse_u64(const std::string& s, const std::string& what) {
+  return parse_number<std::uint64_t>(s, what);
+}
+
 /// Tiny argument cursor: positionals in order plus --key value options and
 /// boolean --flags.
 class Args {
@@ -83,12 +104,12 @@ class Args {
 
   [[nodiscard]] std::uint64_t option_u64(const std::string& name, std::uint64_t fallback) const {
     const auto v = option(name);
-    return v ? std::stoull(*v) : fallback;
+    return v ? parse_u64(*v, name) : fallback;
   }
 
   [[nodiscard]] double option_double(const std::string& name, double fallback) const {
     const auto v = option(name);
-    return v ? std::stod(*v) : fallback;
+    return v ? parse_number<double>(*v, name) : fallback;
   }
 
   [[nodiscard]] bool flag(const std::string& name) const {
@@ -102,14 +123,6 @@ class Args {
   std::vector<std::string> args_;
   std::size_t cursor_ = 0;
 };
-
-std::uint64_t parse_u64(const std::string& s, const char* what) {
-  try {
-    return std::stoull(s);
-  } catch (const std::exception&) {
-    throw InvalidArgument(std::string("expected a number for ") + what + ", got: " + s);
-  }
-}
 
 int cmd_gen(Args& args, std::ostream& out) {
   const auto family = args.next_positional();
@@ -395,120 +408,20 @@ int cmd_validate_bench(Args& args, std::ostream& out) {
   return any_invalid ? 1 : 0;
 }
 
-/// Closed-loop query-serving simulation (see oracle/serve.hpp): build one
-/// oracle, drive a synthetic workload, report latency quantiles, and emit a
-/// SERVE_<oracle>.json run report plus an optional Prometheus text dump.
-int cmd_serve_sim(Args& args, std::ostream& out) {
-  const auto file = args.next_positional();
-  if (!file) {
-    throw InvalidArgument(
-        "serve-sim: usage: serve-sim GRAPH [--oracle pll|pll-flat|ch|bidij] "
-        "[--workload uniform|zipf|near|far] [--queries N] [--warmup N] [--seed N] "
-        "[--threads N] [--batch N] [--bp-roots N] [--slow-query-ms MS] [--window-ms MS] "
-        "[--smoke] [--perf-counters] [--json-out FILE] [--prom-out FILE]");
-  }
-  serve::SimConfig config;
-  if (const auto o = args.option("--oracle")) {
-    const auto kind = serve::parse_oracle_kind(*o);
-    if (!kind) {
-      throw InvalidArgument("serve-sim: unknown oracle: " + *o + " (pll|pll-flat|ch|bidij)");
-    }
-    config.oracle = *kind;
-  }
-  if (const auto w = args.option("--workload")) {
-    const auto kind = serve::parse_workload_kind(*w);
-    if (!kind) {
-      throw InvalidArgument("serve-sim: unknown workload: " + *w + " (uniform|zipf|near|far)");
-    }
-    config.workload = *kind;
-  }
-  const bool smoke = args.flag("--smoke");
-  config.num_queries = args.option_u64("--queries", smoke ? 500 : 10000);
-  config.warmup = args.option_u64("--warmup", 100);
-  config.seed = args.option_u64("--seed", 1);
-  config.threads = static_cast<std::size_t>(args.option_u64("--threads", 0));
-  config.batch = static_cast<std::size_t>(args.option_u64("--batch", 1));
-  if (config.batch == 0) throw InvalidArgument("serve-sim: --batch must be >= 1");
-  config.bp_roots = static_cast<std::size_t>(args.option_u64("--bp-roots", kPllDefaultBpRoots));
-  const double slow_ms = args.option_double("--slow-query-ms", 0.0);
-  if (slow_ms < 0.0) throw InvalidArgument("serve-sim: --slow-query-ms must be >= 0");
-  config.slow_query_ns = static_cast<std::uint64_t>(slow_ms * 1e6);
-  const double window_ms = args.option_double("--window-ms", 1000.0);
-  if (window_ms <= 0.0) throw InvalidArgument("serve-sim: --window-ms must be > 0");
-  config.window_ns = static_cast<std::uint64_t>(window_ms * 1e6);
-
-  if (args.flag("--perf-counters")) {
-    perf::set_enabled(true);
-    out << "perf counters: " << perf::describe() << "\n";
-  }
-
-  const Graph g = io::load_edge_list(*file);
-  metrics::registry().reset();
-  Tracer tracer;
-  const serve::SimResult result = serve::run_sim(g, config, &tracer);
-  metrics::registry()
-      .gauge("proc.peak_rss_bytes")
-      .set(static_cast<std::int64_t>(peak_rss_bytes()));
-
-  const QuantileSketch& lat = result.latency_ns;
-  out << "serve-sim " << *file << ": oracle=" << result.oracle_name
-      << " workload=" << result.workload_name << " threads=" << result.threads
-      << " batch=" << config.batch << " queries=" << result.queries
-      << " reachable=" << result.reachable << "\n";
-  out << "  build_s=" << result.build_s << " space_bytes=" << result.space_bytes
-      << " space_bytes_flat=" << result.space_bytes_flat
-      << " query_loop_s=" << result.query_loop_s << "\n";
-  out << "  latency_ns: p50=" << lat.quantile(0.5) << " p90=" << lat.quantile(0.9)
-      << " p99=" << lat.quantile(0.99) << " p999=" << lat.quantile(0.999)
-      << " max=" << lat.max() << " (rank error <= " << lat.rank_error_bound() << ")\n";
-  out << "  workers=" << result.worker_busy_ns.size()
-      << " utilization_pct=" << result.worker_utilization_pct << "\n";
-  out << "  windows=" << result.windows.size()
-      << " slow_queries=" << result.slow_queries.total_slow()
-      << " exemplars=" << result.exemplars.count() << "\n";
-  if (result.hw.valid) {
-    out << "  hw: ipc=" << result.hw.ipc() << " llc_miss_rate=" << result.hw.llc_miss_rate()
-        << " branch_miss_rate=" << result.hw.branch_miss_rate() << "\n";
-  }
-
-  const std::string json_path =
-      args.option("--json-out")
-          .value_or("SERVE_" + std::string(serve::oracle_kind_name(config.oracle)) + ".json");
-  {
-    std::ofstream json(json_path);
-    if (!json) throw Error("serve-sim: cannot write " + json_path);
-    serve::write_serve_report_json(json, result, config, g, *file, HUBLAB_GIT_REV, smoke, tracer);
-    // An open() that succeeded can still lose the payload (full disk,
-    // /dev/full, directory swept away mid-run) — flush and re-check before
-    // claiming success.
-    json.flush();
-    if (!json) throw Error("serve-sim: cannot write " + json_path);
-  }
-  out << "serve JSON written to " << json_path << "\n";
-
-  if (const auto prom = args.option("--prom-out")) {
-    std::ofstream prom_out(*prom);
-    if (!prom_out) throw Error("serve-sim: cannot write " + *prom);
-    write_prometheus_text(metrics::registry(), prom_out);
-    prom_out.flush();
-    if (!prom_out) throw Error("serve-sim: cannot write " + *prom);
-    out << "prometheus dump written to " << *prom << "\n";
-  }
-  return 0;
-}
-
-/// Open-loop concurrent query server (see oracle/server.hpp): build one
-/// oracle, generate a scheduled arrival stream at the offered --qps, serve
-/// it through per-worker SPSC rings feeding the batched kernel, and report
-/// arrival-to-completion latency, shed counts, and (with --qps-sweep) the
-/// whole throughput-vs-latency ladder in one SERVE_open_<oracle>.json.
+/// Concurrent query server (see oracle/server.hpp): build one oracle, then
+/// serve a pre-generated workload — open loop at the offered --qps
+/// (Poisson or burst arrivals through per-worker SPSC rings feeding the
+/// batched kernel), or closed loop (`--arrival closed`: each worker takes
+/// its next block when the last returns) — and report latency quantiles,
+/// shed counts, and (with --qps-sweep) the whole throughput-vs-latency
+/// ladder in one SERVE_<oracle>.json plus an optional Prometheus dump.
 int cmd_serve(Args& args, std::ostream& out) {
   const auto file = args.next_positional();
   if (!file) {
     throw InvalidArgument(
-        "serve: usage: serve GRAPH [--oracle pll|pll-flat|ch|bidij] "
+        "serve: usage: serve GRAPH [--oracle pll-flat|ch|bidij] "
         "[--workload uniform|zipf|near|far] [--queries N] [--seed N] [--workers N] "
-        "[--qps RATE] [--qps-sweep R1,R2,...] [--arrival poisson|burst] [--burst N] "
+        "[--qps RATE] [--qps-sweep R1,R2,...] [--arrival poisson|burst|closed] [--burst N] "
         "[--admission shed|block] [--ring N] [--batch N] [--timing wall|virtual] "
         "[--virtual-service-ns N] [--warmup-ms MS] [--cooldown-ms MS] [--slow-query-ms MS] "
         "[--window-ms MS] [--bp-roots N] [--smoke] [--perf-counters] "
@@ -518,7 +431,7 @@ int cmd_serve(Args& args, std::ostream& out) {
   if (const auto o = args.option("--oracle")) {
     const auto kind = serve::parse_oracle_kind(*o);
     if (!kind) {
-      throw InvalidArgument("serve: unknown oracle: " + *o + " (pll|pll-flat|ch|bidij)");
+      throw InvalidArgument("serve: unknown oracle: " + *o + " (pll-flat|ch|bidij)");
     }
     config.oracle = *kind;
   }
@@ -531,7 +444,9 @@ int cmd_serve(Args& args, std::ostream& out) {
   }
   if (const auto a = args.option("--arrival")) {
     const auto kind = serve::parse_arrival_kind(*a);
-    if (!kind) throw InvalidArgument("serve: unknown arrival: " + *a + " (poisson|burst)");
+    if (!kind) {
+      throw InvalidArgument("serve: unknown arrival: " + *a + " (poisson|burst|closed)");
+    }
     config.arrival = *kind;
   }
   if (const auto a = args.option("--admission")) {
@@ -571,16 +486,14 @@ int cmd_serve(Args& args, std::ostream& out) {
   // one the full report describes).
   std::vector<double> ladder;
   if (const auto sweep_arg = args.option("--qps-sweep")) {
+    if (config.arrival == serve::ArrivalKind::kClosed) {
+      throw InvalidArgument("serve: --qps-sweep needs an open-loop arrival (poisson|burst)");
+    }
     std::stringstream ss(*sweep_arg);
     std::string tok;
     while (std::getline(ss, tok, ',')) {
       if (tok.empty()) continue;
-      double rate = 0.0;
-      try {
-        rate = std::stod(tok);
-      } catch (const std::exception&) {
-        throw InvalidArgument("serve: bad --qps-sweep entry: " + tok);
-      }
+      const double rate = parse_number<double>(tok, "--qps-sweep");
       if (!(rate > 0.0)) throw InvalidArgument("serve: --qps-sweep rates must be > 0");
       ladder.push_back(rate);
     }
@@ -602,11 +515,7 @@ int cmd_serve(Args& args, std::ostream& out) {
   {
     auto span = tracer.span("build-oracle");
     Timer build_timer;
-    serve::SimConfig build_config;
-    build_config.oracle = config.oracle;
-    build_config.bp_roots = config.bp_roots;
-    build_config.threads = config.workers;
-    oracle = serve::make_oracle(g, build_config);
+    oracle = serve::make_oracle(g, config.oracle, PllConfig{config.bp_roots, config.workers});
     build_s = build_timer.elapsed_s();
   }
 
@@ -618,7 +527,7 @@ int cmd_serve(Args& args, std::ostream& out) {
     // --prom-out dump) reflects the last point, not a sum over the ladder.
     metrics::registry().reset();
     result = serve::run_server_on(g, *oracle, config, &tracer);
-    sweep.push_back({qps, result.achieved_qps, result.completed, result.rejected,
+    sweep.push_back({result.offered_qps, result.achieved_qps, result.completed, result.rejected,
                      result.latency_ns.quantile(0.5), result.latency_ns.quantile(0.99)});
     if (ladder.size() > 1) {
       out << "  sweep qps=" << qps << ": achieved=" << result.achieved_qps
@@ -635,7 +544,8 @@ int cmd_serve(Args& args, std::ostream& out) {
   const QuantileSketch& lat = result.latency_ns;
   out << "serve " << *file << ": oracle=" << result.oracle_name
       << " workload=" << result.workload_name << " workers=" << result.workers
-      << " batch=" << config.batch << " admission="
+      << " batch=" << config.batch
+      << " arrival=" << serve::arrival_kind_name(config.arrival) << " admission="
       << serve::admission_policy_name(config.admission)
       << " timing=" << serve::timing_mode_name(config.timing) << "\n";
   out << "  offered=" << result.offered << " (qps=" << result.offered_qps
@@ -659,8 +569,7 @@ int cmd_serve(Args& args, std::ostream& out) {
 
   const std::string json_path =
       args.option("--json-out")
-          .value_or("SERVE_open_" + std::string(serve::oracle_kind_name(config.oracle)) +
-                    ".json");
+          .value_or("SERVE_" + std::string(serve::oracle_kind_name(config.oracle)) + ".json");
   {
     std::ofstream json(json_path);
     if (!json) throw Error("serve: cannot write " + json_path);
@@ -694,20 +603,20 @@ int cmd_explain(Args& args, std::ostream& out) {
   const auto t_str = args.next_positional();
   if (!graph_file || !s_str || !t_str) {
     throw InvalidArgument(
-        "explain: usage: explain GRAPH S T [--oracle pll|pll-flat|ch|bidij] "
-        "[--seed N] [--threads N] [--bp-roots N]");
+        "explain: usage: explain GRAPH S T [--oracle pll-flat|ch|bidij] "
+        "[--threads N] [--bp-roots N]");
   }
-  serve::SimConfig config;
+  serve::OracleKind kind = serve::OracleKind::kPllFlat;
   if (const auto o = args.option("--oracle")) {
-    const auto kind = serve::parse_oracle_kind(*o);
-    if (!kind) {
-      throw InvalidArgument("explain: unknown oracle: " + *o + " (pll|pll-flat|ch|bidij)");
+    const auto parsed = serve::parse_oracle_kind(*o);
+    if (!parsed) {
+      throw InvalidArgument("explain: unknown oracle: " + *o + " (pll-flat|ch|bidij)");
     }
-    config.oracle = *kind;
+    kind = *parsed;
   }
-  config.seed = args.option_u64("--seed", 1);
-  config.threads = static_cast<std::size_t>(args.option_u64("--threads", 0));
-  config.bp_roots = static_cast<std::size_t>(args.option_u64("--bp-roots", kPllDefaultBpRoots));
+  PllConfig pll;
+  pll.threads = static_cast<std::size_t>(args.option_u64("--threads", 0));
+  pll.bp_roots = static_cast<std::size_t>(args.option_u64("--bp-roots", kPllDefaultBpRoots));
 
   const std::uint64_t t0 = monotonic_ns();
   const Graph g = io::load_edge_list(*graph_file);
@@ -718,7 +627,7 @@ int cmd_explain(Args& args, std::ostream& out) {
     throw InvalidArgument("explain: vertex out of range");
   }
 
-  const std::unique_ptr<DistanceOracle> oracle = serve::make_oracle(g, config);
+  const std::unique_ptr<DistanceOracle> oracle = serve::make_oracle(g, kind, pll);
   const std::uint64_t t_built = monotonic_ns();
 
   metrics::QueryStats probe;
@@ -860,8 +769,8 @@ int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& e
   fr::install_crash_handler();
   if (args.empty()) {
     err << "usage: hublab "
-           "<gen|stats|label|query|explain|verify|certify-gadget|sumindex|trace|serve-sim|"
-           "serve|profile|validate-bench|bench-compare> ...\n";
+           "<gen|stats|label|query|explain|verify|certify-gadget|sumindex|trace|serve|"
+           "profile|validate-bench|bench-compare> ...\n";
     return 2;
   }
   Args rest(std::vector<std::string>(args.begin() + 1, args.end()));
@@ -877,7 +786,6 @@ int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& e
     if (args[0] == "certify-gadget") return cmd_certify_gadget(rest, out);
     if (args[0] == "sumindex") return cmd_sumindex(rest, out);
     if (args[0] == "trace") return cmd_trace(rest, out);
-    if (args[0] == "serve-sim") return cmd_serve_sim(rest, out);
     if (args[0] == "serve") return cmd_serve(rest, out);
     if (args[0] == "explain") return cmd_explain(rest, out);
     if (args[0] == "validate-bench") return cmd_validate_bench(rest, out);

@@ -16,7 +16,8 @@
 ///   certify-gadget B L                  Lemma 2.2 + counting bound
 ///   sumindex B L [--trials N]           run the Theorem 1.6 protocol
 ///   trace GRAPH [--chrome FILE]         phase-traced PLL pipeline
-///   serve-sim GRAPH [--oracle K]        query-serving latency simulation
+///   serve GRAPH [--oracle K] [--arrival poisson|burst|closed]
+///                                       serve a workload, report latency
 ///                                       (--perf-counters adds hardware
 ///                                       counters where available)
 ///   profile [--hz N] [--folded FILE] <command...>
