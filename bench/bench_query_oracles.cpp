@@ -201,11 +201,14 @@ bool run_flat_phase(bench::Harness& harness, const char* family, const Workload&
 
 /// Batched vs per-query flat kernel on the same pairs: the headline gauge
 /// `pract.batch_query_pct_of_scalar.<family>` records the batched block's
-/// wall time as a percent of the one-query-at-a-time loop (lower is
-/// better; bench-compare's increase-only gate fires when the SIMD kernel's
-/// advantage erodes).  Before timing, every host-supported dispatch tier
-/// is swept over the full block and checked byte-identical — distance AND
-/// meeting hub — against per-query query_with_hub.
+/// wall time as a percent of the one-query-at-a-time loop, and
+/// `pract.batch1_query_pct_of_scalar.<family>` the same pairs answered as
+/// one-pair query_batch calls — the block a lightly loaded server worker
+/// drains (lower is better for both; bench-compare's increase-only gate
+/// fires when the batched kernel's advantage erodes).  Before timing, every
+/// host-supported dispatch tier is swept over the full block and checked
+/// byte-identical — distance AND meeting hub — against per-query
+/// query_with_hub.
 bool run_batch_phase(bench::Harness& harness, const char* family, const Workload& w) {
   const std::size_t passes = harness.smoke() ? 32 : 256;
   const std::span<const std::pair<Vertex, Vertex>> pairs(w.queries);
@@ -245,15 +248,32 @@ bool run_batch_phase(bench::Harness& harness, const char* family, const Workload
   }
   const double batch_s = batch_timer.elapsed_s();
 
+  std::uint64_t batch1_sum = 0;
+  HubQueryResult one;
+  Timer batch1_timer;
+  for (std::size_t p = 0; p < passes; ++p) {
+    for (const std::pair<Vertex, Vertex>& pair : w.queries) {
+      w.flat.query_batch({&pair, 1}, {&one, 1});
+      if (one.dist != kInfDist) batch1_sum += one.dist;
+    }
+  }
+  const double batch1_s = batch1_timer.elapsed_s();
+
   const double pct = scalar_s > 0.0 ? 100.0 * batch_s / scalar_s : 100.0;
+  const double pct1 = scalar_s > 0.0 ? 100.0 * batch1_s / scalar_s : 100.0;
   metrics::Registry& reg = metrics::registry();
   reg.gauge("pract.batch_query_pct_of_scalar." + std::string(family))
       .set(static_cast<std::int64_t>(pct));
+  reg.gauge("pract.batch1_query_pct_of_scalar." + std::string(family))
+      .set(static_cast<std::int64_t>(pct1));
   reg.gauge("pract.query_pairs." + std::string(family))
       .set(static_cast<std::int64_t>(w.queries.size()));
-  std::printf("batch/%s: scalar=%.3fms batch=%.3fms (%.0f%%), checksums %s\n", family,
-              scalar_s * 1e3, batch_s * 1e3, pct, scalar_sum == batch_sum ? "agree" : "DISAGREE");
-  return identical && scalar_sum == batch_sum;
+  const bool sums_agree = scalar_sum == batch_sum && scalar_sum == batch1_sum;
+  std::printf(
+      "batch/%s: scalar=%.3fms batch=%.3fms (%.0f%%) batch1=%.3fms (%.0f%%), checksums %s\n",
+      family, scalar_s * 1e3, batch_s * 1e3, pct, batch1_s * 1e3, pct1,
+      sums_agree ? "agree" : "DISAGREE");
+  return identical && sums_agree;
 }
 
 /// With --perf-counters on a perf-capable host: LLC misses per thousand

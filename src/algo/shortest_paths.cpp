@@ -43,7 +43,12 @@ SsspResult bfs(const Graph& g, Vertex source) {
     visited += next.size();
     frontier.swap(next);
   }
-  metrics::registry().counter("sp.bfs.visited").add(visited);
+  // Every search counter in this file is a static handle, looked up once:
+  // a by-name lookup takes the registry's global mutex, and the bidij
+  // oracle runs a search per served query.  reset() zeroes the counters in
+  // place, so the handles stay valid.
+  static metrics::Counter& visited_counter = metrics::registry().counter("sp.bfs.visited");
+  visited_counter.add(visited);
   return r;
 }
 
@@ -98,8 +103,10 @@ SsspResult dijkstra(const Graph& g, Vertex source) {
       }
     }
   }
-  metrics::registry().counter("sp.dijkstra.settled").add(settled);
-  metrics::registry().counter("sp.dijkstra.relaxed").add(relaxed);
+  static metrics::Counter& settled_counter = metrics::registry().counter("sp.dijkstra.settled");
+  static metrics::Counter& relaxed_counter = metrics::registry().counter("sp.dijkstra.relaxed");
+  settled_counter.add(settled);
+  relaxed_counter.add(relaxed);
   return r;
 }
 
@@ -163,7 +170,8 @@ Dist bidirectional_distance(const Graph& g, Vertex s, Vertex t) {
       top_b = relax(qb, db, df);
     }
   }
-  metrics::registry().counter("sp.bidij.settled").add(settled_total);
+  static metrics::Counter& settled_counter = metrics::registry().counter("sp.bidij.settled");
+  settled_counter.add(settled_total);
   return best;
 }
 
@@ -237,7 +245,8 @@ Dist bidirectional_distance_with_stats(const Graph& g, Vertex s, Vertex t,
       top_b = relax(qb, db, df, settled_b);
     }
   }
-  metrics::registry().counter("sp.bidij.settled").add(settled_total);
+  static metrics::Counter& settled_counter = metrics::registry().counter("sp.bidij.settled");
+  settled_counter.add(settled_total);
   stats.labels(settled_f, settled_b);
   stats.scanned(settled_total);
   stats.meeting(meet);

@@ -57,73 +57,72 @@ void FlatHubLabeling::query_batch(std::span<const std::pair<Vertex, Vertex>> pai
 
 namespace {
 
-/// Below this block size the per-pair merge kernel wins: the stamp-table
-/// path pays an O(num_vertices) scratch allocation per call, which only
-/// amortizes over enough pairs.  Both paths are byte-identical, so the
-/// threshold is invisible in the answers.
-constexpr std::size_t kStampBatchThreshold = 32;
+/// The batched kernel's scratch, one per calling thread and kept across
+/// calls, so a block pays only for the labels it touches.  `stamp` and
+/// `sdist` grow to the largest labeling the thread has queried (12 B per
+/// vertex) and are zeroed only when the epoch wraps; the epoch only grows,
+/// so a stamp left by an earlier group, call or labeling never matches.
+struct BatchScratch {
+  std::vector<std::uint32_t> stamp;  ///< stamp[h] == epoch: h is in the current source label
+  std::vector<Dist> sdist;           ///< distance of h in the current source label
+  std::vector<std::uint32_t> order;  ///< block indices, grouped by source
+  std::uint32_t epoch = 0;
+};
+
+thread_local BatchScratch t_batch_scratch;
 
 }  // namespace
 
 void FlatHubLabeling::query_batch_tier(std::span<const std::pair<Vertex, Vertex>> pairs,
                                        std::span<HubQueryResult> out, simd::Tier tier) const {
   HUBLAB_ASSERT_MSG(pairs.size() == out.size(), "query_batch: pairs and out must be parallel");
-  // Group the block by source vertex: a deterministic stable index sort,
-  // so consecutive queries share the same source label (the cache-blocking
-  // win) while results land at their original positions.
-  std::vector<std::uint32_t> order(pairs.size());
-  std::iota(order.begin(), order.end(), 0U);
-  std::stable_sort(order.begin(), order.end(), [&](std::uint32_t x, std::uint32_t y) {
-    return pairs[x].first < pairs[y].first;
+  BatchScratch& s = t_batch_scratch;
+  if (s.stamp.size() < num_vertices_) {
+    s.stamp.resize(num_vertices_, 0);  // 0 is never a current epoch
+    s.sdist.resize(num_vertices_);
+  }
+  // Group the block by source vertex, so consecutive queries share the same
+  // source label (the cache-blocking win) while results land at their
+  // original positions.  Sorting indices by (source, index) gives a stable
+  // sort's order without std::stable_sort's per-call temporary buffer.
+  s.order.resize(pairs.size());
+  std::iota(s.order.begin(), s.order.end(), 0U);
+  std::sort(s.order.begin(), s.order.end(), [&](std::uint32_t x, std::uint32_t y) {
+    return pairs[x].first != pairs[y].first ? pairs[x].first < pairs[y].first : x < y;
   });
+  // Scatter each source group's label into the tables once under a fresh
+  // epoch, then answer every query of the group with one linear probe scan
+  // of its target label — no merge, no data-dependent branches.
+  const simd::ProbeFn probe = simd::probe_for(tier);  // one dispatch per block
   std::uint64_t groups = 0;
   Vertex prev_source = kInvalidVertex;  // never a valid source
-  if (pairs.size() >= kStampBatchThreshold) {
-    // Stamp-table path: scatter each source group's label into dense
-    // per-hub tables once (`stamp[h] == group` marks membership, sdist[h]
-    // the distance), then answer every query of the group with one linear
-    // probe scan of its target label — no merge, no data-dependent
-    // branches, and the tables stay cache-resident across the group.
-    const simd::ProbeFn probe = simd::probe_for(tier);  // one dispatch per block
-    std::vector<std::uint32_t> stamp(num_vertices_, 0);
-    std::vector<Dist> sdist(num_vertices_);
-    for (const std::uint32_t idx : order) {
-      const auto [u, v] = pairs[idx];
-      HUBLAB_ASSERT_RANGE(u, num_vertices_);
-      HUBLAB_ASSERT_RANGE(v, num_vertices_);
-      if (u != prev_source) {
-        ++groups;
-        HUBLAB_ASSERT_MSG(groups < kInvalidVertex, "query_batch: group stamp overflow");
-        const Vertex* sh = hubs_.data() + offsets_[u];
-        const Dist* sd = dists_.data() + offsets_[u];
-        const std::size_t sn = label_size(u);
-        for (std::size_t i = 0; i < sn; ++i) {
-          stamp[sh[i]] = static_cast<std::uint32_t>(groups);
-          sdist[sh[i]] = sd[i];
-        }
-        prev_source = u;
+  for (const std::uint32_t idx : s.order) {
+    const auto [u, v] = pairs[idx];
+    HUBLAB_ASSERT_RANGE(u, num_vertices_);
+    HUBLAB_ASSERT_RANGE(v, num_vertices_);
+    if (u != prev_source) {
+      ++groups;
+      s.epoch = simd::detail::next_epoch(s.epoch, s.stamp);
+      const Vertex* sh = hubs_.data() + offsets_[u];
+      const Dist* sd = dists_.data() + offsets_[u];
+      const std::size_t sn = label_size(u);
+      for (std::size_t i = 0; i < sn; ++i) {
+        s.stamp[sh[i]] = s.epoch;
+        s.sdist[sh[i]] = sd[i];
       }
-      out[idx] = probe(hubs_.data() + offsets_[v], dists_.data() + offsets_[v], label_size(v),
-                       stamp.data(), sdist.data(), static_cast<std::uint32_t>(groups));
+      prev_source = u;
     }
-  } else {
-    const simd::KernelFn kernel = simd::kernel_for(tier);
-    for (const std::uint32_t idx : order) {
-      const auto [u, v] = pairs[idx];
-      HUBLAB_ASSERT_RANGE(u, num_vertices_);
-      HUBLAB_ASSERT_RANGE(v, num_vertices_);
-      if (u != prev_source) {
-        ++groups;
-        prev_source = u;
-      }
-      out[idx] = kernel(hubs_.data() + offsets_[u], dists_.data() + offsets_[u], label_size(u),
-                        hubs_.data() + offsets_[v], dists_.data() + offsets_[v], label_size(v));
-    }
+    out[idx] = probe(hubs_.data() + offsets_[v], dists_.data() + offsets_[v], label_size(v),
+                     s.stamp.data(), s.sdist.data(), s.epoch);
   }
-  metrics::Registry& reg = metrics::registry();
-  reg.counter("query.batch.calls").add(1);
-  reg.counter("query.batch.pairs").add(pairs.size());
-  reg.counter("query.batch.source_groups").add(groups);
+  // Looked up once per process: the registry's lookup takes its global
+  // mutex, and reset() zeroes values in place, so the handles stay valid.
+  static metrics::Counter& calls = metrics::registry().counter("query.batch.calls");
+  static metrics::Counter& batched = metrics::registry().counter("query.batch.pairs");
+  static metrics::Counter& source_groups = metrics::registry().counter("query.batch.source_groups");
+  calls.add(1);
+  batched.add(pairs.size());
+  source_groups.add(groups);
 }
 
 }  // namespace hublab

@@ -150,13 +150,15 @@ class FlatHubLabeling {
   }
 
   /// Batched queries: answer `pairs[i]` into `out[i]` (same size spans).
-  /// The block is grouped by source vertex (a deterministic stable sort of
-  /// indices), so consecutive kernel calls reuse the same source label
-  /// columns — the cache-blocking that makes batching pay — and the
-  /// sorted-hub intersections run on the tier reported by
-  /// `simd::active_tier()`.  Results are byte-identical to per-query
-  /// `query_with_hub` for every tier and batch size: same distance, same
-  /// meeting hub.  Registers the `query.batch.*` counters
+  /// The block is grouped by source vertex (indices sorted by source, ties
+  /// in block order); each source label is scattered once into per-hub stamp
+  /// tables and every query of the group is one probe scan of its target
+  /// label, on the tier reported by `simd::active_tier()`.  The tables are
+  /// per calling thread and kept across calls (12 B per vertex of the
+  /// largest labeling the thread has queried), so a block of any size pays
+  /// only for the labels it touches.  Results are byte-identical to
+  /// per-query `query_with_hub` for every tier and block size: same
+  /// distance, same meeting hub.  Registers the `query.batch.*` counters
   /// (docs/observability.md).
   void query_batch(std::span<const std::pair<Vertex, Vertex>> pairs,
                    std::span<HubQueryResult> out) const;

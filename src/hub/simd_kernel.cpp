@@ -1,12 +1,14 @@
 // Three-tier dispatch for the batched query kernel (see simd_kernel.hpp):
 // compile-time TU availability (HUBLAB_SIMD_HAVE_* definitions from
-// src/hub/CMakeLists.txt) ∧ runtime cpuid probe, with the scalar sentinel
-// merge as the always-available fallback and the HUBLAB_FORCE_SCALAR
+// src/hub/CMakeLists.txt) ∧ runtime cpuid probe, with the scalar stamp
+// probe as the always-available fallback and the HUBLAB_FORCE_SCALAR
 // environment knob pinning dispatch to it.
 
 #include "hub/simd_kernel.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 namespace hublab::simd {
 
@@ -15,8 +17,8 @@ namespace {
 #if defined(__x86_64__) || defined(__i386__)
 bool cpu_supports_avx2() noexcept { return __builtin_cpu_supports("avx2") != 0; }
 bool cpu_supports_avx512() noexcept {
-  // The 16-lane kernel needs the AVX-512 foundation plus BW (the 32-bit
-  // compare masks are foundation, but require VL-free 512-bit ops only).
+  // The 16-lane probe uses only AVX-512 foundation instructions (512-bit
+  // loads, the 32-bit gather and compare-to-mask).
   return __builtin_cpu_supports("avx512f") != 0;
 }
 #else
@@ -78,28 +80,10 @@ Tier active_tier() noexcept { return force_scalar() ? Tier::kScalar : best_suppo
 
 namespace detail {
 
-HubQueryResult intersect_scalar(const Vertex* hubs_a, const Dist* dists_a, const Vertex* hubs_b,
-                                const Dist* dists_b) {
-  HubQueryResult best;
-  for (;;) {
-    const Vertex a = *hubs_a;
-    const Vertex b = *hubs_b;
-    if (a == b) {
-      if (a == kInvalidVertex) break;  // both cursors hit their sentinels
-      const Dist d = *dists_a + *dists_b;
-      if (d < best.dist) {
-        best.dist = d;
-        best.meeting_hub = a;
-      }
-      ++hubs_a, ++dists_a;
-      ++hubs_b, ++dists_b;
-    } else if (a < b) {
-      ++hubs_a, ++dists_a;
-    } else {
-      ++hubs_b, ++dists_b;
-    }
-  }
-  return best;
+std::uint32_t next_epoch(std::uint32_t epoch, std::span<std::uint32_t> stamp) noexcept {
+  if (epoch != std::numeric_limits<std::uint32_t>::max()) return epoch + 1;
+  std::fill(stamp.begin(), stamp.end(), 0U);
+  return 1;
 }
 
 HubQueryResult probe_scalar(const Vertex* hubs_t, const Dist* dists_t, std::size_t size_t_,
@@ -122,36 +106,6 @@ HubQueryResult probe_scalar(const Vertex* hubs_t, const Dist* dists_t, std::size
 }
 
 }  // namespace detail
-
-namespace {
-
-/// intersect_scalar behind the sized KernelFn signature (the sizes are
-/// implied by the sentinels).
-HubQueryResult intersect_scalar_sized(const Vertex* hubs_a, const Dist* dists_a,
-                                      std::size_t /*size_a*/, const Vertex* hubs_b,
-                                      const Dist* dists_b, std::size_t /*size_b*/) {
-  return detail::intersect_scalar(hubs_a, dists_a, hubs_b, dists_b);
-}
-
-}  // namespace
-
-KernelFn kernel_for(Tier tier) noexcept {
-#if defined(HUBLAB_SIMD_HAVE_AVX512)
-  if (tier == Tier::kAvx512 && cpu_supports_avx512()) return &detail::intersect_avx512;
-#endif
-#if defined(HUBLAB_SIMD_HAVE_AVX2)
-  if ((tier == Tier::kAvx2 || tier == Tier::kAvx512) && cpu_supports_avx2()) {
-    return &detail::intersect_avx2;
-  }
-#endif
-  (void)tier;
-  return &intersect_scalar_sized;
-}
-
-HubQueryResult intersect(Tier tier, const Vertex* hubs_a, const Dist* dists_a, std::size_t size_a,
-                         const Vertex* hubs_b, const Dist* dists_b, std::size_t size_b) {
-  return kernel_for(tier)(hubs_a, dists_a, size_a, hubs_b, dists_b, size_b);
-}
 
 ProbeFn probe_for(Tier tier) noexcept {
 #if defined(HUBLAB_SIMD_HAVE_AVX512)

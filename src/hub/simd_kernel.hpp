@@ -2,20 +2,21 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hub/labeling.hpp"
 
 /// \file simd_kernel.hpp
-/// Vectorized sorted-hub intersection for the batched query path
+/// The stamp-table probe behind the batched query path
 /// (hub/flat_labeling.hpp, `FlatHubLabeling::query_batch`).
 ///
 /// A hub-label query is the intersection of two ascending hub columns plus
 /// a distance-sum minimum — the serving hot path the paper's Section 1.1
-/// trade-off prices.  The kernels here process the columns in SIMD blocks
-/// (all-lanes-vs-all-lanes equality over register rotations, the idiom of
-/// vectorized sorted-set intersection), falling back to the scalar
-/// sentinel merge for the tails, behind a three-tier dispatch:
+/// trade-off prices.  The batch path scatters each source label into dense
+/// per-hub tables once and answers every query of that source with one
+/// straight-line probe scan of the target label; the kernels here are that
+/// probe, behind a three-tier dispatch:
 ///
 ///   1. compile time — each ISA kernel lives in its own TU
 ///      (`simd_kernel_avx2.cpp`, `simd_kernel_avx512.cpp`) compiled with
@@ -23,14 +24,14 @@
 ///   2. run time — `best_supported_tier()` probes the executing CPU
 ///      (`__builtin_cpu_supports`) so a binary built with AVX-512 TUs
 ///      still runs correctly on an AVX2-only host;
-///   3. fallback — `Tier::kScalar` is the sentinel merge of
-///      `FlatHubLabeling::query_with_hub`, always available.
+///   3. fallback — `Tier::kScalar` is the plain probe loop, always
+///      available.
 ///
 /// Every tier returns *byte-identical* answers — the same distance and the
 /// same meeting hub (the smallest hub id achieving the minimal distance,
-/// matching the scalar merge's ascending-order strict-< update).  Set
-/// `HUBLAB_FORCE_SCALAR=1` in the environment to pin `active_tier()` to
-/// the scalar fallback (read once, like HUBLAB_THREADS).
+/// matching the per-query sentinel merge's ascending-order strict-<
+/// update).  Set `HUBLAB_FORCE_SCALAR=1` in the environment to pin
+/// `active_tier()` to the scalar fallback (read once, like HUBLAB_THREADS).
 ///
 /// Raw intrinsics are confined to the `src/hub/simd_kernel*` TUs — the
 /// `simd` lint pass enforces this; the header stays ISA-agnostic.
@@ -59,34 +60,17 @@ enum class Tier { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// best_supported_tier(), unless force_scalar().
 [[nodiscard]] Tier active_tier() noexcept;
 
-/// One sorted-hub intersection + distance-min over raw label columns.
-/// `hubs_*` / `dists_*` point at a label of `size_*` real entries followed
-/// by a kInvalidVertex/kInfDist sentinel pair (the FlatHubLabeling
-/// layout); the sentinel lets the scalar tail run without bounds checks.
-/// Unavailable tiers degrade to the scalar kernel (same answer).
-[[nodiscard]] HubQueryResult intersect(Tier tier, const Vertex* hubs_a, const Dist* dists_a,
-                                       std::size_t size_a, const Vertex* hubs_b,
-                                       const Dist* dists_b, std::size_t size_b);
-
-/// Signature shared by every tier's intersection kernel (arguments as in
-/// intersect(), minus the tier).
-using KernelFn = HubQueryResult (*)(const Vertex* hubs_a, const Dist* dists_a, std::size_t size_a,
-                                    const Vertex* hubs_b, const Dist* dists_b, std::size_t size_b);
-
-/// Resolve `tier` to its kernel once (unavailable tiers degrade to the
-/// scalar kernel), so batch loops pay the dispatch per block instead of
-/// per pair.  intersect() is kernel_for(tier)(...).
-[[nodiscard]] KernelFn kernel_for(Tier tier) noexcept;
-
-/// Stamp-table probe: the large-batch kernel.  `query_batch` scatters each
-/// source group's label into dense per-hub tables (`stamp[h] == current`
-/// marks h ∈ S(source), `sdist[h]` its distance), then answers every query
-/// of the group with one linear scan of the *target* label — `size_t_`
-/// entries of `hubs_t`/`dists_t` — probing the tables per hub.  The tables
-/// are L1/L2-resident and reused across the group, so the scan has no
-/// merge branches to mispredict; the AVX2/AVX-512 tiers vectorize it with
-/// gathered stamp loads.  Same answer as intersect() on the same labels:
-/// the lexicographic (dist, hub) minimum over the common hubs.
+/// Stamp-table probe, the batched kernel for every block size.
+/// `query_batch` scatters each source group's label into dense per-hub
+/// tables (`stamp[h] == current` marks h ∈ S(source), `sdist[h]` its
+/// distance), then answers every query of the group with one linear scan
+/// of the *target* label — `size_t_` entries of `hubs_t`/`dists_t` —
+/// probing the tables per hub.  The touched table entries stay
+/// cache-resident across the group, and the scan has no merge branches to
+/// mispredict; the AVX2/AVX-512 tiers vectorize it with gathered stamp
+/// loads.  Same answer as the
+/// per-query sentinel merge (`FlatHubLabeling::query_with_hub`) on the same
+/// labels: the lexicographic (dist, hub) minimum over the common hubs.
 using ProbeFn = HubQueryResult (*)(const Vertex* hubs_t, const Dist* dists_t, std::size_t size_t_,
                                    const std::uint32_t* stamp, const Dist* sdist,
                                    std::uint32_t current);
@@ -97,32 +81,25 @@ using ProbeFn = HubQueryResult (*)(const Vertex* hubs_t, const Dist* dists_t, st
 
 namespace detail {
 
-/// The sentinel merge (identical to FlatHubLabeling::query_with_hub).
-[[nodiscard]] HubQueryResult intersect_scalar(const Vertex* hubs_a, const Dist* dists_a,
-                                              const Vertex* hubs_b, const Dist* dists_b);
-
-/// 8-lane AVX2 block intersection; defined in simd_kernel_avx2.cpp (only
-/// linked when the toolchain can target AVX2).
-[[nodiscard]] HubQueryResult intersect_avx2(const Vertex* hubs_a, const Dist* dists_a,
-                                            std::size_t size_a, const Vertex* hubs_b,
-                                            const Dist* dists_b, std::size_t size_b);
-
-/// 16-lane AVX-512 block intersection; defined in simd_kernel_avx512.cpp.
-[[nodiscard]] HubQueryResult intersect_avx512(const Vertex* hubs_a, const Dist* dists_a,
-                                              std::size_t size_a, const Vertex* hubs_b,
-                                              const Dist* dists_b, std::size_t size_b);
+/// The stamp epoch that follows `epoch`: epoch + 1, except on the 32-bit
+/// wrap, where `stamp` is zeroed and the epoch restarts at 1.  Epochs only
+/// grow between wraps and 0 is never current, so a stamp written under an
+/// earlier epoch (or by a zero fill) never matches the new one.
+[[nodiscard]] std::uint32_t next_epoch(std::uint32_t epoch,
+                                       std::span<std::uint32_t> stamp) noexcept;
 
 /// Scalar stamp-table probe (see ProbeFn).
 [[nodiscard]] HubQueryResult probe_scalar(const Vertex* hubs_t, const Dist* dists_t,
                                           std::size_t size_t_, const std::uint32_t* stamp,
                                           const Dist* sdist, std::uint32_t current);
 
-/// 8-lane AVX2 stamp-table probe (gathered stamp loads).
+/// 8-lane AVX2 stamp-table probe (gathered stamp loads); defined in
+/// simd_kernel_avx2.cpp (only linked when the toolchain can target AVX2).
 [[nodiscard]] HubQueryResult probe_avx2(const Vertex* hubs_t, const Dist* dists_t,
                                         std::size_t size_t_, const std::uint32_t* stamp,
                                         const Dist* sdist, std::uint32_t current);
 
-/// 16-lane AVX-512 stamp-table probe.
+/// 16-lane AVX-512 stamp-table probe; defined in simd_kernel_avx512.cpp.
 [[nodiscard]] HubQueryResult probe_avx512(const Vertex* hubs_t, const Dist* dists_t,
                                           std::size_t size_t_, const std::uint32_t* stamp,
                                           const Dist* sdist, std::uint32_t current);

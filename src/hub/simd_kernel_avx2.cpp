@@ -1,14 +1,11 @@
-// AVX2 tier of the batched query kernel (see simd_kernel.hpp): 8-lane
-// block intersection of two ascending hub columns.  Each step compares one
-// 8-hub block of A against all 8 rotations of one 8-hub block of B
-// (all-pairs equality via _mm256_permutevar8x32_epi32 + cmpeq), resolves
-// the rare matches scalarly against the split distance columns, and
-// advances whichever block's maximum is not larger — the standard
-// vectorized sorted-set-intersection walk, which visits every common hub
-// exactly once and in globally ascending hub order.  Tails shorter than a
-// block finish on the sentinel merge.  The lexicographic (dist, hub)
-// minimum makes the answer byte-identical to the scalar kernel: smallest
-// distance, and among ties the smallest hub id.
+// AVX2 tier of the batched query kernel (see simd_kernel.hpp): the
+// stamp-table probe over 8 target hubs per step.  Each step gathers the 8
+// hubs' stamps, compares them against the current source group's epoch,
+// and resolves the rare hits scalarly against the split distance columns;
+// a scalar loop finishes the tail shorter than a step.  The lexicographic
+// (dist, hub) minimum makes the answer byte-identical to the scalar probe
+// and to the per-query sentinel merge: smallest distance, and among ties
+// the smallest hub id.
 //
 // This TU is compiled with -mavx2 only when the toolchain supports it
 // (src/hub/CMakeLists.txt); raw intrinsics stay confined to the
@@ -32,93 +29,16 @@ inline void fold_match(HubQueryResult& best, Vertex hub, Dist d) {
   }
 }
 
-/// Sentinel-merge the tails into `best` (same update rule).
-void merge_tail(HubQueryResult& best, const Vertex* hubs_a, const Dist* dists_a,
-                const Vertex* hubs_b, const Dist* dists_b) {
-  for (;;) {
-    const Vertex a = *hubs_a;
-    const Vertex b = *hubs_b;
-    if (a == b) {
-      if (a == kInvalidVertex) break;
-      fold_match(best, a, *dists_a + *dists_b);
-      ++hubs_a, ++dists_a;
-      ++hubs_b, ++dists_b;
-    } else if (a < b) {
-      ++hubs_a, ++dists_a;
-    } else {
-      ++hubs_b, ++dists_b;
-    }
-  }
-}
-
 }  // namespace
-
-HubQueryResult intersect_avx2(const Vertex* hubs_a, const Dist* dists_a, std::size_t size_a,
-                              const Vertex* hubs_b, const Dist* dists_b, std::size_t size_b) {
-  HubQueryResult best;
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  // Rotation index vectors for the 8x8 all-pairs compare, all applied to
-  // the *original* B block so the seven permutes are independent; the
-  // compares are hand-unrolled and OR-reduced as a balanced tree.  (GCC at
-  // -O2 compiles the obvious rotate-accumulate loop into a 7-trip loop
-  // with a loop-carried OR — ~4x the per-block cost.)
-  const __m256i r1 = _mm256_setr_epi32(1, 2, 3, 4, 5, 6, 7, 0);
-  const __m256i r2 = _mm256_setr_epi32(2, 3, 4, 5, 6, 7, 0, 1);
-  const __m256i r3 = _mm256_setr_epi32(3, 4, 5, 6, 7, 0, 1, 2);
-  const __m256i r4 = _mm256_setr_epi32(4, 5, 6, 7, 0, 1, 2, 3);
-  const __m256i r5 = _mm256_setr_epi32(5, 6, 7, 0, 1, 2, 3, 4);
-  const __m256i r6 = _mm256_setr_epi32(6, 7, 0, 1, 2, 3, 4, 5);
-  const __m256i r7 = _mm256_setr_epi32(7, 0, 1, 2, 3, 4, 5, 6);
-  while (ia + 8 <= size_a && ib + 8 <= size_b) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hubs_a + ia));
-    const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hubs_b + ib));
-    const __m256i e0 = _mm256_cmpeq_epi32(va, vb);
-    const __m256i e1 = _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, r1));
-    const __m256i e2 = _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, r2));
-    const __m256i e3 = _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, r3));
-    const __m256i e4 = _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, r4));
-    const __m256i e5 = _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, r5));
-    const __m256i e6 = _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, r6));
-    const __m256i e7 = _mm256_cmpeq_epi32(va, _mm256_permutevar8x32_epi32(vb, r7));
-    const __m256i eq = _mm256_or_si256(
-        _mm256_or_si256(_mm256_or_si256(e0, e1), _mm256_or_si256(e2, e3)),
-        _mm256_or_si256(_mm256_or_si256(e4, e5), _mm256_or_si256(e6, e7)));
-    auto mask = static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(eq)));
-    // Matches are rare (a handful per query), so this branch is a
-    // predictable not-taken; everything else in the loop body is
-    // branch-free.
-    while (mask != 0) {
-      const int lane = __builtin_ctz(mask);
-      mask &= mask - 1;
-      const Vertex hub = hubs_a[ia + static_cast<std::size_t>(lane)];
-      for (std::size_t j = 0; j < 8; ++j) {  // hubs are unique: first hit wins
-        if (hubs_b[ib + j] == hub) {
-          fold_match(best, hub, dists_a[ia + static_cast<std::size_t>(lane)] + dists_b[ib + j]);
-          break;
-        }
-      }
-    }
-    // Branchless block advance: whichever side's maximum is not larger
-    // steps (both on a tie).  A conditional branch here is data-dependent
-    // and ~50/50, so mispredicts would dominate the whole kernel.
-    const Vertex amax = hubs_a[ia + 7];
-    const Vertex bmax = hubs_b[ib + 7];
-    ia += static_cast<std::size_t>(amax <= bmax) * 8;
-    ib += static_cast<std::size_t>(bmax <= amax) * 8;
-  }
-  merge_tail(best, hubs_a + ia, dists_a + ia, hubs_b + ib, dists_b + ib);
-  return best;
-}
 
 HubQueryResult probe_avx2(const Vertex* hubs_t, const Dist* dists_t, std::size_t size_t_,
                           const std::uint32_t* stamp, const Dist* sdist, std::uint32_t current) {
   HubQueryResult best;
   const __m256i vcur = _mm256_set1_epi32(static_cast<int>(current));
   std::size_t i = 0;
-  // 8 target hubs per step: gather their stamps (the table is L1/L2
-  // resident — the gather hits cache), compare against the group stamp,
-  // resolve the rare hits scalarly.  No data-dependent advance: the scan
+  // 8 target hubs per step: gather their stamps (hubs of the source
+  // label were just scattered, so the hits are cache-hot), compare against
+  // the group stamp, resolve the rare hits scalarly.  No data-dependent advance: the scan
   // is a straight line over the target label.
   for (; i + 8 <= size_t_; i += 8) {
     const __m256i vh = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hubs_t + i));

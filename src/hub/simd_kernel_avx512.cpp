@@ -1,9 +1,8 @@
 // AVX-512 tier of the batched query kernel (see simd_kernel.hpp): the
-// same block-intersection walk as the AVX2 TU but over 16-hub blocks,
-// with _mm512_permutexvar_epi32 rotations and compare-to-mask
-// (_mm512_cmpeq_epi32_mask) replacing the movemask dance.  Answers are
-// byte-identical to every other tier — lexicographic (dist, hub) minimum
-// over the common hubs.
+// same stamp-table probe as the AVX2 TU but over 16 target hubs per step,
+// with compare-to-mask (_mm512_cmpeq_epi32_mask) replacing the movemask
+// dance.  Answers are byte-identical to every other tier — lexicographic
+// (dist, hub) minimum over the common hubs.
 //
 // This TU is compiled with -mavx512f only when the toolchain supports it
 // (src/hub/CMakeLists.txt); raw intrinsics stay confined to the
@@ -26,27 +25,9 @@ inline void fold_match(HubQueryResult& best, Vertex hub, Dist d) {
   }
 }
 
-void merge_tail(HubQueryResult& best, const Vertex* hubs_a, const Dist* dists_a,
-                const Vertex* hubs_b, const Dist* dists_b) {
-  for (;;) {
-    const Vertex a = *hubs_a;
-    const Vertex b = *hubs_b;
-    if (a == b) {
-      if (a == kInvalidVertex) break;
-      fold_match(best, a, *dists_a + *dists_b);
-      ++hubs_a, ++dists_a;
-      ++hubs_b, ++dists_b;
-    } else if (a < b) {
-      ++hubs_a, ++dists_a;
-    } else {
-      ++hubs_b, ++dists_b;
-    }
-  }
-}
-
 }  // namespace
 
-// GCC's _mm512_permutexvar_epi32 routes a self-initialized
+// GCC's _mm512_i32gather_epi32 routes a self-initialized
 // _mm512_undefined_epi32() don't-care merge source through the builtin;
 // -Wmaybe-uninitialized (GCC 12) flags it through the inline even though
 // the all-ones implicit mask makes the value irrelevant.
@@ -55,87 +36,15 @@ void merge_tail(HubQueryResult& best, const Vertex* hubs_a, const Dist* dists_a,
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
-HubQueryResult intersect_avx512(const Vertex* hubs_a, const Dist* dists_a, std::size_t size_a,
-                                const Vertex* hubs_b, const Dist* dists_b, std::size_t size_b) {
-  HubQueryResult best;
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  // Rotation index vectors for the 16x16 all-pairs compare, all applied to
-  // the *original* B block so the fifteen permutes are independent; the
-  // compares are hand-unrolled and the masks OR-reduced as a balanced
-  // tree.  (GCC at -O2 compiles the obvious rotate-accumulate loop into a
-  // 15-trip loop with a loop-carried OR — ~4x the per-block cost.)
-  const __m512i r1 = _mm512_setr_epi32(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0);
-  const __m512i r2 = _mm512_setr_epi32(2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0, 1);
-  const __m512i r3 = _mm512_setr_epi32(3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2);
-  const __m512i r4 = _mm512_setr_epi32(4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3);
-  const __m512i r5 = _mm512_setr_epi32(5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4);
-  const __m512i r6 = _mm512_setr_epi32(6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5);
-  const __m512i r7 = _mm512_setr_epi32(7, 8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6);
-  const __m512i r8 = _mm512_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7);
-  const __m512i r9 = _mm512_setr_epi32(9, 10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7, 8);
-  const __m512i r10 = _mm512_setr_epi32(10, 11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9);
-  const __m512i r11 = _mm512_setr_epi32(11, 12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10);
-  const __m512i r12 = _mm512_setr_epi32(12, 13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11);
-  const __m512i r13 = _mm512_setr_epi32(13, 14, 15, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12);
-  const __m512i r14 = _mm512_setr_epi32(14, 15, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13);
-  const __m512i r15 = _mm512_setr_epi32(15, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14);
-  while (ia + 16 <= size_a && ib + 16 <= size_b) {
-    const __m512i va = _mm512_loadu_si512(hubs_a + ia);
-    const __m512i vb = _mm512_loadu_si512(hubs_b + ib);
-    const unsigned e0 = _mm512_cmpeq_epi32_mask(va, vb);
-    const unsigned e1 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r1, vb));
-    const unsigned e2 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r2, vb));
-    const unsigned e3 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r3, vb));
-    const unsigned e4 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r4, vb));
-    const unsigned e5 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r5, vb));
-    const unsigned e6 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r6, vb));
-    const unsigned e7 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r7, vb));
-    const unsigned e8 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r8, vb));
-    const unsigned e9 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r9, vb));
-    const unsigned e10 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r10, vb));
-    const unsigned e11 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r11, vb));
-    const unsigned e12 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r12, vb));
-    const unsigned e13 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r13, vb));
-    const unsigned e14 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r14, vb));
-    const unsigned e15 = _mm512_cmpeq_epi32_mask(va, _mm512_permutexvar_epi32(r15, vb));
-    unsigned mask = (((e0 | e1) | (e2 | e3)) | ((e4 | e5) | (e6 | e7))) |
-                    (((e8 | e9) | (e10 | e11)) | ((e12 | e13) | (e14 | e15)));
-    // Matches are rare (a handful per query), so this branch is a
-    // predictable not-taken; everything else in the loop body is
-    // branch-free.
-    while (mask != 0) {
-      const int lane = __builtin_ctz(mask);
-      mask &= mask - 1;
-      const Vertex hub = hubs_a[ia + static_cast<std::size_t>(lane)];
-      for (std::size_t j = 0; j < 16; ++j) {  // hubs are unique: first hit wins
-        if (hubs_b[ib + j] == hub) {
-          fold_match(best, hub, dists_a[ia + static_cast<std::size_t>(lane)] + dists_b[ib + j]);
-          break;
-        }
-      }
-    }
-    // Branchless block advance: whichever side's maximum is not larger
-    // steps (both on a tie).  A conditional branch here is data-dependent
-    // and ~50/50, so mispredicts would dominate the whole kernel.
-    const Vertex amax = hubs_a[ia + 15];
-    const Vertex bmax = hubs_b[ib + 15];
-    ia += static_cast<std::size_t>(amax <= bmax) * 16;
-    ib += static_cast<std::size_t>(bmax <= amax) * 16;
-  }
-  merge_tail(best, hubs_a + ia, dists_a + ia, hubs_b + ib, dists_b + ib);
-  return best;
-}
-
 HubQueryResult probe_avx512(const Vertex* hubs_t, const Dist* dists_t, std::size_t size_t_,
                             const std::uint32_t* stamp, const Dist* sdist,
                             std::uint32_t current) {
   HubQueryResult best;
   const __m512i vcur = _mm512_set1_epi32(static_cast<int>(current));
   std::size_t i = 0;
-  // 16 target hubs per step: gather their stamps (the table is L1/L2
-  // resident — the gather hits cache), compare against the group stamp,
-  // resolve the rare hits scalarly.  No data-dependent advance: the scan
+  // 16 target hubs per step: gather their stamps (hubs of the source
+  // label were just scattered, so the hits are cache-hot), compare against
+  // the group stamp, resolve the rare hits scalarly.  No data-dependent advance: the scan
   // is a straight line over the target label.
   for (; i + 16 <= size_t_; i += 16) {
     const __m512i vh = _mm512_loadu_si512(hubs_t + i);

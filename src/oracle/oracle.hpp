@@ -46,8 +46,8 @@ class DistanceOracle {
   /// Batched queries: answer `pairs[i]` into `out[i]` (same size spans).
   /// The default loops over distance() (no meeting hubs); hub-label
   /// oracles override with their batch kernels, which also report the
-  /// meeting hub and — for the flat oracle — dispatch to the SIMD
-  /// intersection tiers (hub/simd_kernel.hpp).  Every override answers
+  /// meeting hub and — for the flat oracle — run the tier-dispatched
+  /// stamp-table probe (hub/simd_kernel.hpp).  Every override answers
   /// byte-identically to the per-query path.
   virtual void distance_batch(std::span<const std::pair<Vertex, Vertex>> pairs,
                               std::span<HubQueryResult> out) const {
@@ -136,8 +136,8 @@ class FlatHubLabelOracle final : public DistanceOracle {
                                          metrics::QueryStats& stats) const override {
     return labels_.query_with_stats(u, v, stats).dist;
   }
-  /// The SIMD batched kernel: source-grouped, tier-dispatched
-  /// (FlatHubLabeling::query_batch).
+  /// The batched kernel: source-grouped stamp-table probes on the active
+  /// ISA tier, for every block size (FlatHubLabeling::query_batch).
   void distance_batch(std::span<const std::pair<Vertex, Vertex>> pairs,
                       std::span<HubQueryResult> out) const override {
     labels_.query_batch(pairs, out);

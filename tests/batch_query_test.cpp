@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -15,13 +19,15 @@
 #include "oracle/workload.hpp"
 #include "rs/rs_graph.hpp"
 #include "util/metrics.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace hublab {
 namespace {
 
-/// Block sizes straddling the stamp-table threshold (32): 1 and 7 take the
-/// per-pair merge-kernel path, 64 and 4096 the stamp-table probe path.
+/// Block sizes from a lone pair (the server's common drained block) through
+/// sub-vector and multi-group blocks to the offline 4096-pair block: every
+/// one runs the same stamp-table probe over the caller's per-thread tables.
 constexpr std::size_t kBlockSizes[] = {1, 7, 64, 4096};
 
 /// The batched-query contract: for every host-reachable ISA tier and every
@@ -138,6 +144,86 @@ TEST(BatchQuery, MetricsCountBlocksPairsAndGroups) {
 }
 
 #endif  // HUBLAB_METRICS_ENABLED
+
+/// First disagreement between `query_batch_tier` on `tier` and per-query
+/// `query_with_hub` over `pairs`, or "" when every answer is byte-identical.
+std::string batch_mismatch(const FlatHubLabeling& flat,
+                           std::span<const std::pair<Vertex, Vertex>> pairs, simd::Tier tier) {
+  std::vector<HubQueryResult> out(pairs.size());
+  flat.query_batch_tier(pairs, out, tier);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const HubQueryResult ref = flat.query_with_hub(pairs[i].first, pairs[i].second);
+    if (out[i].dist != ref.dist || out[i].meeting_hub != ref.meeting_hub) {
+      return std::string("tier=") + simd::tier_name(tier) + " n=" +
+             std::to_string(flat.num_vertices()) + " block=" + std::to_string(pairs.size()) +
+             " pair#" + std::to_string(i);
+    }
+  }
+  return "";
+}
+
+TEST(BatchQuery, ScratchSurvivesAlternatingLabelings) {
+  // The stamp tables are per thread and kept across calls.  A fresh thread
+  // (empty tables) alternates blocks between a 40- and a 300-vertex
+  // labeling: the tables grow on the first large block, and stamps left by
+  // the other labeling or an earlier block must never match.
+  Rng rng(41);
+  const Graph small_g = gen::connected_gnm(40, 80, rng);
+  const Graph large_g = gen::connected_gnm(300, 600, rng);
+  const FlatHubLabeling small_flat(pruned_landmark_labeling(small_g));
+  const FlatHubLabeling large_flat(pruned_landmark_labeling(large_g));
+  std::vector<std::string> failures;
+  std::thread worker([&] {
+    std::uint64_t seed = 100;
+    for (int round = 0; round < 2; ++round) {
+      for (const std::size_t block : {1, 7, 64}) {
+        for (const auto& [g, flat] : {std::pair{&small_g, &small_flat},
+                                      std::pair{&large_g, &large_flat}}) {
+          const std::vector<std::pair<Vertex, Vertex>> pairs =
+              serve::WorkloadGenerator(*g, serve::WorkloadKind::kUniform, ++seed).block(block);
+          for (const simd::Tier tier : simd::supported_tiers()) {
+            std::string mismatch = batch_mismatch(*flat, pairs, tier);
+            if (!mismatch.empty()) failures.push_back(std::move(mismatch));
+          }
+        }
+      }
+    }
+  });
+  worker.join();
+  EXPECT_TRUE(failures.empty()) << failures.size() << " mismatches, first: " << failures.front();
+}
+
+TEST(BatchQuery, ConcurrentThreadsUseTheirOwnScratch) {
+  // Four pool threads query one labeling at once, each with its own block
+  // size, so their epochs and scattered labels interleave in time; every
+  // thread's answers must stay byte-identical to the per-query reference.
+  Rng rng(43);
+  const Graph g = gen::connected_gnm(200, 400, rng);
+  const FlatHubLabeling flat(pruned_landmark_labeling(g));
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kThreadBlocks[kThreads] = {1, 7, 64, 512};
+  std::vector<std::string> failures(kThreads);
+  par::run_chunks(par::static_chunks(0, kThreads, kThreads), kThreads,
+                  [&](const par::ChunkRange& chunk) {
+                    const std::size_t block = kThreadBlocks[chunk.index];
+                    serve::WorkloadGenerator workload(g, serve::WorkloadKind::kZipf,
+                                                      50 + chunk.index);
+                    for (int rep = 0; rep < 40 && failures[chunk.index].empty(); ++rep) {
+                      failures[chunk.index] =
+                          batch_mismatch(flat, workload.block(block), simd::active_tier());
+                    }
+                  });
+  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], "") << "thread chunk " << t;
+}
+
+TEST(BatchQuery, EpochWrapZeroesStampsAndRestartsAtOne) {
+  std::vector<std::uint32_t> stamp = {7, 0xFFFFFFFFU, 3};
+  EXPECT_EQ(simd::detail::next_epoch(0, stamp), 1U);
+  EXPECT_EQ(simd::detail::next_epoch(41, stamp), 42U);
+  EXPECT_EQ(stamp, (std::vector<std::uint32_t>{7, 0xFFFFFFFFU, 3}));  // no wrap: untouched
+  EXPECT_EQ(simd::detail::next_epoch(0xFFFFFFFFU, stamp), 1U);
+  EXPECT_EQ(stamp, (std::vector<std::uint32_t>{0, 0, 0}));
+}
 
 TEST(BatchQuery, ServeSimBatchedLoopIsDeterministic) {
   // The closed-loop server with --batch 4: the batched blocks must

@@ -3,14 +3,18 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "algo/shortest_paths.hpp"
 #include "bench/harness.hpp"
+#include "graph/generators.hpp"
 #include "util/bench_schema.hpp"
 #include "util/qsketch.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
+#include "util/querystats.hpp"
 #include "util/trace.hpp"
 
 namespace hublab {
@@ -155,6 +159,34 @@ TEST(Registry, SketchRecordsMergesAndSnapshots) {
   reg.reset();
   ASSERT_EQ(reg.sketches().size(), 1u);
   EXPECT_EQ(reg.sketches()[0].count, 0u);
+}
+
+/// Value of a counter in the process-global registry (0 when unregistered).
+std::uint64_t global_counter(std::string_view name) {
+  for (const metrics::CounterSnapshot& c : metrics::registry().counters()) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
+TEST(Registry, ShortestPathCountersCountAgainAfterReset) {
+  // The searches add to static counter handles into the global registry;
+  // reset() zeroes those counters in place, so every round counts the same.
+  const Graph g = gen::grid(4, 4);
+  std::uint64_t bidij_settled = 0;
+  for (int round = 0; round < 2; ++round) {
+    metrics::registry().reset();
+    (void)bfs(g, 0);
+    (void)dijkstra(g, 0);
+    EXPECT_EQ(bidirectional_distance(g, 0, 15), 6u);
+    metrics::QueryStats stats;
+    EXPECT_EQ(bidirectional_distance_with_stats(g, 0, 15, stats), 6u);
+    EXPECT_EQ(global_counter("sp.bfs.visited"), 16u) << "round " << round;
+    EXPECT_EQ(global_counter("sp.dijkstra.settled"), 16u) << "round " << round;
+    EXPECT_GT(global_counter("sp.bidij.settled"), 0u) << "round " << round;
+    if (round == 0) bidij_settled = global_counter("sp.bidij.settled");
+    EXPECT_EQ(global_counter("sp.bidij.settled"), bidij_settled) << "round " << round;
+  }
 }
 
 TEST(Tracer, SpanCapturesCounterDeltas) {

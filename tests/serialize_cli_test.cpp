@@ -244,6 +244,15 @@ TEST(Cli, ErrorsAreReportedNotThrown) {
   EXPECT_NE(output.find("error"), std::string::npos);
   EXPECT_EQ(run_cli({"gen", "mysteryfamily"}, &output), 1);
   EXPECT_EQ(run_cli({"query", "a"}, &output), 1);
+  // A standard-library exception (std::length_error: the pair stream's
+  // reserve rejects the count before allocating) is reported the same way.
+  TempFile graph("errors_serve");
+  ASSERT_EQ(run_cli({"gen", "grid", "--rows", "3", "--cols", "3", "-o", graph.path()}, &output), 0);
+  EXPECT_EQ(run_cli({"serve", graph.path(), "--arrival", "closed", "--queries",
+                     "18000000000000000000"},
+                    &output),
+            1);
+  EXPECT_NE(output.find("error: "), std::string::npos) << output;
 }
 
 TEST(Cli, ExplainAgreesWithReferenceOnFig1Gadget) {

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdint>
+#include <exception>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -792,7 +793,10 @@ int run(const std::vector<std::string>& args, std::ostream& out, std::ostream& e
     if (args[0] == "bench-compare") return cmd_bench_compare(rest, out);
     err << "unknown command: " << args[0] << "\n";
     return 2;
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
+    // hublab::Error and standard-library failures alike (std::length_error
+    // from an oversized reserve, std::bad_alloc): a clean exit, never
+    // std::terminate's abort.
     err << "error: " << e.what() << "\n";
     return 1;
   }
