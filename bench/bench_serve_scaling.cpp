@@ -1,13 +1,14 @@
 /// \file bench_serve_scaling.cpp
 /// Experiment PRACT, open-loop edition: throughput-vs-latency scaling of
-/// the concurrent query server (oracle/server.hpp) over the SIMD batched
-/// kernel, on the same connected-gnm(2000, 4000) family the query
-/// microbenches use.
+/// the concurrent query server (oracle/server.hpp) — shard workers that
+/// each pace, admit and answer their own slice of the schedule through the
+/// SIMD batched kernel — on the same connected-gnm(2000, 4000) family the
+/// query microbenches use.
 ///
 /// Two configurations ride an offered-load ladder under `kBlock` admission
 /// (nothing is shed, so completed == offered deterministically at every
-/// rung): `scalar1w` (one worker, per-query drain) and `batch4w` (four
-/// workers draining blocks of 32 through FlatHubLabeling::query_batch).
+/// rung): `scalar1w` (one worker, per-query blocks) and `batch4w` (four
+/// workers answering blocks of 32 through FlatHubLabeling::query_batch).
 /// The headline gauges are each configuration's peak sustained throughput
 /// (`pract.serve_peak_qps.<label>`, higher is better — bench-compare's
 /// qps class gates *decreases*) and the arrival-to-completion p99 at the
@@ -20,7 +21,7 @@
 /// The virtual-time phases exercise the parts wall clocks cannot gate:
 /// under `TimingMode::kVirtual` the latency / queue-depth / shed numbers
 /// come from the deterministic M/D/c pre-simulation, so a sub-capacity run
-/// must shed nothing, an over-capacity run against a small ring must shed
+/// must shed nothing, an over-capacity run against a small queue must shed
 /// a byte-stable count, and two identical overload runs must agree on
 /// every latency quantile, the checksum, and the merged-window series.
 
@@ -143,7 +144,7 @@ void print_ladder(bench::Harness& harness, const char* label, const LadderSummar
 }
 
 /// Virtual-time semantics: sub-capacity traffic sheds nothing; overload
-/// against a small ring sheds deterministically; two identical overload
+/// against a small queue sheds deterministically; two identical overload
 /// runs agree byte-for-byte on everything the determinism contract names.
 bool run_virtual_checks(const Graph& g, const DistanceOracle& oracle,
                         const bench::Harness& harness, Tracer& tracer) {
@@ -165,7 +166,7 @@ bool run_virtual_checks(const Graph& g, const DistanceOracle& oracle,
     }
   }
 
-  config.qps = 16e6;  // 4x the simulated capacity; the small ring must shed
+  config.qps = 16e6;  // 4x the simulated capacity; the small queue must shed
   config.ring_capacity = 256;
   const serve::ServerResult first = serve::run_server_on(g, oracle, config, &tracer);
   const serve::ServerResult second = serve::run_server_on(g, oracle, config, &tracer);
@@ -197,7 +198,7 @@ bool run_virtual_checks(const Graph& g, const DistanceOracle& oracle,
 int main(int argc, char** argv) {
   using namespace hublab;
   bench::Harness harness(argc, argv, "serve_scaling",
-                         "Experiment PRACT: open-loop serve scaling (SPSC shards over the "
+                         "Experiment PRACT: open-loop serve scaling (shard workers over the "
                          "batched kernel)");
 
   Rng rng(3);
@@ -232,7 +233,7 @@ int main(int argc, char** argv) {
 
   // The serve runs kept the registry untouched (register_metrics=false),
   // but the PLL build and the batch kernel registered timing-dependent
-  // counters (query.batch.calls varies with drain-block sizes).  Zero
+  // counters (query.batch.calls varies with block sizes).  Zero
   // everything, then set only the deterministic headline gauges, so the
   // committed baseline diff is meaningful.
   metrics::registry().reset();

@@ -1,7 +1,6 @@
 #include "oracle/server.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <deque>
 #include <map>
@@ -24,27 +23,26 @@
 #include "util/report.hpp"
 #include "util/resource.hpp"
 #include "util/rng.hpp"
-#include "util/spsc.hpp"
 #include "util/timer.hpp"
 
 namespace hublab::serve {
 
 namespace {
 
-/// One query in flight: between the generator and a shard worker under
-/// open arrivals, inside its worker's block under closed arrivals.
+/// One admitted query: queued in its shard worker's FIFO, then a member of
+/// one of the worker's blocks.
 struct QueryItem {
   Vertex s = 0;
   Vertex t = 0;
   std::uint64_t seq = 0;         ///< position in the pre-generated stream
   std::uint64_t arrival_ns = 0;  ///< arrival offset from loop start (closed: take time)
-  /// Simulated arrival-to-completion latency (kVirtual only; computed on
-  /// the generator so the value is independent of real scheduling).
+  /// Simulated arrival-to-completion latency (kVirtual only; taken from
+  /// the pre-simulation so the value is independent of real scheduling).
   std::uint64_t virtual_latency_ns = 0;
 };
 
-/// Per-window accumulator; the generator owns offered/rejected (it sees
-/// every arrival), the workers own the completion-side members.
+/// Per-window accumulator.  An untrimmed arrival counts toward `offered`
+/// where it is decided: at completion when answered, at admission when shed.
 struct WindowAccum {
   std::uint64_t offered = 0;
   std::uint64_t rejected = 0;
@@ -56,12 +54,15 @@ struct WindowAccum {
 /// Everything one shard worker accumulates; merged in worker order.
 struct WorkerStats {
   QuantileSketch latency_ns;
+  /// FIFO depth at each untrimmed open-loop admission decision.
+  QuantileSketch queue_depth;
   std::uint64_t completed = 0;
+  std::uint64_t rejected = 0;
   std::uint64_t reachable = 0;
   std::uint64_t checksum = 0;
   std::uint64_t trimmed_warmup = 0;
   std::uint64_t trimmed_cooldown = 0;
-  std::uint64_t busy_ns = 0;  ///< kernel time only; ring-wait excluded
+  std::uint64_t busy_ns = 0;  ///< kernel time only; pacing and admission excluded
   perf::HwCounters hw;
   metrics::ExemplarReservoir exemplars;
   metrics::SlowQueryLog slow;
@@ -69,14 +70,7 @@ struct WorkerStats {
   std::map<std::uint64_t, WindowAccum> windows;
 };
 
-/// The generator-side accumulators (admission control happens there).
-struct GeneratorStats {
-  std::uint64_t rejected = 0;
-  QuantileSketch queue_depth;
-  std::map<std::uint64_t, WindowAccum> windows;  ///< offered/rejected only
-};
-
-/// A shard worker's block buffers, sized once to the drain batch.
+/// A shard worker's block buffers, sized once to `batch`.
 struct Block {
   explicit Block(std::size_t batch) : items(batch), pairs(batch), answers(batch) {}
   std::vector<QueryItem> items;
@@ -117,7 +111,7 @@ std::vector<std::uint64_t> arrival_schedule(const ServerConfig& config) {
 /// arrival schedule against `workers` queues of bound `ring_capacity` and
 /// constant per-query service time, producing each query's simulated
 /// latency, the queue depth its admission decision saw, and (under kShed)
-/// whether it was shed.  Runs on the generator before dispatch, so every
+/// whether it was shed.  Runs before the serve loop starts, so every
 /// number is independent of real thread scheduling.
 struct VirtualPlan {
   std::vector<std::uint64_t> latency_ns;
@@ -297,6 +291,9 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
   if (!closed && !(config.qps > 0.0)) throw InvalidArgument("serve: --qps must be > 0");
   if (config.batch == 0) throw InvalidArgument("serve: --batch must be >= 1");
   if (config.ring_capacity == 0) throw InvalidArgument("serve: --ring must be >= 1");
+  constexpr std::uint64_t kMaxMs = ~std::uint64_t{0} / 1'000'000;  // the trims are kept in ns
+  if (config.warmup_ms > kMaxMs) throw InvalidArgument("serve: --warmup-ms exceeds 2^64 ns");
+  if (config.cooldown_ms > kMaxMs) throw InvalidArgument("serve: --cooldown-ms exceeds 2^64 ns");
   if (closed && virtual_timing) {
     throw InvalidArgument("serve: --timing virtual needs an open-loop arrival (poisson|burst)");
   }
@@ -327,14 +324,13 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
   }
   result.offered = pairs.size();
 
-  // Open loop only: the schedule, the telemetry trim bounds and the rings.
-  // Each trim bound is clamped to a quarter of the schedule span so short
-  // smoke runs always keep recorded samples; trimmed queries are still
-  // answered and checksummed.
+  // Open loop only: the schedule and the telemetry trim bounds.  Each trim
+  // bound is clamped to a quarter of the schedule span so short smoke runs
+  // always keep recorded samples; trimmed queries are still answered and
+  // checksummed.
   std::vector<std::uint64_t> arrivals;
   std::uint64_t warm_end_ns = 0;
   std::uint64_t cool_begin_ns = ~std::uint64_t{0};
-  std::vector<std::unique_ptr<SpscRing<QueryItem>>> rings;
   if (!closed) {
     {
       auto span = t.span("gen-arrivals");
@@ -345,20 +341,13 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
     if (config.cooldown_ms > 0) {
       cool_begin_ns = span_ns - std::min(config.cooldown_ms * 1'000'000, span_ns / 4);
     }
-    rings.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      rings.push_back(std::make_unique<SpscRing<QueryItem>>(config.ring_capacity));
-    }
   }
 
   // kVirtual: decide latencies/depths/shedding up front, deterministically,
-  // against the same rounded ring bound the real rings enforce.
+  // against the same queue bound the workers enforce.
   VirtualPlan plan;
-  if (virtual_timing) {
-    plan = virtual_presim(arrivals, workers, rings.front()->capacity(), config);
-  }
+  if (virtual_timing) plan = virtual_presim(arrivals, workers, config.ring_capacity, config);
 
-  GeneratorStats gen;
   std::vector<WorkerStats> stats(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     // Per-worker seeds derive from the run seed and the fixed worker id,
@@ -368,70 +357,16 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
     stats[w].slow = metrics::SlowQueryLog(config.slow_query_ns, config.slow_query_capacity);
   }
   const std::uint64_t window_ns = std::max<std::uint64_t>(1, config.window_ns);
-
-  // done: producer finished (or died) — release-published after its last
-  // push.  failed: some executor threw; the others unwind instead of
-  // spinning on a peer that will never make progress.
-  std::atomic<bool> done{false};
-  std::atomic<bool> failed{false};
+  const std::size_t n = pairs.size();
+  // A closed-loop worker admits one block at a time, so its queue never
+  // holds more than a block and never sheds.
+  const std::size_t bound = closed ? batch : config.ring_capacity;
+  const bool sheds = !closed && config.admission == AdmissionPolicy::kShed;
 
   {
     auto span = t.span("serve-loop");
     Timer loop_timer;
     const std::uint64_t t0 = monotonic_ns();
-
-    auto produce = [&] {
-      for (std::size_t i = 0; i < pairs.size(); ++i) {
-        const std::size_t w = i % workers;
-        const std::uint64_t due = arrivals[i];
-        if (!virtual_timing) {
-          // Open-loop pacing: dispatch at the scheduled offset regardless
-          // of how the workers are doing.
-          while (monotonic_ns() - t0 < due) {
-            if (failed.load(std::memory_order_acquire)) return;
-            par::yield();
-          }
-        }
-        const bool trimmed = due < warm_end_ns || due >= cool_begin_ns;
-        QueryItem item;
-        item.s = pairs[i].first;
-        item.t = pairs[i].second;
-        item.seq = i;
-        item.arrival_ns = due;
-        bool admitted = true;
-        std::uint64_t depth = 0;
-        if (virtual_timing) {
-          depth = plan.depth[i];
-          admitted = plan.shed[i] == 0;
-          item.virtual_latency_ns = plan.latency_ns[i];
-          if (admitted) {
-            // The simulated bound already admitted it; the real ring only
-            // needs to take it eventually.
-            while (!rings[w]->try_push(item)) {
-              if (failed.load(std::memory_order_acquire)) return;
-              par::yield();
-            }
-          }
-        } else {
-          depth = rings[w]->size_approx();
-          if (config.admission == AdmissionPolicy::kShed) {
-            admitted = rings[w]->try_push(item);
-          } else {
-            while (!rings[w]->try_push(item)) {
-              if (failed.load(std::memory_order_acquire)) return;
-              par::yield();
-            }
-          }
-        }
-        if (!admitted) ++gen.rejected;
-        if (!trimmed) {
-          gen.queue_depth.record(depth);
-          WindowAccum& win = gen.windows[due / window_ns];
-          ++win.offered;
-          if (!admitted) ++win.rejected;
-        }
-      }
-    };
 
     auto record = [&](WorkerStats& s, const QueryItem& item, Dist d, Vertex meeting_hub,
                       std::uint64_t scan_cost, std::uint64_t completion_offset_ns) {
@@ -460,6 +395,7 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
         s.hub_scan_cost.add(meeting_hub, scan_cost);
       }
       WindowAccum& win = s.windows[item.arrival_ns / window_ns];
+      ++win.offered;
       ++win.queries;
       if (d != kInfDist) ++win.reachable;
       win.latency_ns.record(latency_ns);
@@ -500,85 +436,80 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
       }
     };
 
-    auto drain = [&](std::size_t w) {
-      SpscRing<QueryItem>& ring = *rings[w];
+    // Shard worker w serves its own slice of the stream (seq % workers ==
+    // w).  Each pass admits or sheds every arrival that is due into a
+    // private FIFO of at most `bound` queries, then answers the oldest
+    // <= batch of them.  The worker looks at arrivals only between blocks,
+    // so an arrival is shed (kShed) or waits (kBlock) exactly when its
+    // worker already holds `bound` admitted, unanswered queries.  Under
+    // kVirtual every arrival is due at once and the plan decides; under
+    // closed arrivals taking a query is its arrival.
+    auto serve_worker = [&](std::size_t w) {
+      WorkerStats& s = stats[w];
       Block block(batch);
-      for (;;) {
-        std::size_t got = ring.pop_bulk(block.items.data(), batch);
-        if (got == 0) {
-          if (failed.load(std::memory_order_acquire)) return;
-          if (done.load(std::memory_order_acquire)) {
-            // done was published after the producer's last push; one more
-            // drain pass observes anything that raced the flag.
-            got = ring.pop_bulk(block.items.data(), batch);
-            if (got == 0) break;
-          } else {
-            par::yield();
+      std::vector<QueryItem> fifo(bound);  // ring buffer: `queued` items from `head`
+      std::size_t head = 0;
+      std::size_t tail = 0;
+      std::size_t queued = 0;
+      const auto advance = [bound](std::size_t i) { return i + 1 == bound ? 0 : i + 1; };
+      std::size_t seq = w;
+      while (seq < n || queued > 0) {
+        const std::uint64_t now = monotonic_ns() - t0;
+        for (; seq < n; seq += workers) {
+          const std::uint64_t arrival = closed ? now : arrivals[seq];
+          if (!virtual_timing && arrival > now) break;  // not due yet
+          const bool full = queued == bound;
+          const bool shed = virtual_timing ? plan.shed[seq] != 0 : full && sheds;
+          if (full && !shed) break;  // wait until the next block frees space
+          const bool trimmed = arrival < warm_end_ns || arrival >= cool_begin_ns;
+          if (!closed && !trimmed) s.queue_depth.record(virtual_timing ? plan.depth[seq] : queued);
+          if (shed) {
+            ++s.rejected;
+            if (!trimmed) {
+              WindowAccum& win = s.windows[arrival / window_ns];
+              ++win.offered;
+              ++win.rejected;
+            }
             continue;
           }
+          fifo[tail] = {pairs[seq].first, pairs[seq].second, seq, arrival,
+                        virtual_timing ? plan.latency_ns[seq] : 0};
+          tail = advance(tail);
+          ++queued;
         }
-        answer(stats[w], block, got);
+        const std::size_t got = std::min(queued, batch);
+        if (got == 0) {
+          par::yield();  // open-loop pacing: nothing queued, nothing due
+          continue;
+        }
+        for (std::size_t j = 0; j < got; ++j, head = advance(head)) block.items[j] = fifo[head];
+        queued -= got;
+        answer(s, block, got);
       }
     };
 
-    // Closed loop: worker w takes its next block of its own pairs
-    // (seq % workers == w) when the previous block returned, and taking an
-    // item is its arrival — so the recorded latency is service time.
-    auto serve_closed = [&](std::size_t w) {
-      Block block(batch);
-      for (std::size_t seq = w; seq < pairs.size();) {
-        const std::uint64_t taken_ns = monotonic_ns() - t0;
-        std::size_t got = 0;
-        for (; got < batch && seq < pairs.size(); ++got, seq += workers) {
-          block.items[got] = {pairs[seq].first, pairs[seq].second, seq, taken_ns, 0};
-        }
-        answer(stats[w], block, got);
-      }
-    };
-
-    // Every role is a single-index chunk on the deterministic pool: each
-    // executor claims exactly one long-running role, and run_chunks's
-    // ticket loop plus exception parking give us joining and
-    // deterministic rethrow for free.  Open loop: role 0 is the generator
-    // and role r >= 1 is shard worker r-1.  Closed loop: role r is worker r.
-    const std::size_t num_roles = closed ? workers : workers + 1;
-    const auto roles = par::static_chunks(0, num_roles, num_roles);
-    par::run_chunks(roles, num_roles, [&](const par::ChunkRange& role) {
-      try {
-        if (closed) {
-          serve_closed(role.index);
-        } else if (role.index == 0) {
-          produce();
-          done.store(true, std::memory_order_release);
-        } else {
-          drain(role.index - 1);
-        }
-      } catch (...) {
-        failed.store(true, std::memory_order_release);
-        done.store(true, std::memory_order_release);
-        throw;
-      }
-    });
+    // One role per shard worker, each a single-index chunk on the
+    // deterministic pool: each executor claims exactly one long-running
+    // role, and run_chunks joins them and rethrows the lowest-indexed
+    // failure.  Workers share nothing mutable, so a failing worker cannot
+    // stall the others.
+    par::run_chunks(par::static_chunks(0, workers, workers), workers,
+                    [&](const par::ChunkRange& role) { serve_worker(role.index); });
     result.serve_loop_s = loop_timer.elapsed_s();
   }
 
-  // Merge in fixed worker order (generator first): the merged sketch
-  // structure and every count are independent of runtime interleaving.
-  result.rejected = gen.rejected;
-  result.queue_depth = gen.queue_depth;
+  // Merge in fixed worker order: the merged sketch structure and every
+  // count are independent of runtime interleaving.
   result.exemplars = metrics::ExemplarReservoir(config.seed, config.exemplars_per_bucket);
   result.slow_queries = metrics::SlowQueryLog(config.slow_query_ns, config.slow_query_capacity);
   result.worker_busy_ns.assign(workers, 0);
   std::map<std::uint64_t, WindowAccum> merged_windows;
-  for (const auto& [index, win] : gen.windows) {
-    WindowAccum& acc = merged_windows[index];
-    acc.offered += win.offered;
-    acc.rejected += win.rejected;
-  }
   for (std::size_t w = 0; w < workers; ++w) {
     const WorkerStats& s = stats[w];
     result.latency_ns.merge(s.latency_ns);
+    result.queue_depth.merge(s.queue_depth);
     result.completed += s.completed;
+    result.rejected += s.rejected;
     result.reachable += s.reachable;
     result.checksum += s.checksum;
     result.trimmed_warmup += s.trimmed_warmup;
@@ -590,6 +521,8 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
     result.worker_busy_ns[w] = s.busy_ns;
     for (const auto& [index, win] : s.windows) {
       WindowAccum& acc = merged_windows[index];
+      acc.offered += win.offered;
+      acc.rejected += win.rejected;
       acc.queries += win.queries;
       acc.reachable += win.reachable;
       acc.latency_ns.merge(win.latency_ns);
@@ -597,13 +530,11 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
   }
   result.windows.reserve(merged_windows.size());
   for (const auto& [index, win] : merged_windows) {
-    // A closed-loop arrival is its worker taking it, so every window's
-    // arrivals are exactly its (never shed, never trimmed) queries.
     result.windows.push_back({index, win.queries, win.reachable,
                               static_cast<double>(win.queries) /
                                   (static_cast<double>(window_ns) / 1e9),
                               win.latency_ns.quantile(0.5), win.latency_ns.quantile(0.99),
-                              closed ? win.queries : win.offered, win.rejected});
+                              win.offered, win.rejected});
   }
   // Under kVirtual the rate is measured on the simulated clock (the wall
   // loop time includes no pacing), so it is run-to-run identical too.

@@ -27,36 +27,40 @@
 /// reported as `SERVE_<oracle>.json` (validated by `hublab
 /// validate-bench`) plus an optional Prometheus dump.
 ///
-/// One engine, three arrival kinds (docs/performance.md, "Open-loop vs
+/// One engine, one loop per shard worker.  The pairs (and, open loop,
+/// their arrival schedule) are generated before the loop starts, and shard
+/// worker `w` owns the pairs with `seq % workers == w`; no thread hands
+/// queries to another.  Each worker's loop admits every one of its
+/// arrivals that is due into a private FIFO (bounded by `ring_capacity`
+/// under open arrivals), then answers the oldest <= `batch` of them
+/// through DistanceOracle::distance_batch (for the flat oracle, the SIMD
+/// batched kernel FlatHubLabeling::query_batch), or one at a time through
+/// `distance_with_stats` at `batch == 1`, which keeps per-query scan-cost
+/// attribution.  Every block member is charged the block's wall time: it
+/// completes when the kernel call returns.  The arrival kinds differ only
+/// in when a query arrives (docs/performance.md, "Open-loop vs
 /// closed-loop serving"):
 ///  - `poisson` / `burst` are **open-loop**: queries arrive on their own
 ///    schedule (`--qps`) whether or not the workers keep up, which is how
 ///    production traffic behaves and the only way to observe a
-///    throughput-vs-latency curve and an overload cliff.  One
-///    load-generator thread stamps each pre-generated pair with its
-///    scheduled arrival, applies admission control, and round-robins
-///    admitted items over per-worker bounded SPSC rings (util/spsc.hpp).
+///    throughput-vs-latency curve and an overload cliff.  A query is due
+///    once its scheduled arrival has passed (under kVirtual, at once).
 ///    Latency is **arrival-to-completion**: queue wait included, so
 ///    overload shows up in the sketch instead of being coordinated away
 ///    (the "coordinated omission" failure mode of closed-loop drivers).
-///  - `closed` is the **closed loop**: no generator, no rings, no
-///    schedule.  Each worker takes its next block of pairs when the
-///    previous block returns, so an item "arrives" when its worker takes
-///    it and the same record path measures pure service time.
+///  - `closed` is the **closed loop**: no schedule.  Each worker takes its
+///    next block of pairs when the previous block returns, so an item
+///    "arrives" when its worker takes it and the same record path
+///    measures pure service time.
 ///
-/// Either way shard worker `w` answers the pairs with `seq % workers == w`
-/// in blocks of up to `batch` items through DistanceOracle::distance_batch
-/// (for the flat oracle, the SIMD batched kernel
-/// FlatHubLabeling::query_batch), or one at a time through
-/// `distance_with_stats` at `batch == 1`, which keeps per-query scan-cost
-/// attribution.  Every block member is charged the block's wall time: it
-/// completes when the kernel call returns.
-///
-/// Admission control (open loop only): when a ring is full, `kShed` drops
-/// the query and counts it in `serve.rejected` (overload degrades into an
-/// error rate with bounded latency) while `kBlock` stalls the generator
-/// (latency grows without bound, but every query is answered — and the
-/// answered set, hence checksum/reachable, is schedule-independent).
+/// Admission control (open loop only): a worker decides arrivals between
+/// blocks, so an arrival meets a full queue exactly when its worker
+/// already holds `ring_capacity` admitted, unanswered queries.  `kShed`
+/// then drops the query and counts it in `serve.rejected` (overload
+/// degrades into an error rate with bounded latency) while `kBlock` stops
+/// that worker's admission until its next block frees space (latency grows
+/// without bound, but every query is answered — and the answered set,
+/// hence checksum/reachable, is schedule-independent).
 ///
 /// Determinism contract (docs/performance.md): pairs, arrival schedule,
 /// worker assignment (`seq % workers`) and per-worker telemetry merge
@@ -66,11 +70,11 @@
 /// wall-clock latency values still vary.  `TimingMode::kVirtual` (open
 /// loop only) goes further: latencies, queue depths, and shed decisions
 /// come from a discrete-event M/D/c simulation of the configured topology
-/// (constant `virtual_service_ns` per query, computed on the generator
-/// before dispatch), while answers still flow through the real rings and
-/// kernels — two virtual runs are byte-identical end to end, which is what
-/// the determinism suites and the overload gates in bench_serve_scaling
-/// pin down.
+/// (constant `virtual_service_ns` per query, computed before the loop
+/// starts), while answers still flow through the real queues and kernels
+/// — two virtual runs are byte-identical end to end, which is what the
+/// determinism suites and the overload gates in bench_serve_scaling pin
+/// down.
 ///
 /// Registry metrics: the `serve.*` names, `hub.scan_cost` and `perf.*`
 /// of docs/observability.md ("The serving path" taxonomy).
@@ -100,10 +104,10 @@ enum class ArrivalKind {
   kClosed,   ///< closed loop: each worker takes its next block when the last returns
 };
 
-/// What happens when a shard worker's ring is full at dispatch time.
+/// What happens when a shard worker's queue is full at admission time.
 enum class AdmissionPolicy {
   kShed,   ///< reject the query (serve.rejected); bounded queueing delay
-  kBlock,  ///< stall the generator until space frees; nothing is dropped
+  kBlock,  ///< hold it until the worker frees space; nothing is dropped
 };
 
 /// Where latency/queue-depth numbers come from.
@@ -155,8 +159,10 @@ struct ServerConfig {
   ArrivalKind arrival = ArrivalKind::kPoisson;
   std::uint64_t burst = 32;  ///< arrivals per burst group (kBurst only)
   AdmissionPolicy admission = AdmissionPolicy::kShed;
-  std::size_t ring_capacity = 1024;  ///< per-worker ring bound (rounded to pow2)
-  std::size_t batch = 32;  ///< max items per drain block; 1 = per-query loop
+  /// Exact bound on each open-loop worker's queue of admitted, unanswered
+  /// queries (`--ring`; no power-of-two rounding).
+  std::size_t ring_capacity = 1024;
+  std::size_t batch = 32;  ///< max items per answered block; 1 = per-query loop
   TimingMode timing = TimingMode::kWall;
   std::uint64_t virtual_service_ns = 1000;  ///< per-query cost under kVirtual
   /// Telemetry trimming: queries whose *arrival* falls in the first
@@ -198,14 +204,13 @@ struct ServerResult {
   /// service time under closed arrivals); under kVirtual these are
   /// simulated, deterministic values.
   QuantileSketch latency_ns;
-  /// Destination-ring depth sampled at each untrimmed admission decision
-  /// (empty under closed arrivals, which have no rings).
+  /// The worker's queue depth sampled at each untrimmed admission decision
+  /// (empty under closed arrivals, which never queue).
   QuantileSketch queue_depth;
   std::vector<std::uint64_t> worker_busy_ns;  ///< indexed by shard worker id
   double worker_utilization_pct = 0.0;
   perf::HwCounters hw;  ///< summed over all shard workers; valid when live
-  /// Per-interval series keyed by arrival offset / window_ns, ascending;
-  /// offered/rejected come from the generator, the rest from the workers.
+  /// Per-interval series keyed by arrival offset / window_ns, ascending.
   std::vector<WindowStats> windows;
   metrics::ExemplarReservoir exemplars;
   metrics::SlowQueryLog slow_queries;
@@ -228,8 +233,9 @@ struct SweepPoint {
 /// `tracer` when provided; registry emission obeys
 /// `config.register_metrics`.  Must not be called from inside a parallel
 /// region — the serve loop owns the pool.  Throws InvalidArgument on an
-/// empty graph, zero queries/batch/ring, an open-loop qps <= 0, or
-/// virtual timing with closed arrivals.
+/// empty graph, zero queries/batch/ring, an open-loop qps <= 0, a
+/// warm-up or cool-down too long for 64-bit nanoseconds, or virtual timing
+/// with closed arrivals.
 ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
                            const ServerConfig& config, Tracer* tracer = nullptr);
 

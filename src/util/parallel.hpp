@@ -74,9 +74,9 @@ inline constexpr std::size_t kMaxThreads = 256;
 
 /// Give up the calling thread's timeslice (std::this_thread::yield).  This
 /// lives here because parallel.cpp is the one sanctioned owner of raw
-/// threading primitives in src/; the query server's wait loops (ring full,
-/// ring empty, open-loop pacing) spin through it instead of calling the
-/// standard library directly.
+/// threading primitives in src/; the query server's open-loop pacing
+/// (a worker with nothing queued and nothing due) spins through it instead
+/// of calling the standard library directly.
 void yield();
 
 /// Stable executor index of the calling thread: 0 for every non-pool

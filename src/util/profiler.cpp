@@ -160,11 +160,12 @@ bool start(const ProfilerConfig& config) {
   if (sigaction(SIGPROF, &sa, &g_old_action) != 0) return false;
 
   g_active.store(true, std::memory_order_release);
-  const std::uint64_t hz = std::clamp<std::uint64_t>(config.hz, 1, 1000);
-  const auto usec = static_cast<long>(1000000 / hz);
+  const std::uint64_t hz = std::clamp(config.hz, kMinHz, kMaxHz);
+  // setitimer rejects tv_usec >= 1000000, so a 1 Hz period is 1 s + 0 us.
+  const std::uint64_t period_us = 1000000 / hz;
   itimerval timer = {};
-  timer.it_interval.tv_sec = 0;
-  timer.it_interval.tv_usec = usec;
+  timer.it_interval.tv_sec = static_cast<time_t>(period_us / 1000000);
+  timer.it_interval.tv_usec = static_cast<suseconds_t>(period_us % 1000000);
   timer.it_value = timer.it_interval;
   if (setitimer(ITIMER_PROF, &timer, nullptr) != 0) {
     g_active.store(false, std::memory_order_release);

@@ -33,12 +33,14 @@
 namespace hublab::prof {
 
 inline constexpr std::uint64_t kDefaultHz = 97;  ///< prime, avoids lockstep with periodic work
+inline constexpr std::uint64_t kMinHz = 1;       ///< slowest SIGPROF rate; lower is clamped up
+inline constexpr std::uint64_t kMaxHz = 1000;    ///< fastest SIGPROF rate; higher is clamped down
 inline constexpr std::size_t kMaxDepth = 32;     ///< frames kept per sample
 inline constexpr std::size_t kMaxThreads = 32;   ///< sampled-thread slots
 inline constexpr std::size_t kMaxSamples = 1024;  ///< per-thread sample capacity
 
 struct ProfilerConfig {
-  std::uint64_t hz = kDefaultHz;  ///< SIGPROF rate (clamped to [1, 1000])
+  std::uint64_t hz = kDefaultHz;  ///< SIGPROF rate (clamped to [kMinHz, kMaxHz])
 };
 
 /// True when the platform has the pieces (setitimer + backtrace).

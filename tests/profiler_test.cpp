@@ -93,6 +93,17 @@ TEST(Profiler, TicksSampleRssPeak) {
   EXPECT_GE(peak_rss_bytes(), sampled_peak_rss_bytes());
 }
 
+TEST(Profiler, ArmsAtTheSlowestRate) {
+  // At kMinHz the timer period is a whole second, which setitimer accepts
+  // only as tv_sec = 1 (a tv_usec of 1000000 is EINVAL).
+  if (!prof::supported()) GTEST_SKIP() << "unsupported";
+  prof::reset();
+  ASSERT_TRUE(prof::start(prof::ProfilerConfig{prof::kMinHz}));
+  EXPECT_TRUE(prof::running());
+  prof::stop();
+  EXPECT_FALSE(prof::running());
+}
+
 TEST(Resource, SampledPeakIsMonotoneMax) {
   const std::uint64_t now = current_rss_bytes();
   if (now == 0) GTEST_SKIP() << "no /proc RSS on this platform";

@@ -11,6 +11,7 @@
 #include "tools/cli.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
+#include "util/profiler.hpp"
 #include "util/rng.hpp"
 
 namespace hublab {
@@ -341,6 +342,11 @@ TEST(Cli, NumericOptionsRejectBadValues) {
       {"serve", graph.path(), "--qps", "1e999"},
       {"serve", graph.path(), "--workers", "-2"},
       {"serve", graph.path(), "--batch", "4x"},
+      // Durations whose nanosecond count is NaN, infinite or past 2^64.
+      {"serve", graph.path(), "--window-ms", "nan"},
+      {"serve", graph.path(), "--window-ms", "1e300"},
+      {"serve", graph.path(), "--slow-query-ms", "inf"},
+      {"serve", graph.path(), "--warmup-ms", "18446744073710"},
       {"gen", "gnm", "--n", "ten"},
   };
   for (const std::vector<std::string>& args : cases) {
@@ -348,6 +354,28 @@ TEST(Cli, NumericOptionsRejectBadValues) {
     EXPECT_EQ(run_cli(args, &output), 1) << flag << ": " << output;
     EXPECT_NE(output.find("error: "), std::string::npos) << output;
     EXPECT_NE(output.find(flag), std::string::npos) << flag << ": " << output;
+  }
+}
+
+TEST(Cli, ProfileReportsAClampedRate) {
+  TempFile graph("profile_hz");
+  TempFile folded("profile_hz_folded");
+  std::string output;
+  ASSERT_EQ(run_cli({"gen", "grid", "--rows", "3", "--cols", "3", "-o", graph.path()}, &output), 0);
+  EXPECT_EQ(run_cli({"profile", "--hz", "5000", "--folded", folded.path(), "stats", graph.path()},
+                    &output),
+            0)
+      << output;
+  EXPECT_NE(output.find("profile: --hz 5000 clamped to 1000"), std::string::npos) << output;
+  // The slowest rate is in range: no clamp line, and it arms wherever the
+  // profiler is supported at all.
+  EXPECT_EQ(run_cli({"profile", "--hz", "1", "--folded", folded.path(), "stats", graph.path()},
+                    &output),
+            0)
+      << output;
+  EXPECT_EQ(output.find("clamped"), std::string::npos) << output;
+  if (prof::supported()) {
+    EXPECT_EQ(output.find("unsupported"), std::string::npos) << output;
   }
 }
 

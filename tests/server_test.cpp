@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -373,6 +376,57 @@ TEST(ServeOpen, VirtualSubCapacityShedsNothing) {
   EXPECT_EQ(r.completed, r.offered);
   // Simulated arrival-to-completion is at least the constant service time.
   EXPECT_GE(r.latency_ns.quantile(0.5), config.virtual_service_ns);
+}
+
+TEST(ServeOpen, WallClockShedRejectsWhenQueueIsFull) {
+  // Every arrival is due within about a microsecond, so the one worker
+  // meets a full queue of 4 long before it has answered the stream.
+  ServerConfig config = base_config();
+  config.workers = 1;
+  config.batch = 1;
+  config.ring_capacity = 4;
+  config.qps = 1e9;
+  config.admission = AdmissionPolicy::kShed;
+  config.timing = TimingMode::kWall;
+  const ServerResult r = run_server_on(test_graph(), test_oracle(), config);
+  EXPECT_GT(r.rejected, 0u);
+  EXPECT_GE(r.completed, 4u);
+  EXPECT_EQ(r.completed + r.rejected, r.offered);
+  EXPECT_LE(r.queue_depth.max(), 4u);
+}
+
+/// Answers every pair with distance 1, except that its third
+/// distance_batch call (counted across every worker) throws.
+class ThirdBatchThrowsOracle final : public DistanceOracle {
+ public:
+  [[nodiscard]] std::string name() const override { return "third-batch-throws"; }
+  [[nodiscard]] Dist distance(Vertex /*u*/, Vertex /*v*/) const override { return 1; }
+  [[nodiscard]] std::size_t space_bytes() const override { return 0; }
+  void distance_batch(std::span<const std::pair<Vertex, Vertex>> pairs,
+                      std::span<HubQueryResult> out) const override {
+    if (calls_.fetch_add(1, std::memory_order_relaxed) == 2) {
+      throw std::runtime_error("third batch");
+    }
+    DistanceOracle::distance_batch(pairs, out);
+  }
+
+ private:
+  mutable std::atomic<std::uint64_t> calls_{0};
+};
+
+TEST(ServeOpen, OracleExceptionPropagatesUnderEveryArrival) {
+  // A worker's failure surfaces from run_server_on; it neither hangs the
+  // other workers nor terminates the process.
+  for (const ArrivalKind arrival : {ArrivalKind::kPoisson, ArrivalKind::kClosed}) {
+    ServerConfig config = base_config();
+    config.arrival = arrival;
+    config.workers = 2;
+    config.batch = 4;
+    config.admission = AdmissionPolicy::kBlock;
+    const ThirdBatchThrowsOracle oracle;
+    EXPECT_THROW((void)run_server_on(test_graph(), oracle, config), std::runtime_error)
+        << arrival_kind_name(arrival);
+  }
 }
 
 TEST(ServeOpen, BurstArrivalsServeIdenticalAnswers) {

@@ -72,15 +72,15 @@ ctest --preset asan-ubsan -j "${jobs}"
 stage "3/14 TSan build + parallel-path tests"
 # The suites that drive util/parallel's pool with threads > 1: the pool
 # itself, every parallelized hub-labeling entry point, the flat kernel, the
-# sketch merges the server reduces with, and the server itself — its SPSC
-# rings and generator/worker handoff (open loop) and its independent
-# workers (closed loop, report and batch suites).  -fsanitize=
-# thread aborts on the first data race (no recovery), so a green run means
-# zero reports.
+# sketch merges the server reduces with, and the server itself — its shard
+# workers share the oracle, the pool and the batch kernel's thread_local
+# tables under every arrival kind (open, closed, report and batch suites).
+# -fsanitize=thread aborts on the first data race (no recovery), so a green
+# run means zero reports.
 cmake --preset tsan
 cmake --build --preset tsan -j "${jobs}"
 ctest --preset tsan -j "${jobs}" \
-  -R 'StaticChunks|ResolveThreads|HardwareThreads|ParallelFor|RunChunks|ParallelDeterminism|FlatHubLabeling|BatchQuery|QuantileSketch|PllBp|SpscRing|ServeOpen|ServeClosed|ServeReport'
+  -R 'StaticChunks|ResolveThreads|HardwareThreads|ParallelFor|RunChunks|ParallelDeterminism|FlatHubLabeling|BatchQuery|QuantileSketch|PllBp|ServeOpen|ServeClosed|ServeReport'
 
 stage "4/14 clang-tidy gate"
 cmake --build --preset dev --target run-tidy

@@ -1,6 +1,8 @@
 #include "tools/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <exception>
 #include <fstream>
@@ -76,6 +78,17 @@ T parse_number(const std::string& s, const std::string& what) {
 
 std::uint64_t parse_u64(const std::string& s, const std::string& what) {
   return parse_number<std::uint64_t>(s, what);
+}
+
+/// A millisecond duration flag as whole nanoseconds.  NaN, infinities and
+/// counts past 2^64 ns are usage errors naming `what`: converting them to
+/// an integer is undefined behaviour.
+std::uint64_t ms_to_ns(double ms, const std::string& what) {
+  const double ns = ms * 1e6;
+  if (!std::isfinite(ns) || ns >= 0x1p64) {
+    throw InvalidArgument("serve: " + what + " must be finite and below 2^64 ns");
+  }
+  return static_cast<std::uint64_t>(ns);
 }
 
 /// Tiny argument cursor: positionals in order plus --key value options and
@@ -411,11 +424,12 @@ int cmd_validate_bench(Args& args, std::ostream& out) {
 
 /// Concurrent query server (see oracle/server.hpp): build one oracle, then
 /// serve a pre-generated workload — open loop at the offered --qps
-/// (Poisson or burst arrivals through per-worker SPSC rings feeding the
-/// batched kernel), or closed loop (`--arrival closed`: each worker takes
-/// its next block when the last returns) — and report latency quantiles,
-/// shed counts, and (with --qps-sweep) the whole throughput-vs-latency
-/// ladder in one SERVE_<oracle>.json plus an optional Prometheus dump.
+/// (Poisson or burst arrivals, each shard worker admitting its own into a
+/// bounded queue in front of the batched kernel), or closed loop
+/// (`--arrival closed`: each worker takes its next block when the last
+/// returns) — and report latency quantiles, shed counts, and (with
+/// --qps-sweep) the whole throughput-vs-latency ladder in one
+/// SERVE_<oracle>.json plus an optional Prometheus dump.
 int cmd_serve(Args& args, std::ostream& out) {
   const auto file = args.next_positional();
   if (!file) {
@@ -477,10 +491,10 @@ int cmd_serve(Args& args, std::ostream& out) {
   config.bp_roots = static_cast<std::size_t>(args.option_u64("--bp-roots", kPllDefaultBpRoots));
   const double slow_ms = args.option_double("--slow-query-ms", 0.0);
   if (slow_ms < 0.0) throw InvalidArgument("serve: --slow-query-ms must be >= 0");
-  config.slow_query_ns = static_cast<std::uint64_t>(slow_ms * 1e6);
+  config.slow_query_ns = ms_to_ns(slow_ms, "--slow-query-ms");
   const double window_ms = args.option_double("--window-ms", 1000.0);
   if (window_ms <= 0.0) throw InvalidArgument("serve: --window-ms must be > 0");
-  config.window_ns = static_cast<std::uint64_t>(window_ms * 1e6);
+  config.window_ns = ms_to_ns(window_ms, "--window-ms");
 
   // The offered-load ladder: the base --qps alone, or every comma-separated
   // rate of --qps-sweep (the report's `sweep` array; the last point is the
@@ -744,6 +758,8 @@ int cmd_profile(const std::vector<std::string>& args, std::ostream& out, std::os
     throw InvalidArgument("profile: usage: profile [--hz N] [--folded FILE] <command...>");
   }
   if (args[i] == "profile") throw InvalidArgument("profile: cannot nest profile");
+  const std::uint64_t hz = std::clamp(config.hz, prof::kMinHz, prof::kMaxHz);
+  if (hz != config.hz) out << "profile: --hz " << config.hz << " clamped to " << hz << "\n";
 
   prof::reset();
   const bool armed = prof::start(config);
