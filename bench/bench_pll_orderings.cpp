@@ -28,19 +28,6 @@ double avg_for_order(const Graph& g, const std::vector<Vertex>& order, const Pll
   return pruned_landmark_labeling(g, order, config).average_label_size();
 }
 
-bool same_labels(const HubLabeling& a, const HubLabeling& b) {
-  if (a.num_vertices() != b.num_vertices()) return false;
-  for (Vertex v = 0; v < a.num_vertices(); ++v) {
-    const auto la = a.label(v);
-    const auto lb = b.label(v);
-    if (la.size() != lb.size()) return false;
-    for (std::size_t i = 0; i < la.size(); ++i) {
-      if (la[i].hub != lb[i].hub || la[i].dist != lb[i].dist) return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -94,68 +81,41 @@ int main(int argc, char** argv) {
   }
   harness.print(table, "average |S(v)| by PLL order (all labelings exact by construction)");
 
-  // Construction-kernel head-to-head: the scalar builder (bp_roots = 0)
-  // against the bit-parallel kernel.  Two parts:
-  //
-  //  1. Byte-identity spot-check on every unweighted ablation family at
-  //     the harness config (the kernel's contract; tests/pll_bp_test.cpp
-  //     carries the full matrix).
-  //  2. A timed head-to-head on a random 3-regular graph at construction
-  //     scale — the regime the kernel exists for: the Theorem 4.1 / RS
-  //     pipelines rebuild labelings on exactly this family, and at
-  //     ablation-table sizes both builders finish in microseconds of
-  //     fixed overhead.  bp_roots follows the n/8 guidance for
-  //     weak-hierarchy graphs (docs/performance.md, "Choosing bp_roots").
-  //
-  // The summed BP construction time lands in the lower-is-better
-  // pract.bp_construct_pct_of_scalar gauge, gated at <= 70% by
-  // tools/check.sh.
-  bool bp_ok = true;
-  double scalar_s = 0.0;
-  double bp_s = 0.0;
-  std::size_t kernel_n = 0;
-  std::size_t kernel_roots = 0;
-  {
-    auto span = harness.phase("scalar-vs-bp");
-    for (const auto& f : families) {
-      if (f.graph.is_weighted()) continue;
-      const auto order = make_vertex_order(f.graph, VertexOrder::kDegreeDescending);
-      const HubLabeling scalar_labels =
-          pruned_landmark_labeling(f.graph, order, PllConfig{0, 1});
-      const HubLabeling bp_labels =
-          pruned_landmark_labeling(f.graph, order, harness.pll_config());
-      bp_ok = bp_ok && same_labels(scalar_labels, bp_labels);
-    }
-
-    kernel_n = harness.smoke() ? 2000 : 3000;
-    kernel_roots = kernel_n / 8;
-    Rng rng(5);
-    const Graph big = gen::random_regular(kernel_n, 3, rng);
-    harness.add_graph("random 3-regular (kernel)", big.num_vertices(), big.num_edges());
-    const auto order = make_vertex_order(big, VertexOrder::kDegreeDescending);
-    const PllConfig scalar_config{0, 1};
-    const PllConfig bp_config{kernel_roots, harness.threads()};
+  // Construction kernel at construction scale, reported as build time per
+  // label entry: the random 3-regular graph is the weak-hierarchy family
+  // the Theorem 4.1 / RS pipelines rebuild labelings on (pruned BFS), the
+  // road-like grid is weighted (pruned Dijkstra).  The `_ns` suffix puts
+  // both gauges in bench-compare's wall-clock class, which gates increases.
+  const auto build_ns_per_entry = [&](const char* name, const Graph& g) {
+    harness.add_graph(name, g.num_vertices(), g.num_edges());
+    const auto order = make_vertex_order(g, VertexOrder::kDegreeDescending);
     const std::size_t reps = harness.smoke() ? 2 : 3;
-    HubLabeling scalar_labels;
-    HubLabeling bp_labels;
+    double secs = 0.0;
+    std::size_t entries = 0;
     for (std::size_t r = 0; r < reps; ++r) {
       Timer t;
-      scalar_labels = pruned_landmark_labeling(big, order, scalar_config);
-      scalar_s += t.elapsed_s();
-      t.reset();
-      bp_labels = pruned_landmark_labeling(big, order, bp_config);
-      bp_s += t.elapsed_s();
+      const FlatHubLabeling labels = pruned_landmark_labeling_flat(g, order, harness.pll_config());
+      secs += t.elapsed_s();
+      entries += labels.total_hubs();
     }
-    bp_ok = bp_ok && same_labels(scalar_labels, bp_labels);
+    const std::int64_t ns = std::llround(1e9 * secs / static_cast<double>(entries));
+    std::printf("\n%s: PLL build %lld ns per label entry (n=%zu, %zu entries)\n", name,
+                static_cast<long long>(ns), g.num_vertices(), entries / reps);
+    return ns;
+  };
+  {
+    auto span = harness.phase("pll-build");
+    Rng regular_rng(5);
+    const Graph regular = gen::random_regular(harness.smoke() ? 2000 : 3000, 3, regular_rng);
+    Rng road_rng(6);
+    const Graph road = gen::road_like(40, 40, 0.2, 10, road_rng);
+    metrics::Registry& reg = metrics::registry();
+    reg.gauge("pract.pll_build_entry_ns.regular3")
+        .set(build_ns_per_entry("random 3-regular (kernel)", regular));
+    reg.gauge("pract.pll_build_entry_ns.road")
+        .set(build_ns_per_entry("road-like 40x40 (kernel)", road));
   }
-  const auto pct = static_cast<std::int64_t>(
-      std::llround(scalar_s > 0.0 ? 100.0 * bp_s / scalar_s : 100.0));
-  metrics::registry().gauge("pract.bp_construct_pct_of_scalar").set(pct);
-  std::printf("\nscalar-vs-bp: labels %s, bp construction at %lld%% of scalar "
-              "(3-regular n=%zu, bp_roots=%zu, lower is better)\n",
-              bp_ok ? "identical" : "DIFFER", static_cast<long long>(pct), kernel_n,
-              kernel_roots);
 
   std::printf("\nNote the gadget row: per Theorem 2.1 no ordering can make its labels small.\n");
-  return harness.finish("PLL ordering ablation", bp_ok);
+  return harness.finish("PLL ordering ablation", true);
 }

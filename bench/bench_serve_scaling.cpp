@@ -61,7 +61,6 @@ serve::ServerConfig base_config(const bench::Harness& harness) {
   config.workload = serve::WorkloadKind::kUniform;
   config.num_queries = harness.smoke() ? 2000 : 20000;
   config.seed = 1;
-  config.bp_roots = harness.bp_roots();
   config.register_metrics = false;  // committed baselines carry only pract gauges
   return config;
 }
@@ -208,8 +207,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<DistanceOracle> oracle;
   {
     auto span = harness.phase("build-oracle");
-    oracle = serve::make_oracle(g, serve::OracleKind::kPllFlat,
-                                PllConfig{harness.bp_roots(), harness.threads()});
+    oracle = serve::make_oracle(g, serve::OracleKind::kPllFlat, harness.pll_config());
   }
 
   LadderSummary scalar1w;

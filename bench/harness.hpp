@@ -73,8 +73,6 @@ class Harness {
         json_path_ = argv[++i];
       } else if (arg == "--threads" && i + 1 < argc) {
         threads_ = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-      } else if (arg == "--bp-roots" && i + 1 < argc) {
-        bp_roots_ = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
       }
     }
     threads_ = par::resolve_threads(threads_);
@@ -104,13 +102,8 @@ class Harness {
   /// thread counts are never silently compared.
   [[nodiscard]] std::size_t threads() const { return threads_; }
 
-  /// Bit-parallel root count for PLL constructions (--bp-roots, default
-  /// kPllDefaultBpRoots).  Benches that build hub labels pass this via
-  /// PllConfig; the value is recorded in the bench JSON like `threads`.
-  [[nodiscard]] std::size_t bp_roots() const { return bp_roots_; }
-
   /// The harness's PLL construction knobs in one place.
-  [[nodiscard]] PllConfig pll_config() const { return PllConfig{bp_roots_, threads_}; }
+  [[nodiscard]] PllConfig pll_config() const { return PllConfig{threads_}; }
 
   /// True when invoked with --perf-counters (hardware counters requested;
   /// `perf::enabled()` reports whether the host actually delivers them).
@@ -168,7 +161,6 @@ class Harness {
     header.repetitions = repetitions_;
     header.start_unix_ms = start_unix_ms_;
     header.threads = threads_;
-    header.bp_roots = static_cast<std::int64_t>(bp_roots_);
     header.graphs = graphs_;
     write_run_report_json(os, header, tracer_, metrics::registry());
   }
@@ -180,7 +172,6 @@ class Harness {
   bool trace_ = false;
   bool perf_counters_ = false;
   std::size_t threads_ = 0;  ///< resolved in the constructor (>= 1 after)
-  std::size_t bp_roots_ = kPllDefaultBpRoots;
   std::uint64_t repetitions_ = 1;
   std::uint64_t start_unix_ms_ = 0;
   std::vector<ReportGraph> graphs_;

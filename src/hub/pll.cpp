@@ -1,6 +1,7 @@
 #include "hub/pll.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "util/metrics.hpp"
@@ -37,7 +38,7 @@ BitParallelRoots::BitParallelRoots(const Graph& g, const std::vector<Vertex>& or
   const std::size_t n = g.num_vertices();
   // 16-bit distance rows: any finite BFS distance is < n, so n <= 65535
   // guarantees the tables never truncate (kUnreachable is the only
-  // sentinel).  Weighted graphs use Dijkstra and never consult the tables.
+  // sentinel).  Weighted graphs get no tables.
   if (g.is_weighted() || n == 0 || n > 0xFFFF || bp_roots == 0) return;
   num_roots_ = std::min(bp_roots, n);
   const std::size_t stride = num_roots_;
@@ -148,136 +149,39 @@ Dist BitParallelRoots::estimate(Vertex u, Vertex v) const {
 
 namespace {
 
-/// Internal label entry keyed by hub *rank* so that labels built in rank
-/// order are automatically sorted and query merges need no lookup table.
+/// In-progress label entry keyed by hub *rank*: rows built in rank order
+/// are sorted, and the cover test indexes the root's label by rank.  `D`
+/// is the stored distance type (see distances_fit_u32): {u32, u32} is an
+/// 8-byte entry, {u32, Dist} the 16-byte wide one.
+template <typename D>
 struct RankEntry {
   Vertex rank;
-  Dist dist;
+  D dist;
 };
+static_assert(sizeof(RankEntry<std::uint32_t>) == 8);
 
-/// Chunked per-vertex label storage: entries live in one shared slot pool,
-/// grouped into per-vertex blocks of geometrically growing capacity that
-/// are linked in append order.  A push never allocates on its own (the
-/// pool grows amortized like a vector), iteration walks at most
-/// O(log(label size)) blocks, and the whole structure frees in O(1) —
-/// replacing the vector-of-vectors layout whose per-vertex reallocation
-/// dominated construction.
-class LabelArena {
- public:
-  static constexpr std::uint32_t kNoBlock = 0xFFFFFFFFu;
+/// True when every distance a pruned search settles fits in 32 bits below
+/// the narrow rows' "absent" value 0xFFFFFFFF.  A settled distance is the
+/// length of a simple path (its search-tree path), so it is at most
+/// (n - 1) * max_weight; the product cannot overflow 64 bits.
+bool distances_fit_u32(const Graph& g) {
+  const std::uint64_t n = g.num_vertices();
+  return n <= 1 || (n - 1) * std::uint64_t{g.max_weight()} < 0xFFFFFFFFu;
+}
 
-  /// A resumable scan position (see cursor()/scan_from()).
-  struct Cursor {
-    std::uint32_t block = kNoBlock;
-    std::uint32_t offset = 0;
-  };
-
-  /// `g` supplies degree hints: vertices above twice the average degree
-  /// rank early under the degree heuristic and keep short labels, so they
-  /// start with a smaller first block.
-  explicit LabelArena(const Graph& g) : head_(g.num_vertices(), kNoBlock), tail_(head_) {
-    const std::size_t n = g.num_vertices();
-    slots_.reserve(n * 4);
-    blocks_.reserve(n + n / 2);
-    const double avg = g.average_degree();
-    first_cap_.resize(n);
-    for (Vertex v = 0; v < n; ++v) {
-      first_cap_[v] = static_cast<double>(g.degree(v)) >= 2.0 * avg ? 4 : 8;
-    }
-  }
-
-  void push(Vertex v, RankEntry e) {
-    std::uint32_t tail = tail_[v];
-    if (tail == kNoBlock || blocks_[tail].count == blocks_[tail].capacity) tail = grow(v);
-    Block& b = blocks_[tail];
-    slots_[b.first + b.count] = e;
-    ++b.count;
-  }
-
-  [[nodiscard]] std::size_t size(Vertex v) const {
-    std::size_t total = 0;
-    for (std::uint32_t b = head_[v]; b != kNoBlock; b = blocks_[b].next) total += blocks_[b].count;
-    return total;
-  }
-
-  /// Current end of v's label; scan_from() started here visits exactly the
-  /// entries pushed after this call.
-  [[nodiscard]] Cursor cursor(Vertex v) const {
-    const std::uint32_t tail = tail_[v];
-    if (tail == kNoBlock) return Cursor{};
-    return Cursor{tail, blocks_[tail].count};
-  }
-
-  template <typename Fn>
-  void for_each(Vertex v, Fn&& fn) const {
-    for (std::uint32_t b = head_[v]; b != kNoBlock; b = blocks_[b].next) {
-      const Block& blk = blocks_[b];
-      for (std::uint32_t i = 0; i < blk.count; ++i) fn(slots_[blk.first + i]);
-    }
-  }
-
-  /// Visit entries from `c` (a cursor taken for v, or a default cursor for
-  /// the whole label) until `fn` returns true; returns whether it did.
-  template <typename Fn>
-  [[nodiscard]] bool scan_from(Vertex v, Cursor c, Fn&& fn) const {
-    std::uint32_t b = c.block == kNoBlock ? head_[v] : c.block;
-    std::uint32_t offset = c.block == kNoBlock ? 0 : c.offset;
-    for (; b != kNoBlock; b = blocks_[b].next, offset = 0) {
-      const Block& blk = blocks_[b];
-      for (std::uint32_t i = offset; i < blk.count; ++i) {
-        if (fn(slots_[blk.first + i])) return true;
-      }
-    }
-    return false;
-  }
-
- private:
-  struct Block {
-    std::size_t first;       ///< index of the block's first slot
-    std::uint32_t next;      ///< kNoBlock at the chain tail
-    std::uint32_t count;
-    std::uint32_t capacity;
-  };
-
-  std::uint32_t grow(Vertex v) {
-    const std::uint32_t tail = tail_[v];
-    const std::uint32_t cap =
-        tail == kNoBlock ? first_cap_[v]
-                         : std::min<std::uint32_t>(blocks_[tail].capacity * 2, kMaxBlockCap);
-    const auto id = static_cast<std::uint32_t>(blocks_.size());
-    blocks_.push_back(Block{slots_.size(), kNoBlock, 0, cap});
-    slots_.resize(slots_.size() + cap);
-    if (tail == kNoBlock) {
-      head_[v] = id;
-    } else {
-      blocks_[tail].next = id;
-    }
-    tail_[v] = id;
-    return id;
-  }
-
-  static constexpr std::uint32_t kMaxBlockCap = 64;
-
-  std::vector<RankEntry> slots_;
-  std::vector<Block> blocks_;
-  std::vector<std::uint32_t> head_;
-  std::vector<std::uint32_t> tail_;
-  std::vector<std::uint8_t> first_cap_;
-};
-
-/// Frontier prune decisions, encoded so the sequential commit loop can
-/// batch the per-kind counters without atomics in the parallel scan.
-enum class Prune : std::uint8_t { kNone = 0, kBpDist, kBpMask, kLabel };
-
+/// The pruned-landmark loop over one contiguous, rank-ordered row per
+/// vertex, storing distances as `D`.  The search itself (tentative
+/// distances, heap keys) stays in Dist, so the pop order and the labels
+/// do not depend on `D`.
+template <typename D>
 class PllBuilder {
  public:
   PllBuilder(const Graph& g, const std::vector<Vertex>& order, const PllConfig& config)
       : g_(g),
         order_(order),
         threads_(par::resolve_threads(config.threads)),
-        bp_(g, order, config.bp_roots, threads_),
-        arena_(g),
-        root_dist_(g.num_vertices(), kInfDist),
+        rows_(g.num_vertices()),
+        root_dist_(g.num_vertices(), kAbsent),
         dist_(g.num_vertices(), kInfDist) {
     HUBLAB_ASSERT_MSG(order.size() == g.num_vertices(), "order must be a permutation");
     // Ranks are stored as 32-bit values next to the kInvalidVertex
@@ -285,25 +189,15 @@ class PllBuilder {
     // count must stay strictly below the Vertex maximum.
     HUBLAB_ASSERT_MSG(g.num_vertices() < static_cast<std::size_t>(kInvalidVertex),
                       "graph too large: vertex count must stay below kInvalidVertex");
-    metrics::Registry& reg = metrics::registry();
-    reg.gauge("pll.bp_roots").set(static_cast<std::int64_t>(bp_.num_roots()));
-    reg.gauge("pll.bp_table_bytes").set(static_cast<std::int64_t>(bp_.memory_bytes()));
   }
 
   HubLabeling run() {
     build_labels();
-    // Single pass: rank-keyed arena entries to vertex-keyed public labels,
-    // each row exactly reserved; finalize() sorts rows by hub id.
+    // Single pass: rank-keyed rows to vertex-keyed public labels, each
+    // exactly sized; finalize() sorts rows by hub id.
     const std::size_t n = g_.num_vertices();
     std::vector<std::vector<HubEntry>> labels(n);
-    metrics::Histogram& label_sizes = metrics::registry().histogram("pll.label_size");
-    for (Vertex v = 0; v < n; ++v) {
-      std::vector<HubEntry>& label = labels[v];
-      label.reserve(arena_.size(v));
-      arena_.for_each(v,
-                      [&](const RankEntry& e) { label.push_back(HubEntry{order_[e.rank], e.dist}); });
-      label_sizes.record(label.size());
-    }
+    for (Vertex v = 0; v < n; ++v) take_row(v, labels[v]);
     HubLabeling out(std::move(labels));
     out.finalize();
     return out;
@@ -316,9 +210,8 @@ class PllBuilder {
     // append with the sentinel.  Matches FlatHubLabeling(HubLabeling) on
     // the finalized labeling bit for bit.
     const std::size_t n = g_.num_vertices();
-    metrics::Histogram& label_sizes = metrics::registry().histogram("pll.label_size");
     std::size_t slots = n;  // one sentinel per label
-    for (Vertex v = 0; v < n; ++v) slots += arena_.size(v);
+    for (const std::vector<Entry>& row : rows_) slots += row.size();
     std::vector<std::size_t> offsets;
     std::vector<Vertex> hubs;
     std::vector<Dist> dists;
@@ -328,10 +221,7 @@ class PllBuilder {
     std::vector<HubEntry> row;
     for (Vertex v = 0; v < n; ++v) {
       offsets.push_back(hubs.size());
-      row.clear();
-      arena_.for_each(v,
-                      [&](const RankEntry& e) { row.push_back(HubEntry{order_[e.rank], e.dist}); });
-      label_sizes.record(row.size());
+      take_row(v, row);
       std::sort(row.begin(), row.end(),
                 [](const HubEntry& a, const HubEntry& b) { return a.hub < b.hub; });
       for (const HubEntry& e : row) {
@@ -346,28 +236,34 @@ class PllBuilder {
   }
 
  private:
+  using Entry = RankEntry<D>;
+
+  /// root_dist_ value of a rank not in the current root's label.  Every
+  /// distance a search settles is below it (distances_fit_u32 for the
+  /// narrow rows, finiteness for the wide ones).
+  static constexpr D kAbsent = std::numeric_limits<D>::max();
+
+  /// Entries per branch-free step of the cover test.
+  static constexpr std::size_t kScanBlock = 16;
+
+  /// Frontiers below this size are pruned inline: the fan-out overhead
+  /// would outweigh the scan.
+  static constexpr std::size_t kParallelFrontierMin = 512;
+
   /// Run the per-rank pruned searches.  The searches share every piece of
   /// scratch state (frontier buffers, the Dijkstra heap, touched lists),
-  /// so per-root work allocates nothing after warm-up.
+  /// so per-root work allocates only when a row grows.
   void build_labels() {
     const bool weighted = g_.is_weighted();
-    const std::size_t num_ranks = order_.size();
-    std::size_t start_rank = 0;
-    if (bp_.active()) {
-      synthesize_table_ranks();
-      for (std::size_t i = 0; i < bp_.num_roots(); ++i) {
-        frontier_sizes_.record(bp_.peak_frontier(i));
-      }
-      snapshot_cursors();
-      start_rank = bp_.num_roots();
-    }
-    for (std::size_t k = start_rank; k < num_ranks; ++k) {
+    for (std::size_t k = 0; k < order_.size(); ++k) {
       peak_frontier_ = 0;
+      scatter_root_label(order_[k]);
       if (weighted) {
         pruned_dijkstra(k);
       } else {
         pruned_bfs(k);
       }
+      clear_root_label(order_[k]);
       frontier_sizes_.record(peak_frontier_);
     }
     metrics::Registry& reg = metrics::registry();
@@ -375,179 +271,96 @@ class PllBuilder {
     reg.counter("pll.visited").add(c_visited_);
     reg.counter("pll.pruned").add(c_pruned_);
     reg.counter("pll.label_pushes").add(c_pushes_);
-    reg.counter("pll.bp_dist_prunes").add(c_bp_dist_prunes_);
-    reg.counter("pll.bp_mask_prunes").add(c_bp_mask_prunes_);
   }
 
-  /// Emit the labels of every table rank without running a pruned search.
-  /// The scalar builder produces exactly the *canonical* labeling: rank k
-  /// labels u iff no i < k has d(r_i, u) + d(r_i, r_k) <= d(r_k, u) (a
-  /// pruned BFS reaches u at d(r_k, u) precisely when the pair is not
-  /// already covered — see docs/performance.md for the argument).  For
-  /// k < bp_.num_roots() every distance in that test sits in the tables,
-  /// so the entries are computed directly: the k most expensive pruned
-  /// searches (the early ranks prune the least) collapse into a rank-major
-  /// scan of the distance rows.  Rank-major order keeps each vertex's
-  /// arena entries sorted by rank, exactly as the searches would have.
-  void synthesize_table_ranks() {
-    const std::size_t n = g_.num_vertices();
-    const std::size_t num_roots = bp_.num_roots();
-    // root_root[k * num_roots + i] = d(r_i, r_k), gathered once so the
-    // inner loop touches two contiguous rows.
-    std::vector<std::uint32_t> root_root(num_roots * num_roots);
-    for (std::size_t k = 0; k < num_roots; ++k) {
-      const std::uint16_t* row = bp_.dist_row(order_[k]);
-      for (std::size_t i = 0; i < num_roots; ++i) root_root[k * num_roots + i] = row[i];
-    }
-    for (std::size_t k = 0; k < num_roots; ++k) {
-      const std::uint32_t* to_root = root_root.data() + k * num_roots;
-      for (Vertex v = 0; v < n; ++v) {
-        const std::uint16_t* row = bp_.dist_row(v);
-        const std::uint32_t d = row[k];
-        // Unreachable pairs get no entry; unreachable candidates below
-        // never cover (kUnreachable summands keep t > d).
-        if (d == BitParallelRoots::kUnreachable) continue;
-        bool covered = false;
-        for (std::size_t i = 0; i < k; ++i) {
-          if (row[i] + to_root[i] <= d) {
-            covered = true;
-            break;
-          }
-        }
-        if (covered) continue;
-        arena_.push(v, RankEntry{static_cast<Vertex>(k), static_cast<Dist>(d)});
-        ++c_pushes_;
-      }
-    }
+  /// Move v's row out as hub-id entries in rank order, freeing the row.
+  void take_row(Vertex v, std::vector<HubEntry>& out) {
+    out.clear();
+    out.reserve(rows_[v].size());
+    for (const Entry& e : rows_[v]) out.push_back(HubEntry{order_[e.rank], e.dist});
+    std::vector<Entry>().swap(rows_[v]);
+    label_sizes_.record(out.size());
   }
 
-  /// Record, per vertex, where entries of rank >= bp_.num_roots() will
-  /// start: the bit-parallel tables subsume every lower rank, so later
-  /// prune scans resume from here instead of rescanning the dense prefix
-  /// the highest-ranked hubs put into almost every label.
-  void snapshot_cursors() {
-    const std::size_t n = g_.num_vertices();
-    cursors_.resize(n);
-    for (Vertex v = 0; v < n; ++v) cursors_[v] = arena_.cursor(v);
+  /// Scatter the root's label into the rank-indexed root_dist_ before its
+  /// search, and clear it again after.
+  void scatter_root_label(Vertex root) {
+    for (const Entry& e : rows_[root]) root_dist_[e.rank] = e.dist;
   }
 
-  /// Covered test for u at candidate distance d from the current root
-  /// (rank k): true exactly when some hub of rank < k answers (u, root)
-  /// within d.  Consults the bit-parallel tables first; `scan_labels`
-  /// callers guarantee root_dist_ holds the root's label (ranks >=
-  /// bp_.num_roots() suffice — lower ranks are the tables' job).
-  [[nodiscard]] Prune covered_by(Vertex u, Dist d, std::size_t bp_limit, bool scan_labels) const {
-    if (bp_limit > 0) {
-      // Branchless minimum over the table columns: unreachable rows hold
-      // kUnreachable, so their sums stay above any finite candidate and
-      // need no special case.  The loop vectorizes, which beats an early
-      // exit even when the first root would have pruned.
-      const std::uint16_t* du = bp_.dist_row(u);
-      std::uint32_t best = 0xFFFFFFFFu;
-      for (std::size_t i = 0; i < bp_limit; ++i) {
-        best = std::min(best, du[i] + bp_root_dist_[i]);
-      }
-      // best is the exact distance through the best table root — the same
-      // candidate the scalar pruning minimum contains.
-      if (best <= d) return Prune::kBpDist;
-      if (best == d + 1) {
-        // Mask shortcut: an S_{-1} intersection certifies a path of
-        // length best - 2 through a shared neighbor.  That neighbor is
-        // not a pruning candidate itself, but best - 2 < d proves the
-        // true distance is below the BFS level, and any vertex reached
-        // above its true distance is covered by an earlier hub (see
-        // docs/performance.md), so the scalar builder prunes here too.
-        const std::uint64_t* mu = bp_.sm1_row(u);
-        for (std::size_t i = 0; i < bp_limit; ++i) {
-          if (du[i] + bp_root_dist_[i] == best && (mu[i] & bp_root_sm1_[i]) != 0) {
-            return Prune::kBpMask;
-          }
-        }
-      }
+  void clear_root_label(Vertex root) {
+    for (const Entry& e : rows_[root]) root_dist_[e.rank] = kAbsent;
+  }
+
+  /// True when some entry (r, d(r, u)) of u's label has a root entry
+  /// (r, d(r, root)) with d(r, u) + d(r, root) <= d, i.e. an earlier hub
+  /// answers (u, root) within d.  One branch-free pass per block of
+  /// kScanBlock entries, returning at the first block with a hit; an
+  /// absent rank reads kAbsent, which exceeds every d, so it needs no
+  /// special case.
+  [[nodiscard]] bool covered(Vertex u, D d) const {
+    const Entry* row = rows_[u].data();
+    const std::size_t size = rows_[u].size();
+    const auto hits = [&](const Entry& e) {
+      const D rd = root_dist_[e.rank];
+      return (rd <= d) & (e.dist <= d - rd);
+    };
+    std::size_t i = 0;
+    for (; i + kScanBlock <= size; i += kScanBlock) {
+      bool hit = false;
+      for (std::size_t j = i; j < i + kScanBlock; ++j) hit |= hits(row[j]);
+      if (hit) return true;
     }
-    if (scan_labels) {
-      const LabelArena::Cursor from = cursors_.empty() ? LabelArena::Cursor{} : cursors_[u];
-      const bool hit = arena_.scan_from(u, from, [&](const RankEntry& e) {
-        const Dist rd = root_dist_[e.rank];
-        return rd != kInfDist && e.dist + rd <= d;
-      });
-      if (hit) return Prune::kLabel;
+    for (; i < size; ++i) {
+      if (hits(row[i])) return true;
     }
-    return Prune::kNone;
+    return false;
+  }
+
+  void push(Vertex u, std::size_t k, Dist d) {
+    rows_[u].push_back(Entry{static_cast<Vertex>(k), static_cast<D>(d)});
+    ++c_pushes_;
   }
 
   /// Fill prune_flags_[0..frontier_.size()) with the per-vertex decision.
   /// The scan is read-only (labels mutate only in the commit loop), so
   /// fanning it out over static chunks cannot change any flag — the
   /// labeling stays bit-identical for every thread count.
-  void decide_prunes(Dist level, std::size_t bp_limit, bool scan_labels) {
+  void decide_prunes(Dist level) {
     prune_flags_.resize(frontier_.size());
-    if (threads_ > 1 && frontier_.size() >= kParallelFrontierMin && !par::in_parallel_region()) {
-      par::parallel_for(0, frontier_.size(), threads_, [&](const par::ChunkRange& chunk) {
-        for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-          prune_flags_[i] = covered_by(frontier_[i], level, bp_limit, scan_labels);
-        }
-      });
-    } else {
-      for (std::size_t i = 0; i < frontier_.size(); ++i) {
-        prune_flags_[i] = covered_by(frontier_[i], level, bp_limit, scan_labels);
+    const auto decide = [&](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        prune_flags_[i] = covered(frontier_[i], static_cast<D>(level)) ? 1 : 0;
       }
+    };
+    if (threads_ > 1 && frontier_.size() >= kParallelFrontierMin && !par::in_parallel_region()) {
+      par::parallel_for(0, frontier_.size(), threads_,
+                        [&](const par::ChunkRange& chunk) { decide(chunk.begin, chunk.end); });
+    } else {
+      decide(0, frontier_.size());
     }
-  }
-
-  void count_prune(Prune kind) {
-    ++c_pruned_;
-    if (kind == Prune::kBpDist) {
-      ++c_bp_dist_prunes_;
-    } else if (kind == Prune::kBpMask) {
-      ++c_bp_mask_prunes_;
-    }
-  }
-
-  void scatter_root_label(Vertex root, std::size_t min_rank) {
-    arena_.for_each(root, [&](const RankEntry& e) {
-      if (e.rank >= min_rank) root_dist_[e.rank] = e.dist;
-    });
-  }
-
-  void clear_root_label(Vertex root, std::size_t min_rank) {
-    arena_.for_each(root, [&](const RankEntry& e) {
-      if (e.rank >= min_rank) root_dist_[e.rank] = kInfDist;
-    });
   }
 
   void pruned_bfs(std::size_t k) {
     const Vertex root = order_[k];
-    const std::size_t bp_limit = std::min(k, bp_.num_roots());
-    // Ranks below bp_.num_roots() are answered exactly by the tables;
-    // label scans (and the root_dist_ scatter feeding them) only matter
-    // once ranks beyond the tables exist.
-    const bool scan_labels = k > bp_.num_roots();
-    if (scan_labels) scatter_root_label(root, bp_.num_roots());
-    if (bp_limit > 0) {
-      const std::uint16_t* rd = bp_.dist_row(root);
-      const std::uint64_t* rm = bp_.sm1_row(root);
-      bp_root_dist_.assign(rd, rd + bp_limit);
-      bp_root_sm1_.assign(rm, rm + bp_limit);
-    }
     frontier_.assign(1, root);
     touched_.assign(1, root);
     dist_[root] = 0;
     Dist level = 0;
     while (!frontier_.empty()) {
       peak_frontier_ = std::max(peak_frontier_, static_cast<std::uint64_t>(frontier_.size()));
-      decide_prunes(level, bp_limit, scan_labels);
+      decide_prunes(level);
       // Commit in frontier order: label pushes and frontier discovery are
-      // exactly the scalar builder's, whatever chunking decided the flags.
+      // exactly the sequential builder's, whatever chunking decided the
+      // flags.
       for (std::size_t i = 0; i < frontier_.size(); ++i) {
         const Vertex u = frontier_[i];
         ++c_visited_;
-        if (prune_flags_[i] != Prune::kNone) {
-          count_prune(prune_flags_[i]);
+        if (prune_flags_[i] != 0) {
+          ++c_pruned_;
           continue;
         }
-        arena_.push(u, RankEntry{static_cast<Vertex>(k), level});
-        ++c_pushes_;
+        push(u, k, level);
         for (const Arc& a : g_.arcs(u)) {
           if (dist_[a.to] == kInfDist) {
             dist_[a.to] = level + 1;
@@ -561,12 +374,10 @@ class PllBuilder {
       next_.clear();
     }
     for (const Vertex v : touched_) dist_[v] = kInfDist;
-    if (scan_labels) clear_root_label(root, bp_.num_roots());
   }
 
   void pruned_dijkstra(std::size_t k) {
     const Vertex root = order_[k];
-    scatter_root_label(root, 0);
     using Item = std::pair<Dist, Vertex>;
     // The heap lives in a member buffer reused across roots (push_heap /
     // pop_heap are exactly what priority_queue runs underneath, so the pop
@@ -583,13 +394,11 @@ class PllBuilder {
       heap_.pop_back();
       if (d != dist_[u]) continue;
       ++c_visited_;
-      const Prune kind = covered_by(u, d, 0, true);
-      if (kind != Prune::kNone) {
-        count_prune(kind);
+      if (covered(u, static_cast<D>(d))) {
+        ++c_pruned_;
         continue;
       }
-      arena_.push(u, RankEntry{static_cast<Vertex>(k), d});
-      ++c_pushes_;
+      push(u, k, d);
       for (const Arc& a : g_.arcs(u)) {
         const Dist nd = d + a.weight;
         if (nd < dist_[a.to]) {
@@ -601,42 +410,33 @@ class PllBuilder {
       }
     }
     for (const Vertex v : touched_) dist_[v] = kInfDist;
-    clear_root_label(root, 0);
   }
-
-  /// Frontiers below this size are pruned inline: the fan-out overhead
-  /// would outweigh the scan.
-  static constexpr std::size_t kParallelFrontierMin = 512;
 
   const Graph& g_;
   const std::vector<Vertex>& order_;
   std::size_t threads_;
-  BitParallelRoots bp_;
-  LabelArena arena_;
-  std::vector<Dist> root_dist_;  ///< rank-indexed distances of current root
-  std::vector<Dist> dist_;       ///< per-search tentative distances
-  std::vector<LabelArena::Cursor> cursors_;  ///< per-vertex scan start (rank >= bp roots)
-  std::vector<std::uint32_t> bp_root_dist_;  ///< current root's table column
-  std::vector<std::uint64_t> bp_root_sm1_;   ///< current root's S_{-1} column
+  std::vector<std::vector<Entry>> rows_;  ///< per-vertex label, rank order
+  std::vector<D> root_dist_;              ///< rank-indexed distances of current root
+  std::vector<Dist> dist_;                ///< per-search tentative distances
   std::vector<Vertex> frontier_;
   std::vector<Vertex> next_;
   std::vector<Vertex> touched_;
-  std::vector<Prune> prune_flags_;
+  std::vector<std::uint8_t> prune_flags_;  ///< 1 = covered (bytes: chunks write in parallel)
   std::vector<std::pair<Dist, Vertex>> heap_;  ///< reused Dijkstra heap
   QuantileSketch frontier_sizes_;  ///< peak frontier / heap size per root
+  metrics::Histogram& label_sizes_ = metrics::registry().histogram("pll.label_size");
   std::uint64_t peak_frontier_ = 0;
   std::uint64_t c_visited_ = 0;
   std::uint64_t c_pruned_ = 0;
   std::uint64_t c_pushes_ = 0;
-  std::uint64_t c_bp_dist_prunes_ = 0;
-  std::uint64_t c_bp_mask_prunes_ = 0;
 };
 
 }  // namespace
 
 HubLabeling pruned_landmark_labeling(const Graph& g, const std::vector<Vertex>& order,
                                      const PllConfig& config) {
-  return PllBuilder(g, order, config).run();
+  if (distances_fit_u32(g)) return PllBuilder<std::uint32_t>(g, order, config).run();
+  return PllBuilder<Dist>(g, order, config).run();
 }
 
 HubLabeling pruned_landmark_labeling(const Graph& g, VertexOrder order, std::uint64_t seed,
@@ -646,7 +446,8 @@ HubLabeling pruned_landmark_labeling(const Graph& g, VertexOrder order, std::uin
 
 FlatHubLabeling pruned_landmark_labeling_flat(const Graph& g, const std::vector<Vertex>& order,
                                               const PllConfig& config) {
-  return PllBuilder(g, order, config).run_flat();
+  if (distances_fit_u32(g)) return PllBuilder<std::uint32_t>(g, order, config).run_flat();
+  return PllBuilder<Dist>(g, order, config).run_flat();
 }
 
 }  // namespace hublab

@@ -19,14 +19,11 @@
 /// work positions hub labeling practice around exactly this family of
 /// constructions, so PLL is the measurement yardstick in our benches.
 ///
-/// Construction kernel (docs/performance.md, "Construction kernel"): the
-/// builder keeps its in-progress labels in a chunked arena (no per-push
-/// heap allocation) and, on unweighted graphs, accelerates the pruning
-/// test with AIY-style *bit-parallel root tables* for the first
-/// `PllConfig::bp_roots` roots of the order — exact distances plus 64-bit
-/// neighborhood masks, consulted before any label scan.  Only prunes the
-/// scalar builder would also take are taken, so the produced labels are
-/// byte-identical to the scalar path (`bp_roots = 0`) and invariant in
+/// Construction kernel (docs/performance.md, "The construction kernel"):
+/// the builder keeps each in-progress label as one contiguous row in rank
+/// order, with 8-byte entries whenever the graph bounds every distance
+/// below 2^32 - 1, and answers every prune test with one branch-free block
+/// scan of that row.  The produced labels are invariant in
 /// `PllConfig::threads`.
 
 namespace hublab {
@@ -40,23 +37,14 @@ enum class VertexOrder {
 /// Compute the processing order.
 std::vector<Vertex> make_vertex_order(const Graph& g, VertexOrder order, std::uint64_t seed = 0);
 
-/// Default number of bit-parallel roots (see PllConfig::bp_roots).
+/// Default root count of a standalone BitParallelRoots table build.
 inline constexpr std::size_t kPllDefaultBpRoots = 64;
 
 /// Construction-time knobs.  Every setting is a pure performance knob: the
 /// produced labeling is byte-identical for every combination.
 struct PllConfig {
-  /// Number of highest-ranked roots that get a bit-parallel table
-  /// (distance plus S_{-1}/S_0 masks over up to 64 neighbors) before the
-  /// pruned searches start.  0 disables the kernel; the value is clamped
-  /// to n.  Ignored (treated as 0) on weighted graphs and on graphs with
-  /// more than 65535 vertices, where the 16-bit distance rows of the
-  /// table could truncate.
-  std::size_t bp_roots = kPllDefaultBpRoots;
-
-  /// Worker threads for the per-root work (the bit-parallel table build
-  /// and the prune scan of large BFS frontiers).  0 defers to
-  /// HUBLAB_THREADS (util/parallel.hpp); label commits stay in frontier
+  /// Worker threads for the prune scan of large BFS frontiers.  0 defers
+  /// to HUBLAB_THREADS (util/parallel.hpp); label commits stay in frontier
   /// order, so the labeling does not depend on this.
   std::size_t threads = 1;
 };
@@ -72,8 +60,8 @@ HubLabeling pruned_landmark_labeling(const Graph& g,
                                      std::uint64_t seed = 0, const PllConfig& config = {});
 
 /// As pruned_landmark_labeling, but finalizes straight into the flat SoA
-/// layout in a single pass over the builder's arena — the intermediate
-/// vector-of-vectors representation is never materialized.  The result is
+/// layout in a single pass over the builder's rows — the intermediate
+/// HubLabeling is never materialized.  The result is
 /// byte-identical to `FlatHubLabeling(pruned_landmark_labeling(g, order))`.
 FlatHubLabeling pruned_landmark_labeling_flat(const Graph& g, const std::vector<Vertex>& order,
                                               const PllConfig& config = {});
@@ -81,9 +69,8 @@ FlatHubLabeling pruned_landmark_labeling_flat(const Graph& g, const std::vector<
 /// Exact distances from the first min(bp_roots, n) roots of an order plus
 /// Akiba–Iwata–Yoshida bit-parallel neighborhood masks, built by one
 /// mask-propagating multi-source BFS per root (the 64-bit batch being the
-/// root's first <= 64 neighbors).  Exposed for tests and for reuse as a
-/// cheap distance-upper-bound oracle; the PLL builder consults it before
-/// scanning any label.
+/// root's first <= 64 neighbors).  A standalone structure: a cheap
+/// distance-upper-bound oracle, not used by the PLL builder.
 class BitParallelRoots {
  public:
   /// Sentinel distance row value: unreachable from the root.

@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -82,7 +83,8 @@ HubLabeling load_labeling(std::istream& in) {
   std::uint64_t left = bytes_left(in);
   if (n > left / kCountBytes) throw ParseError("labeling file: vertex count exceeds file size");
 
-  HubLabeling labeling(n);
+  std::vector<std::vector<HubEntry>> labels(n);
+  std::vector<char> block;  // one label's entries, as stored
   for (std::uint64_t v = 0; v < n; ++v) {
     const auto count = read_pod<std::uint64_t>(in);
     left -= kCountBytes;
@@ -91,16 +93,25 @@ HubLabeling load_labeling(std::istream& in) {
       throw ParseError("labeling file: label size exceeds file size");
     }
     left -= count * kEntryBytes;
+    block.resize(count * kEntryBytes);
+    in.read(block.data(), static_cast<std::streamsize>(block.size()));
+    if (!in) throw ParseError("labeling file truncated");
+    std::vector<HubEntry>& label = labels[v];
+    label.resize(count);
     std::uint64_t prev_hub_plus_one = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
-      const auto hub = read_pod<std::uint32_t>(in);
-      const auto dist = read_pod<std::uint64_t>(in);
+      const char* entry = block.data() + i * kEntryBytes;
+      std::uint32_t hub = 0;
+      std::uint64_t dist = 0;
+      std::memcpy(&hub, entry, sizeof hub);
+      std::memcpy(&dist, entry + sizeof hub, sizeof dist);
       if (hub >= n) throw ParseError("labeling file: hub id out of range");
       if (hub + 1ULL <= prev_hub_plus_one) throw ParseError("labeling file: hubs not ascending");
       prev_hub_plus_one = hub + 1ULL;
-      labeling.add_hub(static_cast<Vertex>(v), hub, dist);
+      label[i] = HubEntry{hub, dist};
     }
   }
+  HubLabeling labeling(std::move(labels));
   labeling.finalize();
   return labeling;
 }

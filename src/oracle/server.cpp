@@ -577,7 +577,6 @@ void write_server_report_json(std::ostream& os, const ServerResult& result,
   header.repetitions = 1;
   header.start_unix_ms = result.start_unix_ms;
   header.threads = result.workers;
-  header.bp_roots = static_cast<std::int64_t>(config.bp_roots);
   header.graphs.push_back({std::string(graph_family), g.num_vertices(), g.num_edges()});
   const auto quantiles = [](JsonWriter& w, const QuantileSketch& sk) {
     w.kv("count", sk.count());

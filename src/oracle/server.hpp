@@ -152,9 +152,6 @@ struct ServerConfig {
   std::uint64_t num_queries = 20000;
   std::uint64_t seed = 1;
   std::size_t workers = 4;  ///< shard workers, clamped to [1, kMaxServeWorkers]
-  /// Bit-parallel root count for the PLL construction (build-speed knob
-  /// only; answers are identical for any value).
-  std::size_t bp_roots = kPllDefaultBpRoots;
   double qps = 50000.0;  ///< offered load (arrivals per second); > 0; open loop only
   ArrivalKind arrival = ArrivalKind::kPoisson;
   std::uint64_t burst = 32;  ///< arrivals per burst group (kBurst only)

@@ -45,13 +45,6 @@ class Checker {
       if (!threads->is_number()) fail("threads: wrong type");
       else if (threads->number_value < 1) fail("threads: must be >= 1");
     }
-    // `bp_roots` is likewise optional (the PLL construction kernel's
-    // bit-parallel root count); when present it must be a number >= 0.
-    const JsonValue* bp_roots = doc_.find("bp_roots");
-    if (bp_roots != nullptr) {
-      if (!bp_roots->is_number()) fail("bp_roots: wrong type");
-      else if (bp_roots->number_value < 0) fail("bp_roots: must be >= 0");
-    }
     check_graphs();
     check_phases();
     check_metric_object(doc_.find("counters"), "counters");

@@ -22,9 +22,6 @@ void write_run_report_json(std::ostream& os, const ReportHeader& header, const T
   w.kv("start_unix_ms", header.start_unix_ms);
   w.kv("peak_rss_bytes", peak_rss_bytes());
   w.kv("threads", header.threads == 0 ? 1 : header.threads);
-  if (header.bp_roots >= 0) {
-    w.kv("bp_roots", static_cast<std::uint64_t>(header.bp_roots));
-  }
 
   w.key("graphs").begin_array();
   for (const ReportGraph& g : header.graphs) {

@@ -39,9 +39,6 @@ struct ReportHeader {
   std::uint64_t repetitions = 1;
   std::uint64_t start_unix_ms = 0;  ///< wall-clock start (util/resource.hpp)
   std::uint64_t threads = 1;        ///< worker threads the run used (>= 1)
-  /// Bit-parallel root count of the PLL construction kernel (hub/pll.hpp);
-  /// negative = not recorded, and the member is omitted from the JSON.
-  std::int64_t bp_roots = -1;
   std::vector<ReportGraph> graphs;
 };
 

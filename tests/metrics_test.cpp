@@ -433,44 +433,6 @@ TEST(BenchSchema, ThreadsMemberIsOptionalButValidated) {
   EXPECT_FALSE(validate_bench_json(parse_json(mistyped)).empty());
 }
 
-TEST(Harness, ParsesBpRootsFlag) {
-  const char* argv[] = {"metrics_test", "--smoke", "--bp-roots", "16"};
-  bench::Harness harness(4, const_cast<char**>(argv), "bp_probe", "banner");
-  EXPECT_EQ(harness.bp_roots(), 16u);
-  EXPECT_EQ(harness.pll_config().bp_roots, 16u);
-  std::ostringstream os;
-  harness.write_json(os, true);
-  const JsonValue doc = parse_json(os.str());
-  EXPECT_TRUE(validate_bench_json(doc).empty());
-  ASSERT_NE(doc.find("bp_roots"), nullptr);
-  EXPECT_EQ(doc.find("bp_roots")->number_value, 16.0);
-}
-
-TEST(BenchSchema, BpRootsMemberIsOptionalButValidated) {
-  const std::string good = make_harness_json(true);
-  const std::string member = "\"bp_roots\": 64";
-  ASSERT_NE(good.find(member), std::string::npos);
-
-  // Absent is fine: baselines predating the construction kernel must
-  // keep validating.
-  JsonValue without = parse_json(good);
-  std::erase_if(without.object_members,
-                [](const auto& kv) { return kv.first == "bp_roots"; });
-  EXPECT_TRUE(validate_bench_json(without).empty());
-
-  // Zero is a real configuration (the scalar builder); negative or
-  // mistyped is rejected.
-  std::string zero = good;
-  zero.replace(zero.find(member), member.size(), "\"bp_roots\": 0");
-  EXPECT_TRUE(validate_bench_json(parse_json(zero)).empty());
-  std::string negative = good;
-  negative.replace(negative.find(member), member.size(), "\"bp_roots\": -1");
-  EXPECT_FALSE(validate_bench_json(parse_json(negative)).empty());
-  std::string mistyped = good;
-  mistyped.replace(mistyped.find(member), member.size(), "\"bp_roots\": \"lots\"");
-  EXPECT_FALSE(validate_bench_json(parse_json(mistyped)).empty());
-}
-
 TEST(BenchSchema, ValidatorAcceptsVersion1WithoutV2Members) {
   // Committed v1 baselines predate start_unix_ms / peak_rss_bytes; they
   // must keep validating so bench-compare can diff old against new.
@@ -490,6 +452,19 @@ TEST(BenchSchema, ValidatorAcceptsVersion1WithoutV2Members) {
   std::erase_if(v2_doc.object_members,
                 [](const auto& kv) { return kv.first == "peak_rss_bytes"; });
   EXPECT_FALSE(validate_bench_json(v2_doc).empty());
+
+  // Reports written while PLL took a bit-parallel root count carry a
+  // `bp_roots` member; the harness no longer writes it, and the validator
+  // ignores it whatever its value.
+  const std::string current = make_harness_json(true);
+  EXPECT_EQ(current.find("bp_roots"), std::string::npos);
+  for (const char* value : {"64", "-1", "\"lots\""}) {
+    std::string old_report = current;
+    old_report.insert(old_report.find("\"graphs\""), std::string("\"bp_roots\": ") + value + ", ");
+    const std::vector<std::string> old_errors = validate_bench_json(parse_json(old_report));
+    EXPECT_TRUE(old_errors.empty())
+        << value << ": " << (old_errors.empty() ? "" : old_errors.front());
+  }
 }
 
 }  // namespace

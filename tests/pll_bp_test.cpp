@@ -1,147 +1,20 @@
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "algo/distance_matrix.hpp"
 #include "graph/generators.hpp"
-#include "hub/flat_labeling.hpp"
-#include "hub/labeling.hpp"
 #include "hub/pll.hpp"
-#include "lowerbound/gadget.hpp"
-#include "rs/rs_graph.hpp"
 #include "util/rng.hpp"
 
 /// \file pll_bp_test.cpp
-/// The bit-parallel construction kernel's contract: for every graph, order
-/// and configuration, the labels are *byte-identical* to the scalar
-/// builder's (`bp_roots = 0`), and invariant in the thread count.
+/// BitParallelRoots, the standalone bit-parallel root tables: exact rows,
+/// an upper-bound estimate exact at the roots, the inactive corners, and
+/// tables invariant in the thread count.  (The PLL builder's labels are
+/// checked against their definition in tests/pll_test.cpp.)
 
 namespace hublab {
 namespace {
-
-/// Exact per-entry comparison of two finalized labelings.
-void expect_same_labels(const HubLabeling& a, const HubLabeling& b, const std::string& what) {
-  ASSERT_EQ(a.num_vertices(), b.num_vertices()) << what;
-  for (Vertex v = 0; v < a.num_vertices(); ++v) {
-    const auto la = a.label(v);
-    const auto lb = b.label(v);
-    ASSERT_EQ(la.size(), lb.size()) << what << ": label size differs at v=" << v;
-    for (std::size_t i = 0; i < la.size(); ++i) {
-      ASSERT_EQ(la[i].hub, lb[i].hub) << what << ": hub differs at v=" << v << " entry " << i;
-      ASSERT_EQ(la[i].dist, lb[i].dist) << what << ": dist differs at v=" << v << " entry " << i;
-    }
-  }
-}
-
-/// Build with bp_roots = 0 (pure scalar) and with the given config; the
-/// two labelings must match entry for entry.
-void expect_bp_matches_scalar(const Graph& g, const std::vector<Vertex>& order,
-                              const PllConfig& config, const std::string& what) {
-  const HubLabeling scalar = pruned_landmark_labeling(g, order, PllConfig{0, 1});
-  const HubLabeling bp = pruned_landmark_labeling(g, order, config);
-  expect_same_labels(scalar, bp, what);
-}
-
-/// The full order x bp_roots sweep on one graph.
-void sweep_graph(const Graph& g, const std::string& name) {
-  for (const VertexOrder mode :
-       {VertexOrder::kDegreeDescending, VertexOrder::kNatural, VertexOrder::kRandom}) {
-    const std::vector<Vertex> order = make_vertex_order(g, mode, 7);
-    for (const std::size_t roots : {std::size_t{1}, std::size_t{8}, std::size_t{64},
-                                    g.num_vertices() + 10}) {
-      expect_bp_matches_scalar(g, order, PllConfig{roots, 1},
-                               name + " mode=" + std::to_string(static_cast<int>(mode)) +
-                                   " bp_roots=" + std::to_string(roots));
-    }
-  }
-}
-
-TEST(PllBp, MatchesScalarOnStructuredFamilies) {
-  sweep_graph(gen::path(40), "path40");
-  sweep_graph(gen::cycle(33), "cycle33");
-  sweep_graph(gen::grid(7, 9), "grid7x9");
-  sweep_graph(gen::star(24), "star24");
-  sweep_graph(gen::binary_tree(63), "btree63");
-}
-
-TEST(PllBp, MatchesScalarOnRandomSparse) {
-  Rng rng(42);
-  sweep_graph(gen::connected_gnm(160, 320, rng), "gnm160");
-  sweep_graph(gen::barabasi_albert(150, 3, rng), "ba150");
-  sweep_graph(gen::random_regular(120, 3, rng), "reg120");
-}
-
-TEST(PllBp, MatchesScalarOnFig1Gadgets) {
-  // The unweighted degree-3 expansions G_{b,l} of the paper's Fig-1 gadget.
-  // G_{2,1} (~2k vertices after path expansion) gets the full order x
-  // bp_roots sweep; the larger G_{2,2} (~25k vertices) gets one
-  // representative configuration to keep the test fast.
-  {
-    const lb::LayeredGadget h(lb::GadgetParams{2, 1});
-    const lb::Degree3Gadget g(h);
-    sweep_graph(g.graph(), "G_{2,1}");
-  }
-  {
-    const lb::LayeredGadget h(lb::GadgetParams{2, 2});
-    const lb::Degree3Gadget g(h);
-    const std::vector<Vertex> order =
-        make_vertex_order(g.graph(), VertexOrder::kDegreeDescending, 0);
-    expect_bp_matches_scalar(g.graph(), order, PllConfig{64, 1}, "G_{2,2}");
-  }
-}
-
-TEST(PllBp, MatchesScalarOnRsGraph) {
-  const rs::RsGraph rs = rs::behrend_rs_graph(40);
-  sweep_graph(rs.graph, "rs40");
-}
-
-TEST(PllBp, MatchesScalarOnDisconnectedGraph) {
-  GraphBuilder b(40);
-  for (Vertex v = 0; v + 1 < 20; ++v) b.add_edge(v, v + 1);
-  for (Vertex v = 21; v + 1 < 40; ++v) b.add_edge(v, v + 1);
-  sweep_graph(b.build(), "two-paths");
-}
-
-TEST(PllBp, WeightedGraphsDisableTablesAndStillMatch) {
-  Rng rng(5);
-  const Graph g = gen::road_like(8, 8, 0.15, 9, rng);
-  ASSERT_TRUE(g.is_weighted());
-  const std::vector<Vertex> order = make_vertex_order(g, VertexOrder::kDegreeDescending, 0);
-  EXPECT_FALSE(BitParallelRoots(g, order, 64, 1).active());
-  expect_bp_matches_scalar(g, order, PllConfig{64, 1}, "road-like weighted");
-}
-
-TEST(PllBp, BpBuildIsExact) {
-  // Independently of scalar equality: the BP build is a correct labeling.
-  Rng rng(9);
-  const Graph g = gen::connected_gnm(120, 260, rng);
-  const HubLabeling l = pruned_landmark_labeling(g, VertexOrder::kDegreeDescending, 0,
-                                                 PllConfig{16, 1});
-  const auto truth = DistanceMatrix::compute(g);
-  EXPECT_FALSE(verify_labeling(g, l, truth).has_value());
-}
-
-TEST(PllBp, FlatBuildMatchesConvertedVectorBuild) {
-  Rng rng(3);
-  const Graph g = gen::connected_gnm(100, 220, rng);
-  for (const std::size_t roots : {std::size_t{0}, std::size_t{16}, std::size_t{64}}) {
-    const std::vector<Vertex> order = make_vertex_order(g, VertexOrder::kDegreeDescending, 0);
-    const FlatHubLabeling direct = pruned_landmark_labeling_flat(g, order, PllConfig{roots, 1});
-    const FlatHubLabeling converted(pruned_landmark_labeling(g, order, PllConfig{roots, 1}));
-    ASSERT_EQ(direct.num_vertices(), converted.num_vertices());
-    ASSERT_EQ(direct.total_hubs(), converted.total_hubs());
-    for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      const auto ha = direct.hubs(v);
-      const auto hb = converted.hubs(v);
-      ASSERT_EQ(ha.size(), hb.size()) << "v=" << v << " bp_roots=" << roots;
-      for (std::size_t i = 0; i < ha.size(); ++i) {
-        ASSERT_EQ(ha[i], hb[i]) << "v=" << v << " entry " << i;
-        ASSERT_EQ(direct.dists(v)[i], converted.dists(v)[i]) << "v=" << v << " entry " << i;
-      }
-    }
-  }
-}
 
 TEST(PllBp, EstimateIsUpperBoundAndExactAtRoots) {
   Rng rng(11);
@@ -177,25 +50,29 @@ TEST(PllBp, TableRowsMatchBfsDistances) {
 }
 
 TEST(PllBp, ZeroRootsAndTinyGraphs) {
-  EXPECT_FALSE(BitParallelRoots(gen::path(5), make_vertex_order(gen::path(5),
-                                                                VertexOrder::kNatural, 0),
-                                0, 1)
-                   .active());
-  // n = 1 and n = 2 corners through the full builder.
-  for (std::size_t n : {std::size_t{1}, std::size_t{2}}) {
+  const Graph path5 = gen::path(5);
+  EXPECT_FALSE(
+      BitParallelRoots(path5, make_vertex_order(path5, VertexOrder::kNatural, 0), 0, 1).active());
+  // Weighted graphs get no tables either.
+  Rng rng(5);
+  const Graph road = gen::road_like(8, 8, 0.15, 9, rng);
+  ASSERT_TRUE(road.is_weighted());
+  EXPECT_FALSE(
+      BitParallelRoots(road, make_vertex_order(road, VertexOrder::kDegreeDescending, 0), 64, 1)
+          .active());
+  // n = 1 and n = 2: the root count clamps to n and the rows stay exact.
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}}) {
     const Graph g = gen::path(n);
     const std::vector<Vertex> order = make_vertex_order(g, VertexOrder::kNatural, 0);
-    expect_bp_matches_scalar(g, order, PllConfig{64, 1}, "path" + std::to_string(n));
+    const BitParallelRoots bp(g, order, 64, 1);
+    ASSERT_EQ(bp.num_roots(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (Vertex v = 0; v < n; ++v) {
+        EXPECT_EQ(bp.dist_row(v)[i], v > order[i] ? v - order[i] : order[i] - v);
+        EXPECT_EQ(bp.estimate(order[i], v, i), bp.dist_row(v)[i]);
+      }
+    }
   }
-}
-
-TEST(ParallelDeterminism, PllBpThreadCountInvariant) {
-  Rng rng(17);
-  const Graph g = gen::connected_gnm(200, 420, rng);
-  const std::vector<Vertex> order = make_vertex_order(g, VertexOrder::kDegreeDescending, 0);
-  const HubLabeling one = pruned_landmark_labeling(g, order, PllConfig{32, 1});
-  const HubLabeling four = pruned_landmark_labeling(g, order, PllConfig{32, 4});
-  expect_same_labels(one, four, "1-vs-4 threads, bp_roots=32");
 }
 
 TEST(ParallelDeterminism, PllBpTablesThreadCountInvariant) {
@@ -212,16 +89,6 @@ TEST(ParallelDeterminism, PllBpTablesThreadCountInvariant) {
       ASSERT_EQ(one.s0_row(v)[i], four.s0_row(v)[i]);
     }
   }
-}
-
-TEST(ParallelDeterminism, PllBpScalarPathThreadCountInvariant) {
-  // Threads alone (no BP tables) must not perturb labels either.
-  Rng rng(29);
-  const Graph g = gen::connected_gnm(150, 330, rng);
-  const std::vector<Vertex> order = make_vertex_order(g, VertexOrder::kRandom, 4);
-  const HubLabeling one = pruned_landmark_labeling(g, order, PllConfig{0, 1});
-  const HubLabeling four = pruned_landmark_labeling(g, order, PllConfig{0, 4});
-  expect_same_labels(one, four, "1-vs-4 threads, scalar");
 }
 
 }  // namespace

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "algo/distance_matrix.hpp"
 #include "graph/generators.hpp"
 #include "graph/transforms.hpp"
+#include "hub/flat_labeling.hpp"
 #include "hub/labeling.hpp"
 #include "hub/pll.hpp"
+#include "lowerbound/gadget.hpp"
+#include "rs/rs_graph.hpp"
 #include "util/rng.hpp"
 
 namespace hublab {
@@ -164,6 +171,145 @@ TEST(Pll, TreeLabelsAreSmall) {
   expect_exact(g, l);
   // Hub labelings of trees need only O(log n) average size; allow slack.
   EXPECT_LE(l.average_label_size(), 25.0);
+}
+
+/// The canonical labeling of `order`, built from its definition: rank k
+/// puts (r_k, d(r_k, u)) into S(u) iff that distance is finite and no
+/// i < k has d(r_i, u) + d(r_i, r_k) <= d(r_k, u).  Rows sorted by hub.
+std::vector<std::vector<HubEntry>> canonical_labels(const DistanceMatrix& truth,
+                                                    const std::vector<Vertex>& order) {
+  const std::size_t n = truth.num_vertices();
+  // by_rank[u * n + i] = d(r_i, u), so a cover test reads two contiguous rows.
+  std::vector<Dist> by_rank(n * n);
+  for (Vertex u = 0; u < n; ++u) {
+    for (std::size_t i = 0; i < n; ++i) by_rank[u * n + i] = truth.at(order[i], u);
+  }
+  std::vector<std::vector<HubEntry>> labels(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const Dist* to_root = by_rank.data() + static_cast<std::size_t>(order[k]) * n;
+    for (Vertex u = 0; u < n; ++u) {
+      const Dist* to_u = by_rank.data() + static_cast<std::size_t>(u) * n;
+      const Dist d = to_u[k];
+      if (d == kInfDist) continue;
+      bool covered = false;
+      for (std::size_t i = 0; i < k && !covered; ++i) {
+        covered = to_u[i] != kInfDist && to_root[i] != kInfDist && to_u[i] + to_root[i] <= d;
+      }
+      if (!covered) labels[u].push_back(HubEntry{order[k], d});
+    }
+  }
+  for (auto& row : labels) {
+    std::sort(row.begin(), row.end(),
+              [](const HubEntry& a, const HubEntry& b) { return a.hub < b.hub; });
+  }
+  return labels;
+}
+
+/// Both entry points, at 1 and 4 threads, against the reference, entry for
+/// entry, under every VertexOrder.
+void expect_canonical(const Graph& g, const std::string& name) {
+  const DistanceMatrix truth = DistanceMatrix::compute(g);
+  for (const VertexOrder mode :
+       {VertexOrder::kDegreeDescending, VertexOrder::kNatural, VertexOrder::kRandom}) {
+    const std::vector<Vertex> order = make_vertex_order(g, mode, 7);
+    const std::vector<std::vector<HubEntry>> reference = canonical_labels(truth, order);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const std::string what = name + " order=" + std::to_string(static_cast<int>(mode)) +
+                               " threads=" + std::to_string(threads);
+      const HubLabeling labels = pruned_landmark_labeling(g, order, PllConfig{threads});
+      const FlatHubLabeling flat = pruned_landmark_labeling_flat(g, order, PllConfig{threads});
+      ASSERT_EQ(labels.num_vertices(), g.num_vertices()) << what;
+      ASSERT_EQ(flat.num_vertices(), g.num_vertices()) << what;
+      for (Vertex v = 0; v < g.num_vertices(); ++v) {
+        const auto label = labels.label(v);
+        const auto hubs = flat.hubs(v);
+        const auto dists = flat.dists(v);
+        ASSERT_EQ(label.size(), reference[v].size()) << what << ": label size at v=" << v;
+        ASSERT_EQ(hubs.size(), reference[v].size()) << what << ": flat label size at v=" << v;
+        for (std::size_t i = 0; i < label.size(); ++i) {
+          ASSERT_EQ(label[i], reference[v][i]) << what << ": v=" << v << " entry " << i;
+          ASSERT_EQ(hubs[i], reference[v][i].hub) << what << ": flat v=" << v << " entry " << i;
+          ASSERT_EQ(dists[i], reference[v][i].dist) << what << ": flat v=" << v << " entry " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(PllCanonical, StructuredFamilies) {
+  expect_canonical(gen::path(40), "path40");
+  expect_canonical(gen::cycle(33), "cycle33");
+  expect_canonical(gen::grid(7, 9), "grid7x9");
+  expect_canonical(gen::star(24), "star24");
+  expect_canonical(gen::binary_tree(63), "btree63");
+  // K_{8,600}: 600-vertex BFS levels with non-empty labels exceed the
+  // builder's inline-scan threshold, so the 4-thread builds run the
+  // parallel prune scan.
+  GraphBuilder b(608);
+  for (Vertex hub = 0; hub < 8; ++hub) {
+    for (Vertex leaf = 8; leaf < 608; ++leaf) b.add_edge(hub, leaf);
+  }
+  expect_canonical(b.build(), "K_{8,600}");
+}
+
+TEST(PllCanonical, RandomSparse) {
+  Rng rng(42);
+  expect_canonical(gen::connected_gnm(160, 320, rng), "gnm160");
+  expect_canonical(gen::barabasi_albert(150, 3, rng), "ba150");
+  expect_canonical(gen::random_regular(120, 3, rng), "reg120");
+}
+
+TEST(PllCanonical, Fig1GadgetAndBehrendRsGraph) {
+  // The unweighted degree-3 expansion G_{2,1} of the paper's Fig-1 gadget.
+  const lb::LayeredGadget h(lb::GadgetParams{2, 1});
+  const lb::Degree3Gadget g(h);
+  expect_canonical(g.graph(), "G_{2,1}");
+  expect_canonical(rs::behrend_rs_graph(40).graph, "rs40");
+}
+
+TEST(PllCanonical, DisconnectedAndTinyGraphs) {
+  GraphBuilder b(40);
+  for (Vertex v = 0; v + 1 < 20; ++v) b.add_edge(v, v + 1);
+  for (Vertex v = 21; v + 1 < 40; ++v) b.add_edge(v, v + 1);
+  expect_canonical(b.build(), "two-paths");
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}}) {
+    expect_canonical(gen::path(n), "path" + std::to_string(n));
+  }
+}
+
+TEST(PllCanonical, WeightedAndZeroWeightEdges) {
+  Rng rng(5);
+  const Graph road = gen::road_like(8, 8, 0.2, 10, rng);
+  ASSERT_TRUE(road.is_weighted());
+  expect_canonical(road, "road-like 8x8");
+  // Degree reduction joins each vertex's copies by weight-0 edges.
+  const DegreeReduction red = reduce_degree(gen::connected_gnm(40, 120, rng), 2);
+  expect_canonical(red.graph, "degree-reduced gnm40");
+}
+
+TEST(PllCanonical, DistanceWidthBoundary) {
+  // (n - 1) * max_weight = 0xFFFFFFFE: 32-bit rows, holding the largest
+  // distance below their "absent" value.  One weight unit more needs the
+  // 64-bit rows, with a distance of 2^32 between the ends.
+  for (const Weight w : {Weight{0x7FFFFFFF}, Weight{0x80000000}}) {
+    GraphBuilder b(3);
+    b.add_edge(0, 1, w);
+    b.add_edge(1, 2, w);
+    const Graph g = b.build();
+    expect_canonical(g, "path3 w=" + std::to_string(w));
+    const std::vector<Vertex> order = make_vertex_order(g, VertexOrder::kNatural);
+    EXPECT_EQ(pruned_landmark_labeling(g, order).query(0, 2), Dist{2} * w);
+    EXPECT_EQ(pruned_landmark_labeling_flat(g, order).query(0, 2), Dist{2} * w);
+  }
+}
+
+TEST(Pll, Fig1GadgetG22SampledExact) {
+  // G_{2,2} (24400 vertices) is too large for a DistanceMatrix.
+  const lb::LayeredGadget h(lb::GadgetParams{2, 2});
+  const lb::Degree3Gadget g(h);
+  const HubLabeling l = pruned_landmark_labeling(g.graph(), VertexOrder::kDegreeDescending, 0,
+                                                 PllConfig{4});
+  EXPECT_FALSE(verify_labeling_sampled(g.graph(), l, 200, 1, 4).has_value());
 }
 
 }  // namespace

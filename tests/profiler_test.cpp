@@ -14,8 +14,22 @@
 
 #include "util/metrics.hpp"
 #include "util/resource.hpp"
+#include "util/timer.hpp"
 
 namespace hublab {
+
+/// A known hot function for the leaf-frame test: external linkage (the
+/// test binary exports its symbols, so dladdr can name it) and never
+/// inlined, so samples taken while it spins end in its own frame.
+__attribute__((noinline)) std::uint64_t profiler_test_busy_spin(std::uint64_t ns) {
+  const std::uint64_t start = monotonic_ns();
+  std::uint64_t x = 1;
+  do {
+    for (int i = 0; i < 1000000; ++i) x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+  } while (monotonic_ns() - start < ns);
+  return x;
+}
+
 namespace {
 
 /// Burn CPU until the profiler has captured at least one sample (SIGPROF
@@ -102,6 +116,35 @@ TEST(Profiler, ArmsAtTheSlowestRate) {
   EXPECT_TRUE(prof::running());
   prof::stop();
   EXPECT_FALSE(prof::running());
+}
+
+TEST(Profiler, LeafFrameIsTheInterruptedFunction) {
+  if (!prof::supported()) GTEST_SKIP() << "unsupported";
+  prof::reset();
+  ASSERT_TRUE(prof::start(prof::ProfilerConfig{1000}));
+  const std::uint64_t spun = profiler_test_busy_spin(300'000'000);
+  prof::stop();
+  EXPECT_NE(spun, 0u);
+  // Each folded line is "worker<i>;root;...;leaf <count>".
+  std::ostringstream folded;
+  prof::write_folded(folded);
+  std::istringstream lines(folded.str());
+  std::string line;
+  std::uint64_t total = 0;
+  std::uint64_t in_spin = 0;
+  while (std::getline(lines, line)) {
+    const std::size_t space = line.rfind(' ');
+    ASSERT_NE(space, std::string::npos) << line;
+    const std::uint64_t count = std::stoull(line.substr(space + 1));
+    const std::size_t leaf = line.rfind(';', space) + 1;
+    total += count;
+    if (line.compare(leaf, space - leaf, "hublab::profiler_test_busy_spin(unsigned_long)") == 0) {
+      in_spin += count;
+    }
+  }
+  ASSERT_GT(total, 0u);
+  EXPECT_GE(2 * in_spin, total) << in_spin << " of " << total << " samples end in the spin:\n"
+                                << folded.str().substr(0, 2000);
 }
 
 TEST(Resource, SampledPeakIsMonotoneMax) {

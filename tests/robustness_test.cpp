@@ -149,6 +149,58 @@ TEST(Fuzz, LabelingLoaderRejectsOversizedDeclarationsBeforeAllocating) {
   }
 }
 
+/// Every row strictly ascending, every hub < num_vertices().
+void expect_well_formed(const HubLabeling& l, const std::string& what) {
+  for (Vertex v = 0; v < l.num_vertices(); ++v) {
+    const auto label = l.label(v);
+    for (std::size_t i = 0; i < label.size(); ++i) {
+      ASSERT_LT(label[i].hub, l.num_vertices()) << what << " v=" << v;
+      if (i > 0) {
+        ASSERT_LT(label[i - 1].hub, label[i].hub) << what << " v=" << v;
+      }
+    }
+  }
+}
+
+TEST(Fuzz, LabelingLoaderByteFlipSweep) {
+  Rng rng(9);
+  const Graph graphs[] = {gen::road_like(6, 6, 0.2, 10, rng), gen::connected_gnm(30, 60, rng)};
+  for (const Graph& g : graphs) {
+    const HubLabeling labels = pruned_landmark_labeling(g);
+    std::stringstream saved;
+    save_labeling(labels, saved);
+    const std::string bytes = saved.str();
+    // Each byte XORed in turn with 0x01, 0x80 and 0xFF: the load throws
+    // ParseError or yields well-formed rows.
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      for (const unsigned mask : {0x01u, 0x80u, 0xFFu}) {
+        std::string flipped = bytes;
+        flipped[i] = static_cast<char>(static_cast<unsigned char>(flipped[i]) ^ mask);
+        std::stringstream stream(flipped);
+        try {
+          expect_well_formed(load_labeling(stream),
+                             "byte " + std::to_string(i) + " ^ " + std::to_string(mask));
+        } catch (const ParseError&) {
+        }
+      }
+    }
+    // A cut at every label boundary (16-byte header, then an 8-byte count
+    // and 12 bytes per entry for each vertex), and one inside an entry.
+    std::size_t boundary = 16;
+    std::size_t mid_entry = 0;
+    for (Vertex v = 0; v < labels.num_vertices(); ++v) {
+      std::stringstream cut(bytes.substr(0, boundary));
+      EXPECT_THROW((void)load_labeling(cut), ParseError) << "cut at label " << v;
+      if (mid_entry == 0 && !labels.label(v).empty()) mid_entry = boundary + 8 + 6;
+      boundary += 8 + 12 * labels.label(v).size();
+    }
+    ASSERT_EQ(boundary, bytes.size());
+    ASSERT_GT(mid_entry, 0u);
+    std::stringstream cut(bytes.substr(0, mid_entry));
+    EXPECT_THROW((void)load_labeling(cut), ParseError) << "cut inside an entry";
+  }
+}
+
 TEST(Fuzz, EdgeListReaderNeverCrashes) {
   Rng rng(7);
   const std::string alphabet = "0123456789 \n-#ab";

@@ -222,7 +222,6 @@ int cmd_label(Args& args, std::ostream& out) {
   const std::string order_name = args.option("--order").value_or("degree");
   const auto order = order_from_name(g, order_name, args.option_u64("--seed", 1));
   PllConfig pll;
-  pll.bp_roots = static_cast<std::size_t>(args.option_u64("--bp-roots", kPllDefaultBpRoots));
   pll.threads = static_cast<std::size_t>(args.option_u64("--threads", 0));
   const HubLabeling labels = pruned_landmark_labeling(g, order, pll);
   const FlatHubLabeling flat(labels);
@@ -439,7 +438,7 @@ int cmd_serve(Args& args, std::ostream& out) {
         "[--qps RATE] [--qps-sweep R1,R2,...] [--arrival poisson|burst|closed] [--burst N] "
         "[--admission shed|block] [--ring N] [--batch N] [--timing wall|virtual] "
         "[--virtual-service-ns N] [--warmup-ms MS] [--cooldown-ms MS] [--slow-query-ms MS] "
-        "[--window-ms MS] [--bp-roots N] [--smoke] [--perf-counters] "
+        "[--window-ms MS] [--smoke] [--perf-counters] "
         "[--json-out FILE] [--prom-out FILE]");
   }
   serve::ServerConfig config;
@@ -488,7 +487,6 @@ int cmd_serve(Args& args, std::ostream& out) {
       args.option_u64("--virtual-service-ns", config.virtual_service_ns);
   config.warmup_ms = args.option_u64("--warmup-ms", config.warmup_ms);
   config.cooldown_ms = args.option_u64("--cooldown-ms", config.cooldown_ms);
-  config.bp_roots = static_cast<std::size_t>(args.option_u64("--bp-roots", kPllDefaultBpRoots));
   const double slow_ms = args.option_double("--slow-query-ms", 0.0);
   if (slow_ms < 0.0) throw InvalidArgument("serve: --slow-query-ms must be >= 0");
   config.slow_query_ns = ms_to_ns(slow_ms, "--slow-query-ms");
@@ -530,7 +528,7 @@ int cmd_serve(Args& args, std::ostream& out) {
   {
     auto span = tracer.span("build-oracle");
     Timer build_timer;
-    oracle = serve::make_oracle(g, config.oracle, PllConfig{config.bp_roots, config.workers});
+    oracle = serve::make_oracle(g, config.oracle, PllConfig{config.workers});
     build_s = build_timer.elapsed_s();
   }
 
@@ -619,7 +617,7 @@ int cmd_explain(Args& args, std::ostream& out) {
   if (!graph_file || !s_str || !t_str) {
     throw InvalidArgument(
         "explain: usage: explain GRAPH S T [--oracle pll-flat|ch|bidij] "
-        "[--threads N] [--bp-roots N]");
+        "[--threads N]");
   }
   serve::OracleKind kind = serve::OracleKind::kPllFlat;
   if (const auto o = args.option("--oracle")) {
@@ -631,7 +629,6 @@ int cmd_explain(Args& args, std::ostream& out) {
   }
   PllConfig pll;
   pll.threads = static_cast<std::size_t>(args.option_u64("--threads", 0));
-  pll.bp_roots = static_cast<std::size_t>(args.option_u64("--bp-roots", kPllDefaultBpRoots));
 
   const std::uint64_t t0 = monotonic_ns();
   const Graph g = io::load_edge_list(*graph_file);
