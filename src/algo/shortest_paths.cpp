@@ -120,63 +120,15 @@ std::vector<Dist> sssp_distances(const Graph& g, Vertex source) {
   return sssp(g, source).dist;
 }
 
-Dist bidirectional_distance(const Graph& g, Vertex s, Vertex t) {
-  HUBLAB_ASSERT(s < g.num_vertices() && t < g.num_vertices());
-  if (s == t) return 0;
-  const std::size_t n = g.num_vertices();
-  std::vector<Dist> df(n, kInfDist);
-  std::vector<Dist> db(n, kInfDist);
-  using Item = std::pair<Dist, Vertex>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> qf;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> qb;
-  df[s] = 0;
-  db[t] = 0;
-  qf.emplace(0, s);
-  qb.emplace(0, t);
-  Dist best = kInfDist;
-  std::uint64_t settled_total = 0;
+namespace {
 
-  auto relax = [&g, &best, &settled_total](
-                   std::priority_queue<Item, std::vector<Item>, std::greater<>>& pq,
-                   std::vector<Dist>& mine, const std::vector<Dist>& other) -> Dist {
-    // Settle one vertex of this direction; return its settled distance.
-    while (!pq.empty()) {
-      const auto [d, u] = pq.top();
-      pq.pop();
-      if (d != mine[u]) continue;
-      ++settled_total;
-      if (other[u] != kInfDist) best = std::min(best, d + other[u]);
-      for (const Arc& a : g.arcs(u)) {
-        const Dist nd = d + a.weight;
-        if (nd < mine[a.to]) {
-          mine[a.to] = nd;
-          pq.emplace(nd, a.to);
-          if (other[a.to] != kInfDist) best = std::min(best, nd + other[a.to]);
-        }
-      }
-      return d;
-    }
-    return kInfDist;
-  };
-
-  Dist top_f = 0;
-  Dist top_b = 0;
-  while (!qf.empty() || !qb.empty()) {
-    // Standard termination: stop once settled radii certify best.
-    if (best != kInfDist && top_f + top_b >= best) break;
-    if (!qf.empty() && (qb.empty() || qf.top().first <= qb.top().first)) {
-      top_f = relax(qf, df, db);
-    } else if (!qb.empty()) {
-      top_b = relax(qb, db, df);
-    }
-  }
-  static metrics::Counter& settled_counter = metrics::registry().counter("sp.bidij.settled");
-  settled_counter.add(settled_total);
-  return best;
-}
-
-Dist bidirectional_distance_with_stats(const Graph& g, Vertex s, Vertex t,
-                                       metrics::QueryStats& stats) {
+/// Bidirectional Dijkstra, the one search behind bidirectional_distance
+/// and its attribution variant.  The probe records per-direction settled
+/// counts as the "label" sizes, total settled vertices as the scan cost,
+/// bridge evaluations as matches, and the vertex the best path meets at;
+/// with NoQueryStats its calls compile away.
+template <class Stats>
+Dist bidirectional_search(const Graph& g, Vertex s, Vertex t, Stats& stats) {
   HUBLAB_ASSERT(s < g.num_vertices() && t < g.num_vertices());
   if (s == t) {
     stats.meeting(s);
@@ -194,23 +146,20 @@ Dist bidirectional_distance_with_stats(const Graph& g, Vertex s, Vertex t,
   qb.emplace(0, t);
   Dist best = kInfDist;
   Vertex meet = kInvalidVertex;
-  std::uint64_t settled_total = 0;
   std::uint64_t settled_f = 0;
   std::uint64_t settled_b = 0;
 
-  auto relax = [&g, &best, &meet, &settled_total, &stats](
+  auto relax = [&g, &best, &meet, &stats](
                    std::priority_queue<Item, std::vector<Item>, std::greater<>>& pq,
                    std::vector<Dist>& mine, const std::vector<Dist>& other,
                    std::uint64_t& settled_mine) -> Dist {
     // Settle one vertex of this direction; return its settled distance.
-    // Identical to the plain search, plus bridge bookkeeping for the
-    // probe: any vertex both searches have reached is a candidate meeting
-    // point, and the one realizing `best` is the reported meeting hub.
+    // Any vertex both searches have reached is a candidate meeting point,
+    // and the one realizing `best` is the reported meeting hub.
     while (!pq.empty()) {
       const auto [d, u] = pq.top();
       pq.pop();
       if (d != mine[u]) continue;
-      ++settled_total;
       ++settled_mine;
       if (other[u] != kInfDist) {
         stats.matched();
@@ -238,6 +187,7 @@ Dist bidirectional_distance_with_stats(const Graph& g, Vertex s, Vertex t,
   Dist top_f = 0;
   Dist top_b = 0;
   while (!qf.empty() || !qb.empty()) {
+    // Standard termination: stop once settled radii certify best.
     if (best != kInfDist && top_f + top_b >= best) break;
     if (!qf.empty() && (qb.empty() || qf.top().first <= qb.top().first)) {
       top_f = relax(qf, df, db, settled_f);
@@ -246,11 +196,23 @@ Dist bidirectional_distance_with_stats(const Graph& g, Vertex s, Vertex t,
     }
   }
   static metrics::Counter& settled_counter = metrics::registry().counter("sp.bidij.settled");
-  settled_counter.add(settled_total);
+  settled_counter.add(settled_f + settled_b);
   stats.labels(settled_f, settled_b);
-  stats.scanned(settled_total);
+  stats.scanned(settled_f + settled_b);
   stats.meeting(meet);
   return best;
+}
+
+}  // namespace
+
+Dist bidirectional_distance(const Graph& g, Vertex s, Vertex t) {
+  metrics::NoQueryStats none;
+  return bidirectional_search(g, s, t, none);
+}
+
+Dist bidirectional_distance_with_stats(const Graph& g, Vertex s, Vertex t,
+                                       metrics::QueryStats& stats) {
+  return bidirectional_search(g, s, t, stats);
 }
 
 std::vector<Vertex> extract_path(const SsspResult& tree, Vertex source, Vertex target) {

@@ -43,10 +43,11 @@ std::vector<Dist> sssp_distances(const Graph& g, Vertex source);
 Dist bidirectional_distance(const Graph& g, Vertex s, Vertex t);
 
 /// Attribution variant of bidirectional_distance (`hublab explain`,
-/// slow-query capture): same answer, plus the probe records per-direction
-/// settled counts as the "label" sizes, total settled vertices as the scan
-/// cost, bridge evaluations as matches, and the vertex the best path meets
-/// at.  A separate entry point so the plain search stays untouched.
+/// slow-query capture): the same search with the caller's probe, which
+/// records per-direction settled counts as the "label" sizes, total
+/// settled vertices as the scan cost, bridge evaluations as matches, and
+/// the vertex the best path meets at (the plain entry point runs it with
+/// the no-op probe).
 Dist bidirectional_distance_with_stats(const Graph& g, Vertex s, Vertex t,
                                        metrics::QueryStats& stats);
 

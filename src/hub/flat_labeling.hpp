@@ -6,6 +6,7 @@
 
 #include "hub/labeling.hpp"
 #include "hub/simd_kernel.hpp"
+#include "util/querystats.hpp"
 
 /// \file flat_labeling.hpp
 /// Structure-of-arrays hub labeling for the query fast path.
@@ -81,40 +82,18 @@ class FlatHubLabeling {
 
   /// As query(), also reporting the meeting hub.
   [[nodiscard]] HubQueryResult query_with_hub(Vertex u, Vertex v) const {
-    HUBLAB_ASSERT_RANGE(u, num_vertices_);
-    HUBLAB_ASSERT_RANGE(v, num_vertices_);
-    const Vertex* ha = hubs_.data() + offsets_[u];
-    const Dist* da = dists_.data() + offsets_[u];
-    const Vertex* hb = hubs_.data() + offsets_[v];
-    const Dist* db = dists_.data() + offsets_[v];
-    HubQueryResult best;
-    for (;;) {
-      const Vertex a = *ha;
-      const Vertex b = *hb;
-      if (a == b) {
-        if (a == kInvalidVertex) break;  // both cursors hit their sentinels
-        const Dist d = *da + *db;
-        if (d < best.dist) {
-          best.dist = d;
-          best.meeting_hub = a;
-        }
-        ++ha, ++da;
-        ++hb, ++db;
-      } else if (a < b) {
-        ++ha, ++da;
-      } else {
-        ++hb, ++db;
-      }
-    }
-    return best;
+    metrics::NoQueryStats none;
+    return query_with_stats(u, v, none);
   }
 
-  /// Attribution variant of query_with_hub() (`hublab explain`, slow-query
-  /// capture): same sentinel-terminated merge, same result, plus the probe
-  /// records label sizes, cursor advances and the meeting hub.  A separate
-  /// entry point so the plain fast path keeps its minimal loop.
-  [[nodiscard]] HubQueryResult query_with_stats(Vertex u, Vertex v,
-                                                metrics::QueryStats& stats) const {
+  /// The merge loop behind query_with_hub(), with an attribution probe
+  /// (`hublab explain`, the server's per-query scan attribution): same
+  /// sentinel-terminated merge, same result, plus the probe records the
+  /// label sizes, one scanned entry per cursor step, one match per common
+  /// hub, and the meeting hub.  query_with_hub() runs it with the no-op
+  /// `NoQueryStats` (util/querystats.hpp).
+  template <class Stats>
+  [[nodiscard]] HubQueryResult query_with_stats(Vertex u, Vertex v, Stats& stats) const {
     HUBLAB_ASSERT_RANGE(u, num_vertices_);
     HUBLAB_ASSERT_RANGE(v, num_vertices_);
     stats.labels(label_size(u), label_size(v));
@@ -127,7 +106,7 @@ class FlatHubLabeling {
       const Vertex a = *ha;
       const Vertex b = *hb;
       if (a == b) {
-        if (a == kInvalidVertex) break;
+        if (a == kInvalidVertex) break;  // both cursors hit their sentinels
         stats.scanned();
         stats.matched();
         const Dist d = *da + *db;

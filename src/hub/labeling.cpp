@@ -63,38 +63,6 @@ HubQueryResult HubLabeling::query_with_hub(Vertex u, Vertex v) const {
   return best;
 }
 
-HubQueryResult HubLabeling::query_with_stats(Vertex u, Vertex v,
-                                             metrics::QueryStats& stats) const {
-  HUBLAB_ASSERT_RANGE(u, labels_.size());
-  HUBLAB_ASSERT_RANGE(v, labels_.size());
-  HUBLAB_ASSERT_MSG(finalized_, "HubLabeling::finalize() must be called before querying");
-  const auto& a = labels_[u];
-  const auto& b = labels_[v];
-  stats.labels(a.size(), b.size());
-  HubQueryResult best;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    stats.scanned();
-    if (a[i].hub < b[j].hub) {
-      ++i;
-    } else if (a[i].hub > b[j].hub) {
-      ++j;
-    } else {
-      stats.matched();
-      const Dist d = a[i].dist + b[j].dist;
-      if (d < best.dist) {
-        best.dist = d;
-        best.meeting_hub = a[i].hub;
-      }
-      ++i;
-      ++j;
-    }
-  }
-  stats.meeting(best.meeting_hub);
-  return best;
-}
-
 bool HubLabeling::has_hub(Vertex v, Vertex hub) const {
   HUBLAB_ASSERT_RANGE(v, labels_.size());
   const auto& label = labels_[v];

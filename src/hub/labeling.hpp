@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "util/querystats.hpp"
 
 /// \file labeling.hpp
 /// Hub labelings (2-hop covers, [CHKZ03]): every vertex v stores a hubset
@@ -63,13 +62,6 @@ class HubLabeling {
 
   /// As query(), also reporting the meeting hub.
   [[nodiscard]] HubQueryResult query_with_hub(Vertex u, Vertex v) const;
-
-  /// Attribution variant (`hublab explain`, slow-query capture): same
-  /// result as query_with_hub(), plus the probe records label sizes, hub
-  /// entries scanned, common hubs compared and the meeting hub.  A
-  /// separate entry point so the plain query path stays untouched.
-  [[nodiscard]] HubQueryResult query_with_stats(Vertex u, Vertex v,
-                                                metrics::QueryStats& stats) const;
 
   [[nodiscard]] std::span<const HubEntry> label(Vertex v) const {
     HUBLAB_ASSERT_RANGE(v, labels_.size());

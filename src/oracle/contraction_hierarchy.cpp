@@ -193,39 +193,15 @@ std::vector<std::pair<Vertex, Dist>> ContractionHierarchy::upward_search(Vertex 
   return settled;
 }
 
-Dist ContractionHierarchy::distance(Vertex s, Vertex t) const {
-  HUBLAB_ASSERT(s < up_.size() && t < up_.size());
-  if (s == t) return 0;
-
-  // Two-pointer intersection of the vertex-sorted upward search spaces.
-  const auto from_s = upward_search(s);
-  const auto from_t = upward_search(t);
-  Dist best = kInfDist;
-  auto it_s = from_s.begin();
-  auto it_t = from_t.begin();
-  while (it_s != from_s.end() && it_t != from_t.end()) {
-    if (it_s->first < it_t->first) {
-      ++it_s;
-    } else if (it_t->first < it_s->first) {
-      ++it_t;
-    } else {
-      best = std::min(best, it_s->second + it_t->second);
-      ++it_s;
-      ++it_t;
-    }
-  }
-  return best;
-}
-
-Dist ContractionHierarchy::distance_with_stats(Vertex s, Vertex t,
-                                               metrics::QueryStats& stats) const {
+template <class Stats>
+Dist ContractionHierarchy::query(Vertex s, Vertex t, Stats& stats) const {
   HUBLAB_ASSERT(s < up_.size() && t < up_.size());
   if (s == t) {
     stats.meeting(s);
     return 0;
   }
 
-  // The plain two-pointer intersection plus probe bookkeeping.
+  // Two-pointer intersection of the vertex-sorted upward search spaces.
   const auto from_s = upward_search(s);
   const auto from_t = upward_search(t);
   stats.labels(from_s.size(), from_t.size());
@@ -251,6 +227,16 @@ Dist ContractionHierarchy::distance_with_stats(Vertex s, Vertex t,
   }
   stats.meeting(apex);
   return best;
+}
+
+Dist ContractionHierarchy::distance(Vertex s, Vertex t) const {
+  metrics::NoQueryStats none;
+  return query(s, t, none);
+}
+
+Dist ContractionHierarchy::distance_with_stats(Vertex s, Vertex t,
+                                               metrics::QueryStats& stats) const {
+  return query(s, t, stats);
 }
 
 std::size_t ContractionHierarchy::space_bytes() const {

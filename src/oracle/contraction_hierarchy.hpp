@@ -32,9 +32,10 @@ class ContractionHierarchy final : public DistanceOracle {
 
   [[nodiscard]] std::string name() const override { return "contraction-hierarchy"; }
   [[nodiscard]] Dist distance(Vertex u, Vertex v) const override;
-  /// Attribution variant: records the two upward-search-space sizes as the
-  /// "label" sizes, two-pointer advances as the scan cost, candidate apexes
-  /// as matches, and the apex of the best up-down path as the meeting hub.
+  /// Attribution variant: the same query with the caller's probe, which
+  /// records the two upward-search-space sizes as the "label" sizes,
+  /// two-pointer advances as the scan cost, candidate apexes as matches,
+  /// and the apex of the best up-down path as the meeting hub.
   [[nodiscard]] Dist distance_with_stats(Vertex u, Vertex v,
                                          metrics::QueryStats& stats) const override;
   [[nodiscard]] std::size_t space_bytes() const override;
@@ -67,6 +68,11 @@ class ContractionHierarchy final : public DistanceOracle {
   /// distance) pairs sorted by vertex id, so both the query intersection
   /// and the label extraction consume them in deterministic order.
   [[nodiscard]] std::vector<std::pair<Vertex, Dist>> upward_search(Vertex source) const;
+
+  /// The one query loop behind distance() (run with the no-op
+  /// metrics::NoQueryStats) and distance_with_stats() (the caller's probe).
+  template <class Stats>
+  [[nodiscard]] Dist query(Vertex s, Vertex t, Stats& stats) const;
 
   std::vector<std::vector<UpArc>> up_;  ///< upward arcs (to higher-rank vertices)
   std::vector<std::uint32_t> rank_;

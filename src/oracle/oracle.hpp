@@ -10,6 +10,7 @@
 #include "graph/graph.hpp"
 #include "hub/flat_labeling.hpp"
 #include "hub/labeling.hpp"
+#include "util/querystats.hpp"
 
 /// \file oracle.hpp
 /// Centralized exact distance oracles, exercising the space/time tradeoff
@@ -32,11 +33,13 @@ class DistanceOracle {
   [[nodiscard]] virtual std::size_t space_bytes() const = 0;
 
   /// Attribution variant of distance() (`hublab explain`, the server's
-  /// per-query scan attribution at batch 1): same answer, plus the probe records whatever the
-  /// oracle's kernel can attribute — label sizes, entries scanned, common
-  /// hubs compared, meeting hub (util/querystats.hpp).  Oracles without an
-  /// instrumented kernel answer through plain distance() and leave the
-  /// probe untouched.
+  /// per-query scan attribution at batch 1): same answer, plus the probe
+  /// records whatever the oracle's kernel can attribute — label sizes,
+  /// entries scanned, common hubs compared, meeting hub
+  /// (util/querystats.hpp).  The flat, CH and bidirectional oracles run
+  /// the same kernel loop as distance(), with the caller's probe instead
+  /// of the no-op one.  Oracles without an instrumented kernel answer
+  /// through plain distance() and leave the probe untouched.
   [[nodiscard]] virtual Dist distance_with_stats(Vertex u, Vertex v,
                                                  metrics::QueryStats& stats) const {
     (void)stats;
@@ -96,16 +99,14 @@ class BidirectionalOracle final : public DistanceOracle {
 };
 
 /// Hub-labeling oracle (the paper's subject): space = sum of label sizes,
-/// query = sorted-merge of two labels.
+/// query = sorted-merge of two labels.  Not a serving oracle (the server
+/// and `hublab explain` build the flat one), so its merge carries no probe:
+/// distance_with_stats() is the base class's plain answer.
 class HubLabelOracle final : public DistanceOracle {
  public:
   HubLabelOracle(const Graph& g, HubLabeling labeling);
   [[nodiscard]] std::string name() const override { return "hub-labels"; }
   [[nodiscard]] Dist distance(Vertex u, Vertex v) const override { return labels_.query(u, v); }
-  [[nodiscard]] Dist distance_with_stats(Vertex u, Vertex v,
-                                         metrics::QueryStats& stats) const override {
-    return labels_.query_with_stats(u, v, stats).dist;
-  }
   /// Per-pair sorted merges (the vector-label kernel has no SIMD tier),
   /// but with meeting hubs — answers match the flat oracle's batch path.
   void distance_batch(std::span<const std::pair<Vertex, Vertex>> pairs,

@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
@@ -370,7 +371,14 @@ class Parser {
     }
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
-    v.number_value = std::stod(std::string(text_.substr(start, pos_ - start)));
+    // The grammar above already matched, so from_chars consumes the whole
+    // token; its only failure left is a value outside the double range
+    // (overflow or underflow), e.g. 1e999 or 1e-400.
+    const char* last = text_.data() + pos_;
+    const auto [end, ec] = std::from_chars(text_.data() + start, last, v.number_value);
+    if (ec != std::errc{} || end != last) {
+      throw ParseError("json: number out of double range at offset " + std::to_string(start));
+    }
     return v;
   }
 

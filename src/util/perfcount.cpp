@@ -1,7 +1,5 @@
 #include "util/perfcount.hpp"
 
-#if HUBLAB_PERF_ENABLED
-
 #include <atomic>
 
 #if defined(__linux__)
@@ -159,5 +157,3 @@ HwCounters read_thread() {
 }
 
 }  // namespace hublab::perf
-
-#endif  // HUBLAB_PERF_ENABLED

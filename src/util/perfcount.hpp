@@ -10,11 +10,8 @@
 /// `ScopedHw`, so "the flat kernel is 35% faster" comes with the IPC and
 /// miss-rate evidence explaining *why*.
 ///
-/// Availability is layered, mirroring the `HUBLAB_METRICS=OFF` pattern:
+/// Availability is decided at run time, so call sites need no `#if`:
 ///
-///  - **Compile-out**: building with `HUBLAB_PERF=OFF` (CMake) defines
-///    `HUBLAB_PERF_ENABLED=0` and swaps everything below for inline no-op
-///    stubs with the same API — call sites need no `#if`.
 ///  - **Runtime probe**: the first `available()` call tries to open a
 ///    cycles+instructions group on the calling thread.  Containers,
 ///    restrictive `perf_event_paranoid` settings and non-Linux hosts fail
@@ -33,8 +30,8 @@
 namespace hublab::perf {
 
 /// One snapshot (or delta) of the counter group.  `valid` is false when
-/// counters are disabled, unavailable, or compiled out — consumers emit
-/// nothing in that case rather than zeros.
+/// counters are disabled or unavailable — consumers emit nothing in that
+/// case rather than zeros.
 struct HwCounters {
   std::uint64_t cycles = 0;
   std::uint64_t instructions = 0;
@@ -88,12 +85,6 @@ struct HwCounters {
   }
 };
 
-#if !defined(HUBLAB_PERF_ENABLED)
-#define HUBLAB_PERF_ENABLED 1
-#endif
-
-#if HUBLAB_PERF_ENABLED
-
 /// True when `perf_event_open` works on this host (probed once per
 /// process; the probe opens and closes a throwaway group).
 [[nodiscard]] bool available();
@@ -130,23 +121,5 @@ class ScopedHw {
   HwCounters* out_;
   HwCounters begin_;
 };
-
-#else  // HUBLAB_PERF_ENABLED == 0: same API, no syscalls, no state.
-
-[[nodiscard]] inline bool available() { return false; }
-inline void set_enabled(bool) {}
-[[nodiscard]] inline bool enabled() { return false; }
-[[nodiscard]] inline const char* describe() { return "compiled out (HUBLAB_PERF=OFF)"; }
-[[nodiscard]] inline HwCounters read_thread() { return HwCounters{}; }
-
-class ScopedHw {
- public:
-  explicit ScopedHw(HwCounters&) {}
-  ScopedHw(const ScopedHw&) = delete;
-  ScopedHw& operator=(const ScopedHw&) = delete;
-  ~ScopedHw() = default;
-};
-
-#endif  // HUBLAB_PERF_ENABLED
 
 }  // namespace hublab::perf

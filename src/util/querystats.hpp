@@ -10,16 +10,18 @@
 /// A `QueryStats` is stack-allocated by a caller that wants to know *why*
 /// one query was slow — how many hub entries the merge scanned, how many
 /// common hubs it actually compared, which hub the winning path met at —
-/// and passed by reference into the `*_with_stats` variants of the query
-/// kernels (hub/flat_labeling.hpp, hub/labeling.hpp, the CH two-pointer
-/// intersection, bidirectional Dijkstra).  The plain `query()` entry points
-/// are untouched, so the steady-state serving path pays nothing when
-/// attribution is off.
+/// and passed by reference into the `*_with_stats` entry points of the
+/// query kernels (the flat hub-label merge in hub/flat_labeling.hpp, the
+/// CH two-pointer intersection, bidirectional Dijkstra).  Each kernel is
+/// one loop templated on the probe type: the plain entry points run it
+/// with `NoQueryStats`, whose methods are empty inline functions, so the
+/// steady-state serving path pays nothing for attribution and the
+/// attributed work is the work the answer did.
 ///
 /// Like the rest of util/metrics.hpp, building with `HUBLAB_METRICS=OFF`
-/// swaps the recorder for an empty stub with the same API: probe calls
-/// compile to nothing and the getters return zeros, so call sites need no
-/// `#if`.
+/// compiles attribution out: `QueryStats` is then `NoQueryStats`, probe
+/// calls compile to nothing and the getters return zeros, so call sites
+/// need no `#if`.
 ///
 /// Layering: util sits below graph/, so fields are plain fixed-width
 /// integers.  `kNoMeetingHub` equals graph's `kInvalidVertex`
@@ -29,6 +31,28 @@ namespace hublab::metrics {
 
 /// Sentinel meeting hub: no common hub / unreachable (== kInvalidVertex).
 inline constexpr std::uint32_t kNoMeetingHub = 0xFFFFFFFFU;
+
+/// The probe's API with every method a no-op: the plain query entry
+/// points run their kernel with it.
+class NoQueryStats {
+ public:
+  static constexpr bool kEnabled = false;
+
+  void scanned(std::uint64_t = 1) noexcept {}
+  void matched(std::uint64_t = 1) noexcept {}
+  void labels(std::uint64_t, std::uint64_t) noexcept {}
+  void meeting(std::uint32_t) noexcept {}
+
+  [[nodiscard]] std::uint64_t hubs_scanned() const noexcept { return 0; }
+  [[nodiscard]] std::uint64_t hubs_matched() const noexcept { return 0; }
+  [[nodiscard]] std::uint64_t label_size_s() const noexcept { return 0; }
+  [[nodiscard]] std::uint64_t label_size_t() const noexcept { return 0; }
+  [[nodiscard]] std::uint32_t meeting_hub() const noexcept { return kNoMeetingHub; }
+  [[nodiscard]] std::uint64_t hubs_pruned() const noexcept { return 0; }
+  [[nodiscard]] std::uint64_t scan_cost() const noexcept { return 0; }
+
+  void reset() noexcept {}
+};
 
 #if HUBLAB_METRICS_ENABLED
 
@@ -71,27 +95,9 @@ class QueryStats {
   std::uint32_t meeting_hub_ = kNoMeetingHub;
 };
 
-#else  // HUBLAB_METRICS_ENABLED == 0: zero-cost stub, identical API.
+#else  // HUBLAB_METRICS_ENABLED == 0: attribution compiled out.
 
-class QueryStats {
- public:
-  static constexpr bool kEnabled = false;
-
-  void scanned(std::uint64_t = 1) noexcept {}
-  void matched(std::uint64_t = 1) noexcept {}
-  void labels(std::uint64_t, std::uint64_t) noexcept {}
-  void meeting(std::uint32_t) noexcept {}
-
-  [[nodiscard]] std::uint64_t hubs_scanned() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t hubs_matched() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t label_size_s() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t label_size_t() const noexcept { return 0; }
-  [[nodiscard]] std::uint32_t meeting_hub() const noexcept { return kNoMeetingHub; }
-  [[nodiscard]] std::uint64_t hubs_pruned() const noexcept { return 0; }
-  [[nodiscard]] std::uint64_t scan_cost() const noexcept { return 0; }
-
-  void reset() noexcept {}
-};
+using QueryStats = NoQueryStats;
 
 #endif  // HUBLAB_METRICS_ENABLED
 

@@ -4,11 +4,21 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
+#include <utility>
 #include <vector>
 
+#include "algo/shortest_paths.hpp"
+#include "graph/generators.hpp"
+#include "hub/flat_labeling.hpp"
+#include "hub/pll.hpp"
+#include "lowerbound/gadget.hpp"
+#include "oracle/contraction_hierarchy.hpp"
+#include "oracle/oracle.hpp"
 #include "util/heavyhitter.hpp"
 #include "util/querystats.hpp"
+#include "util/rng.hpp"
 
 namespace hublab::metrics {
 namespace {
@@ -277,6 +287,94 @@ TEST(QueryStats, PrunedNeverUnderflows) {
   QueryStats stats;
   stats.matched(5);  // matched without scanned: clamp, don't wrap
   EXPECT_EQ(stats.hubs_pruned(), 0U);
+}
+
+// Each instrumented kernel is one loop run with either probe; these pin
+// what its QueryStats run must report.  The graphs: the Fig-1 gadget
+// G_{2,1}, a weighted road grid, a sparse random graph, and two disjoint
+// paths (unreachable pairs).
+std::vector<Graph> attribution_graphs() {
+  Rng rng(41);
+  std::vector<Graph> graphs;
+  graphs.push_back(lb::Degree3Gadget(lb::LayeredGadget(lb::GadgetParams{2, 1})).graph());
+  graphs.push_back(gen::road_like(8, 8, 0.2, 10, rng));
+  graphs.push_back(gen::connected_gnm(200, 400, rng));
+  GraphBuilder b(24);
+  for (Vertex v = 0; v + 1 < 12; ++v) b.add_edge(v, v + 1);
+  for (Vertex v = 12; v + 1 < 24; ++v) b.add_edge(v, v + 1);
+  graphs.push_back(b.build());
+  return graphs;
+}
+
+/// s = t pairs, the (first, last) pair and random pairs.
+std::vector<std::pair<Vertex, Vertex>> attribution_pairs(std::size_t n, Rng& rng) {
+  const auto last = static_cast<Vertex>(n - 1);
+  std::vector<std::pair<Vertex, Vertex>> pairs = {{0, 0}, {last, last}, {0, last}};
+  for (int i = 0; i < 40; ++i) {
+    pairs.emplace_back(static_cast<Vertex>(rng.next_below(n)),
+                       static_cast<Vertex>(rng.next_below(n)));
+  }
+  return pairs;
+}
+
+TEST(QueryStats, FlatMergeCountsMatchTheLabels) {
+  Rng rng(43);
+  for (const Graph& g : attribution_graphs()) {
+    const FlatHubLabeling flat(pruned_landmark_labeling(g));
+    for (const auto& [s, t] : attribution_pairs(g.num_vertices(), rng)) {
+      QueryStats stats;
+      const HubQueryResult got = flat.query_with_stats(s, t, stats);
+      const HubQueryResult want = flat.query_with_hub(s, t);
+      EXPECT_EQ(got.dist, want.dist) << s << "-" << t;
+      EXPECT_EQ(got.meeting_hub, want.meeting_hub) << s << "-" << t;
+      if (!QueryStats::kEnabled) {
+        EXPECT_EQ(stats.hubs_scanned(), 0U);
+        EXPECT_EQ(stats.meeting_hub(), kNoMeetingHub);
+        continue;
+      }
+      const auto hs = flat.hubs(s);
+      const auto ht = flat.hubs(t);
+      std::vector<Vertex> common;
+      std::set_intersection(hs.begin(), hs.end(), ht.begin(), ht.end(),
+                            std::back_inserter(common));
+      EXPECT_EQ(stats.label_size_s(), flat.label_size(s));
+      EXPECT_EQ(stats.label_size_t(), flat.label_size(t));
+      EXPECT_EQ(stats.hubs_matched(), common.size()) << s << "-" << t;
+      EXPECT_EQ(stats.hubs_scanned(), hs.size() + ht.size() - common.size()) << s << "-" << t;
+      EXPECT_EQ(stats.meeting_hub(), want.meeting_hub);
+    }
+  }
+}
+
+TEST(QueryStats, ChAndBidijMeetOnAShortestPath) {
+  Rng rng(47);
+  for (const Graph& g : attribution_graphs()) {
+    const ContractionHierarchy ch(g);
+    const BidirectionalOracle bidij(g);
+    for (const auto& [s, t] : attribution_pairs(g.num_vertices(), rng)) {
+      const std::vector<Dist> from_s = sssp_distances(g, s);
+      const std::vector<Dist> from_t = sssp_distances(g, t);
+      const Dist want = from_s[t];
+      for (const DistanceOracle* oracle : {static_cast<const DistanceOracle*>(&ch),
+                                           static_cast<const DistanceOracle*>(&bidij)}) {
+        QueryStats stats;
+        EXPECT_EQ(oracle->distance_with_stats(s, t, stats), want) << oracle->name();
+        EXPECT_EQ(oracle->distance(s, t), want) << oracle->name();
+        const std::uint32_t m = stats.meeting_hub();
+        if (!QueryStats::kEnabled) {
+          EXPECT_EQ(stats.hubs_scanned(), 0U);
+          EXPECT_EQ(m, kNoMeetingHub);
+        } else if (s == t) {
+          EXPECT_EQ(m, s) << oracle->name();
+        } else if (want == kInfDist) {
+          EXPECT_EQ(m, kNoMeetingHub) << oracle->name() << " " << s << "-" << t;
+        } else {
+          ASSERT_LT(m, g.num_vertices()) << oracle->name() << " " << s << "-" << t;
+          EXPECT_EQ(from_s[m] + from_t[m], want) << oracle->name() << " " << s << "-" << t;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

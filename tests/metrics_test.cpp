@@ -321,6 +321,16 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW((void)parse_json("{'single': 1}"), ParseError);
 }
 
+TEST(Json, OutOfRangeNumbersThrowParseError) {
+  // Well-formed numbers outside the double range (overflow and underflow)
+  // are malformed input too: ParseError, not a standard-library exception.
+  for (const char* text : {"1e999", "-1e999", "[1e400]", "1e-400"}) {
+    EXPECT_THROW((void)parse_json(text), ParseError) << text;
+  }
+  EXPECT_DOUBLE_EQ(parse_json("1e308").number_value, 1e308);
+  EXPECT_DOUBLE_EQ(parse_json("-2.5e-3").number_value, -2.5e-3);
+}
+
 std::string make_harness_json(bool ok) {
   const char* argv_smoke[] = {"metrics_test", "--smoke"};
   bench::Harness harness(2, const_cast<char**>(argv_smoke), "schema_probe", "probe banner");

@@ -11,7 +11,11 @@
 #include "labeling/distance_labeling.hpp"
 #include "util/bitstream.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
+#include "util/metrics.hpp"
+#include "util/report.hpp"
 #include "util/rng.hpp"
+#include "util/trace.hpp"
 
 /// Fuzz-style robustness tests: every decoder that consumes bytes from an
 /// untrusted channel (bit streams, label blobs, graph files) must either
@@ -150,13 +154,30 @@ TEST(Fuzz, LabelingLoaderRejectsOversizedDeclarationsBeforeAllocating) {
 }
 
 /// Every row strictly ascending, every hub < num_vertices().
-void expect_well_formed(const HubLabeling& l, const std::string& what) {
+void expect_well_formed(const HubLabeling& l) {
   for (Vertex v = 0; v < l.num_vertices(); ++v) {
     const auto label = l.label(v);
     for (std::size_t i = 0; i < label.size(); ++i) {
-      ASSERT_LT(label[i].hub, l.num_vertices()) << what << " v=" << v;
+      ASSERT_LT(label[i].hub, l.num_vertices()) << "v=" << v;
       if (i > 0) {
-        ASSERT_LT(label[i - 1].hub, label[i].hub) << what << " v=" << v;
+        ASSERT_LT(label[i - 1].hub, label[i].hub) << "v=" << v;
+      }
+    }
+  }
+}
+
+/// Each byte of `bytes` XORed in turn with 0x01, 0x80 and 0xFF and handed
+/// to `read`, which must return or throw `Caught`.
+template <class Caught, class Read>
+void byte_flip_sweep(const std::string& bytes, const Read& read) {
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (const unsigned mask : {0x01u, 0x80u, 0xFFu}) {
+      std::string flipped = bytes;
+      flipped[i] = static_cast<char>(static_cast<unsigned char>(flipped[i]) ^ mask);
+      SCOPED_TRACE("byte " + std::to_string(i) + " ^ " + std::to_string(mask));
+      try {
+        read(flipped);
+      } catch (const Caught&) {
       }
     }
   }
@@ -170,20 +191,11 @@ TEST(Fuzz, LabelingLoaderByteFlipSweep) {
     std::stringstream saved;
     save_labeling(labels, saved);
     const std::string bytes = saved.str();
-    // Each byte XORed in turn with 0x01, 0x80 and 0xFF: the load throws
-    // ParseError or yields well-formed rows.
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-      for (const unsigned mask : {0x01u, 0x80u, 0xFFu}) {
-        std::string flipped = bytes;
-        flipped[i] = static_cast<char>(static_cast<unsigned char>(flipped[i]) ^ mask);
-        std::stringstream stream(flipped);
-        try {
-          expect_well_formed(load_labeling(stream),
-                             "byte " + std::to_string(i) + " ^ " + std::to_string(mask));
-        } catch (const ParseError&) {
-        }
-      }
-    }
+    // Every flipped load throws ParseError or yields well-formed rows.
+    byte_flip_sweep<ParseError>(bytes, [](const std::string& flipped) {
+      std::stringstream stream(flipped);
+      expect_well_formed(load_labeling(stream));
+    });
     // A cut at every label boundary (16-byte header, then an 8-byte count
     // and 12 bytes per entry for each vertex), and one inside an entry.
     std::size_t boundary = 16;
@@ -233,6 +245,61 @@ TEST(Fuzz, DimacsReaderNeverCrashes) {
     } catch (const Error&) {
     }
   }
+}
+
+TEST(Fuzz, JsonParserByteFlipSweep) {
+  // A real run report (about 2 KB with metrics on): header, one graph, two
+  // phases and a registry holding each metric kind the emitter writes.
+  metrics::Registry reg;
+  Tracer tracer(reg);
+  {
+    auto span = tracer.span("load");
+    reg.counter("fuzz.loaded").add(1200);
+  }
+  {
+    auto span = tracer.span("query");
+    reg.counter("fuzz.queries").add(37);
+  }
+  reg.gauge("fuzz.delta").set(-5);
+  for (std::uint64_t v = 1; v <= 1U << 20; v *= 4) {
+    reg.histogram("fuzz.latency_ns").record(v);
+    reg.sketch("fuzz.scan_cost").record(v);
+  }
+  ReportHeader header;
+  header.name = "fuzz_probe";
+  header.ok = true;
+  header.graphs.push_back(ReportGraph{"gnm", 100, 300});
+  std::ostringstream os;
+  write_run_report_json(os, header, tracer, reg);
+  const std::string text = os.str();
+  ASSERT_NO_THROW((void)parse_json(text));
+
+  byte_flip_sweep<ParseError>(text, [](const std::string& flipped) { (void)parse_json(flipped); });
+  // Every cut before the closing brace leaves the document unclosed.
+  const std::size_t close = text.rfind('}');
+  ASSERT_NE(close, std::string::npos);
+  for (std::size_t cut = 0; cut < close; ++cut) {
+    EXPECT_THROW((void)parse_json(text.substr(0, cut)), ParseError) << "cut at " << cut;
+  }
+}
+
+TEST(Fuzz, GraphReadersByteFlipSweep) {
+  // The graph readers on saved files, not random text: a flip lands in a
+  // header, a vertex id, a weight or a separator.
+  Rng rng(12);
+  const Graph g = gen::road_like(5, 5, 0.2, 10, rng);
+  std::stringstream edges;
+  io::write_edge_list(g, edges);
+  byte_flip_sweep<Error>(edges.str(), [](const std::string& flipped) {
+    std::stringstream stream(flipped);
+    (void)io::read_edge_list(stream);
+  });
+  std::stringstream dimacs;
+  io::write_dimacs(g, dimacs);
+  byte_flip_sweep<Error>(dimacs.str(), [](const std::string& flipped) {
+    std::stringstream stream(flipped);
+    (void)io::read_dimacs(stream);
+  });
 }
 
 TEST(Fuzz, BitFlippedLabelsStayContained) {

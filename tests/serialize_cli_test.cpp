@@ -12,7 +12,9 @@
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/profiler.hpp"
+#include "util/report.hpp"
 #include "util/rng.hpp"
+#include "util/trace.hpp"
 
 namespace hublab {
 namespace {
@@ -272,6 +274,29 @@ TEST(Cli, ExplainAgreesWithReferenceOnFig1Gadget) {
     EXPECT_EQ(output.find("hubs: scanned=0"), std::string::npos) << output;
 #endif
   }
+}
+
+TEST(Cli, ValidateBenchReportsEveryFileWhenOneHasAnOutOfRangeNumber) {
+  TempFile bad("validate_out_of_range");
+  TempFile good("validate_good");
+  {
+    std::ofstream out(bad.path());
+    out << "{\"schema_version\": 1e999}\n";
+  }
+  {
+    std::ofstream out(good.path());
+    ReportHeader header;
+    header.name = "validate_probe";
+    header.ok = true;
+    write_run_report_json(out, header, Tracer(), metrics::registry());
+  }
+  std::string output;
+  EXPECT_EQ(run_cli({"validate-bench", bad.path(), good.path()}, &output), 1) << output;
+  const std::size_t invalid = output.find(bad.path() + ": INVALID");
+  const std::size_t ok = output.find(good.path() + ": ok");
+  ASSERT_NE(invalid, std::string::npos) << output;
+  ASSERT_NE(ok, std::string::npos) << output;
+  EXPECT_LT(invalid, ok) << output;
 }
 
 TEST(Cli, ExplainRejectsBadArguments) {

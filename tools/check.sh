@@ -4,25 +4,26 @@
 #   1. RelWithDebInfo build + full test suite        (preset dev)
 #   2. ASan+UBSan build + full test suite            (preset asan-ubsan)
 #   3. ThreadSanitizer build + parallel-path tests   (preset tsan)
-#   4. clang-tidy gate                               (run-tidy; skips w/o clang-tidy)
-#   5. hublab_lint incl. header self-containment     (run-lint)
-#   6. hublab_lint --sarif + SARIF 2.1.0 validation  (CI artifact)
-#   7. bench smoke: every bench --smoke + JSON schema validation
-#   8. bench-compare: smoke runs vs bench/baselines/  (relaxed thresholds)
-#   9. trajectory: headline gauges appended to bench/trajectory.jsonl
-#  10. closed-loop serve smoke: `hublab serve --arrival closed` (per-query
+#   4. HUBLAB_METRICS=OFF build + full test suite    (preset metrics-off)
+#   5. clang-tidy gate                               (run-tidy; skips w/o clang-tidy)
+#   6. hublab_lint incl. header self-containment     (run-lint)
+#   7. hublab_lint --sarif + SARIF 2.1.0 validation  (CI artifact)
+#   8. bench smoke: every bench --smoke + JSON schema validation
+#   9. bench-compare: smoke runs vs bench/baselines/  (relaxed thresholds)
+#  10. trajectory: headline gauges appended to bench/trajectory.jsonl
+#  11. closed-loop serve smoke: `hublab serve --arrival closed` (per-query
 #      with a Prometheus dump, 4 workers, and the ch oracle), every
 #      SERVE_*.json schema-validated
-#  11. open-loop serve smoke: `hublab serve` at low wall QPS (nothing
+#  12. open-loop serve smoke: `hublab serve` at low wall QPS (nothing
 #      shed) and under virtual-time overload (deterministic shedding),
 #      both reports schema-validated
-#  12. perf-counters smoke: bench --perf-counters banner + schema-v3 hw
+#  13. perf-counters smoke: bench --perf-counters banner + schema-v3 hw
 #      blocks (validated when the host has hardware counters, cleanly
 #      skipped where perf_event_open is unavailable)
-#  13. batch kernel: ISA-tier banner, HUBLAB_FORCE_SCALAR forced-scalar
+#  14. batch kernel: ISA-tier banner, HUBLAB_FORCE_SCALAR forced-scalar
 #      run, the pract.batch_query_pct_of_scalar.gnm2000 <= 70 gate and the
 #      one-pair pract.batch1_query_pct_of_scalar.gnm2000 <= 100 gate
-#  14. -Wall -Wextra -Werror build of the full tree  (preset werror)
+#  15. -Wall -Wextra -Werror build of the full tree  (preset werror)
 #
 # Exits non-zero on the first failing stage.  Run from anywhere.
 #
@@ -59,17 +60,17 @@ if [ "${1:-}" = "regen-baselines" ]; then
   exit 0
 fi
 
-stage "1/14 RelWithDebInfo build + tests"
+stage "1/15 RelWithDebInfo build + tests"
 cmake --preset dev
 cmake --build --preset dev -j "${jobs}"
 ctest --preset dev -j "${jobs}"
 
-stage "2/14 ASan+UBSan build + tests"
+stage "2/15 ASan+UBSan build + tests"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${jobs}"
 ctest --preset asan-ubsan -j "${jobs}"
 
-stage "3/14 TSan build + parallel-path tests"
+stage "3/15 TSan build + parallel-path tests"
 # The suites that drive util/parallel's pool with threads > 1: the pool
 # itself, every parallelized hub-labeling entry point (PllCanonical builds
 # PLL labels at 4 threads), the flat kernel, the
@@ -83,16 +84,24 @@ cmake --build --preset tsan -j "${jobs}"
 ctest --preset tsan -j "${jobs}" \
   -R 'StaticChunks|ResolveThreads|HardwareThreads|ParallelFor|RunChunks|ParallelDeterminism|FlatHubLabeling|BatchQuery|QuantileSketch|PllCanonical|ServeOpen|ServeClosed|ServeReport'
 
-stage "4/14 clang-tidy gate"
+stage "4/15 HUBLAB_METRICS=OFF build + tests"
+# The one build where counters, tracing and the per-query attribution
+# probe are compiled out: metrics::QueryStats is metrics::NoQueryStats, so
+# every query kernel runs its no-op instantiation on both entry points.
+cmake --preset metrics-off
+cmake --build --preset metrics-off -j "${jobs}"
+ctest --preset metrics-off -j "${jobs}"
+
+stage "5/15 clang-tidy gate"
 cmake --build --preset dev --target run-tidy
 
-stage "5/14 hublab_lint (with header self-containment)"
+stage "6/15 hublab_lint (with header self-containment)"
 cmake --build --preset dev --target run-lint
 
-stage "6/14 hublab_lint SARIF artifact"
+stage "7/15 hublab_lint SARIF artifact"
 # Re-run the analyzer emitting SARIF (the CI-consumable artifact) and prove
 # the document is well-formed 2.1.0 with the full rule catalog.  Headers
-# were already probed in stage 5.
+# were already probed in stage 6.
 sarif_out="$(mktemp)"
 build/dev/tools/hublab_lint --root . --no-header-check --sarif "${sarif_out}" > /dev/null
 python3 - "${sarif_out}" <<'PY'
@@ -107,7 +116,7 @@ print(f"sarif: valid 2.1.0, {len(rules)} rules, {len(run['results'])} results")
 PY
 rm -f "${sarif_out}"
 
-stage "7/14 bench smoke + BENCH_*.json schema validation"
+stage "8/15 bench smoke + BENCH_*.json schema validation"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "${smoke_dir}"' EXIT
 repo_root="$(pwd -P)"
@@ -126,7 +135,7 @@ fi
 build/dev/tools/hublab validate-bench "${smoke_dir}"/BENCH_*.json
 echo "bench-smoke: ${bench_count} benches, ${json_count} schema-valid JSON files"
 
-stage "8/14 bench-compare vs committed baselines"
+stage "9/15 bench-compare vs committed baselines"
 # Wall-clock thresholds are deliberately loose here (different machines,
 # shared CI runners); structural metrics are seeded and should stay close.
 compare_failures=0
@@ -148,7 +157,7 @@ if [ "${compare_failures}" -ne 0 ]; then
 fi
 echo "bench-compare: all benches within thresholds of bench/baselines/"
 
-stage "9/14 bench trajectory (headline gauges -> bench/trajectory.jsonl)"
+stage "10/15 bench trajectory (headline gauges -> bench/trajectory.jsonl)"
 # Append this run's headline practicality gauges to the committed history
 # so `git log -p bench/trajectory.jsonl` reads as a perf trajectory across
 # revisions.  One line per git revision: re-running check.sh at the same
@@ -199,7 +208,7 @@ with open(path, "w") as fh:
 print(f"trajectory: {len(lines)} point(s), latest {json.dumps(headline)}")
 PY
 
-stage "10/14 closed-loop serve smoke + SERVE_*.json schema validation"
+stage "11/15 closed-loop serve smoke + SERVE_*.json schema validation"
 # Three closed-loop runs (each worker takes its next block when the last
 # returns): per-query with a Prometheus dump, 4 workers, and the CH oracle.
 (cd "${smoke_dir}" \
@@ -226,8 +235,8 @@ assert doc["queries"] == doc["offered"], (doc["queries"], doc["offered"])
 PY
 echo "serve-closed: SERVE_closed_*.json schema-valid, every query answered, Prometheus dump has serve metrics"
 
-stage "11/14 open-loop serve smoke (hublab serve, wall + virtual overload)"
-# Two runs against the gadget graph from stage 10: a wall-clock run at a
+stage "12/15 open-loop serve smoke (hublab serve, wall + virtual overload)"
+# Two runs against the gadget graph from stage 11: a wall-clock run at a
 # QPS the box trivially sustains (block admission: nothing is shed) and a
 # virtual-time overload run offering 8x the simulated capacity against a
 # small ring (shed admission: rejections are mandatory and deterministic).
@@ -260,7 +269,7 @@ print(f"serve-open: low rejected=0/{low['offered']}, "
 PY
 echo "serve-open: SERVE_open_*.json schema-valid, admission behaves at both extremes"
 
-stage "12/14 perf-counters smoke + schema-v3 hw validation"
+stage "13/15 perf-counters smoke + schema-v3 hw validation"
 # The banner always states a verdict ("hardware ..." / "unavailable ...");
 # hw blocks in the JSON are required only on hardware-capable hosts —
 # containers and locked-down kernels degrade to the timer-only fallback.
@@ -281,7 +290,7 @@ else
   echo "perf-smoke: $(grep '^perf counters: ' "${perf_log}") -- hw blocks not required"
 fi
 
-stage "13/14 batch query kernel: tier banner, forced-scalar run, pct gates"
+stage "14/15 batch query kernel: tier banner, forced-scalar run, pct gates"
 # The batched kernel's three-tier dispatch must (a) report which ISA tier
 # it resolved, (b) degrade to the scalar tier under HUBLAB_FORCE_SCALAR=1
 # with the identity checks still green, and (c) keep its win on the sparse
@@ -328,7 +337,7 @@ if [ "${batch1_pct}" -gt 100 ]; then
 fi
 echo "batch-kernel: one-pair blocks at ${batch1_pct}% of scalar on gnm2000 (<= 100%)"
 
-stage "14/14 Werror build"
+stage "15/15 Werror build"
 cmake --preset werror
 cmake --build --preset werror -j "${jobs}"
 

@@ -131,12 +131,46 @@ void check_includes(const SourceFile& f, const Options& opt, Sink& sink) {
   }
 }
 
+/// [open brace, close brace] offsets of every `namespace { ... }` body in
+/// `text`, nested ones included.
+std::vector<std::pair<std::size_t, std::size_t>> anonymous_namespaces(const std::string& text) {
+  static const std::string kKeyword = "namespace";
+  std::vector<std::pair<std::size_t, std::size_t>> bodies;
+  for (std::size_t p = text.find(kKeyword); p != std::string::npos;
+       p = text.find(kKeyword, p + 1)) {
+    std::size_t open = p + kKeyword.size();
+    if ((p > 0 && is_ident_char(text[p - 1])) ||
+        (open < text.size() && is_ident_char(text[open]))) {
+      continue;
+    }
+    while (open < text.size() && std::isspace(static_cast<unsigned char>(text[open])) != 0) {
+      ++open;
+    }
+    if (open >= text.size() || text[open] != '{') continue;  // named namespace or alias
+    std::size_t close = open;
+    std::size_t depth = 0;
+    while (close < text.size()) {
+      if (text[close] == '{') ++depth;
+      if (text[close] == '}' && --depth == 0) break;
+      ++close;
+    }
+    bodies.emplace_back(open, close);
+  }
+  return bodies;
+}
+
 /// Public mutating APIs must validate before mutating.  Finds definitions
 /// of add_*/insert_*/remove_*/set_* functions and requires HUBLAB_ASSERT*
 /// or a throw in the body.  `add_vertex` is exempt: appending a fresh
-/// vertex has no precondition.
+/// vertex has no precondition.  Definitions inside an anonymous namespace
+/// have internal linkage, so they are helpers, not APIs, and are skipped.
 void check_mutator_guards(const SourceFile& f, Sink& sink) {
   const std::string& text = f.flat;
+  const auto internal = anonymous_namespaces(text);
+  const auto is_internal = [&internal](std::size_t at) {
+    return std::any_of(internal.begin(), internal.end(),
+                       [at](const auto& body) { return body.first < at && at < body.second; });
+  };
   static const std::vector<std::string> kPrefixes = {"add_", "insert_", "remove_", "set_"};
   static const std::vector<std::string> kExempt = {"add_vertex"};
 
@@ -198,7 +232,7 @@ void check_mutator_guards(const SourceFile& f, Sink& sink) {
     const std::string body = text.substr(body_begin, scan - body_begin);
     const bool guarded = body.find("HUBLAB_ASSERT") != std::string::npos ||
                          contains_identifier(body, "throw");
-    if (!guarded) {
+    if (!guarded && !is_internal(best)) {
       sink.add(f, f.flat_line[std::min(best, f.flat_line.size() - 1)], "assert-guard",
                "public mutating API `" + name +
                    "` has no HUBLAB_ASSERT*/throw precondition before mutating");
