@@ -62,6 +62,16 @@ const Workload& road_workload() {
   return w;
 }
 
+/// Local pairs on the road graph: long target labels that share most of
+/// their hubs with the source label, so the SIMD probes fold many hits per
+/// step.
+const std::vector<std::pair<Vertex, Vertex>>& road_near_queries() {
+  static const std::vector<std::pair<Vertex, Vertex>> q =
+      serve::WorkloadGenerator(road_workload().graph, serve::WorkloadKind::kNear, 6)
+          .block(kQueryPairs);
+  return q;
+}
+
 const Workload& sparse_workload() {
   static const Workload w = [] {
     Workload wl;
@@ -209,16 +219,16 @@ bool run_flat_phase(bench::Harness& harness, const char* family, const Workload&
 /// host-supported dispatch tier is swept over the full block and checked
 /// byte-identical — distance AND meeting hub — against per-query
 /// query_with_hub.
-bool run_batch_phase(bench::Harness& harness, const char* family, const Workload& w) {
+bool run_batch_phase(bench::Harness& harness, const char* family, const FlatHubLabeling& flat,
+                     std::span<const std::pair<Vertex, Vertex>> pairs) {
   const std::size_t passes = harness.smoke() ? 32 : 256;
-  const std::span<const std::pair<Vertex, Vertex>> pairs(w.queries);
-  std::vector<HubQueryResult> answers(w.queries.size());
+  std::vector<HubQueryResult> answers(pairs.size());
 
   bool identical = true;
   for (const simd::Tier tier : simd::supported_tiers()) {
-    w.flat.query_batch_tier(pairs, answers, tier);
-    for (std::size_t i = 0; i < w.queries.size(); ++i) {
-      const HubQueryResult ref = w.flat.query_with_hub(w.queries[i].first, w.queries[i].second);
+    flat.query_batch_tier(pairs, answers, tier);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const HubQueryResult ref = flat.query_with_hub(pairs[i].first, pairs[i].second);
       if (answers[i].dist != ref.dist || answers[i].meeting_hub != ref.meeting_hub) {
         std::printf("batch/%s: tier=%s pair %zu DISAGREES with query_with_hub\n", family,
                     simd::tier_name(tier), i);
@@ -231,8 +241,8 @@ bool run_batch_phase(bench::Harness& harness, const char* family, const Workload
   std::uint64_t scalar_sum = 0;
   Timer scalar_timer;
   for (std::size_t p = 0; p < passes; ++p) {
-    for (const auto& [u, v] : w.queries) {
-      const Dist d = w.flat.query(u, v);
+    for (const auto& [u, v] : pairs) {
+      const Dist d = flat.query(u, v);
       if (d != kInfDist) scalar_sum += d;
     }
   }
@@ -241,7 +251,7 @@ bool run_batch_phase(bench::Harness& harness, const char* family, const Workload
   std::uint64_t batch_sum = 0;
   Timer batch_timer;
   for (std::size_t p = 0; p < passes; ++p) {
-    w.flat.query_batch(pairs, answers);
+    flat.query_batch(pairs, answers);
     for (const HubQueryResult& r : answers) {
       if (r.dist != kInfDist) batch_sum += r.dist;
     }
@@ -252,8 +262,8 @@ bool run_batch_phase(bench::Harness& harness, const char* family, const Workload
   HubQueryResult one;
   Timer batch1_timer;
   for (std::size_t p = 0; p < passes; ++p) {
-    for (const std::pair<Vertex, Vertex>& pair : w.queries) {
-      w.flat.query_batch({&pair, 1}, {&one, 1});
+    for (const std::pair<Vertex, Vertex>& pair : pairs) {
+      flat.query_batch({&pair, 1}, {&one, 1});
       if (one.dist != kInfDist) batch1_sum += one.dist;
     }
   }
@@ -267,7 +277,7 @@ bool run_batch_phase(bench::Harness& harness, const char* family, const Workload
   reg.gauge("pract.batch1_query_pct_of_scalar." + std::string(family))
       .set(static_cast<std::int64_t>(pct1));
   reg.gauge("pract.query_pairs." + std::string(family))
-      .set(static_cast<std::int64_t>(w.queries.size()));
+      .set(static_cast<std::int64_t>(pairs.size()));
   const bool sums_agree = scalar_sum == batch_sum && scalar_sum == batch1_sum;
   std::printf(
       "batch/%s: scalar=%.3fms batch=%.3fms (%.0f%%) batch1=%.3fms (%.0f%%), checksums %s\n",
@@ -345,8 +355,13 @@ int main(int argc, char** argv) {
     auto batch_span = harness.phase("batch-vs-scalar");
     std::printf("batch kernel: tier=%s\n",
                 hublab::simd::tier_name(hublab::simd::active_tier()));
-    batch_ok = hublab::run_batch_phase(harness, "road40x40", hublab::road_workload());
-    batch_ok = hublab::run_batch_phase(harness, "gnm2000", hublab::sparse_workload()) && batch_ok;
+    const hublab::Workload& road = hublab::road_workload();
+    const hublab::Workload& sparse = hublab::sparse_workload();
+    batch_ok = hublab::run_batch_phase(harness, "road40x40", road.flat, road.queries);
+    batch_ok = hublab::run_batch_phase(harness, "road40x40_near", road.flat,
+                                       hublab::road_near_queries()) &&
+               batch_ok;
+    batch_ok = hublab::run_batch_phase(harness, "gnm2000", sparse.flat, sparse.queries) && batch_ok;
   }
   {
     auto llc_span = harness.phase("llc-miss-scan");

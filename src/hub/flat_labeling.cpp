@@ -1,7 +1,7 @@
 #include "hub/flat_labeling.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <cstdint>
 
 #include "util/metrics.hpp"
 
@@ -65,7 +65,7 @@ namespace {
 struct BatchScratch {
   std::vector<std::uint32_t> stamp;  ///< stamp[h] == epoch: h is in the current source label
   std::vector<Dist> sdist;           ///< distance of h in the current source label
-  std::vector<std::uint32_t> order;  ///< block indices, grouped by source
+  std::vector<std::uint64_t> order;  ///< (source << 32) | position, grouped by source
   std::uint32_t epoch = 0;
 };
 
@@ -83,20 +83,24 @@ void FlatHubLabeling::query_batch_tier(std::span<const std::pair<Vertex, Vertex>
   }
   // Group the block by source vertex, so consecutive queries share the same
   // source label (the cache-blocking win) while results land at their
-  // original positions.  Sorting indices by (source, index) gives a stable
-  // sort's order without std::stable_sort's per-call temporary buffer.
+  // original positions.  Sorting (source << 32) | position keys gives a
+  // stable sort's order without std::stable_sort's per-call temporary
+  // buffer, and without a comparator loading pairs[] indirectly.
+  HUBLAB_ASSERT_MSG(pairs.size() <= std::uint64_t{1} << 32,
+                    "query_batch: a block's positions must fit in 32 bits");
   s.order.resize(pairs.size());
-  std::iota(s.order.begin(), s.order.end(), 0U);
-  std::sort(s.order.begin(), s.order.end(), [&](std::uint32_t x, std::uint32_t y) {
-    return pairs[x].first != pairs[y].first ? pairs[x].first < pairs[y].first : x < y;
-  });
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    s.order[i] = (std::uint64_t{pairs[i].first} << 32) | i;
+  }
+  std::sort(s.order.begin(), s.order.end());
   // Scatter each source group's label into the tables once under a fresh
   // epoch, then answer every query of the group with one linear probe scan
   // of its target label — no merge, no data-dependent branches.
   const simd::ProbeFn probe = simd::probe_for(tier);  // one dispatch per block
   std::uint64_t groups = 0;
   Vertex prev_source = kInvalidVertex;  // never a valid source
-  for (const std::uint32_t idx : s.order) {
+  for (const std::uint64_t key : s.order) {
+    const auto idx = static_cast<std::uint32_t>(key);
     const auto [u, v] = pairs[idx];
     HUBLAB_ASSERT_RANGE(u, num_vertices_);
     HUBLAB_ASSERT_RANGE(v, num_vertices_);

@@ -18,7 +18,8 @@ namespace {
 bool cpu_supports_avx2() noexcept { return __builtin_cpu_supports("avx2") != 0; }
 bool cpu_supports_avx512() noexcept {
   // The 16-lane probe uses only AVX-512 foundation instructions (512-bit
-  // loads, the 32-bit gather and compare-to-mask).
+  // loads, the 32- and masked 64-bit gathers, compare-to-mask, the masked
+  // add and the unsigned 64-bit compare).
   return __builtin_cpu_supports("avx512f") != 0;
 }
 #else

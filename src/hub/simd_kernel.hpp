@@ -16,7 +16,12 @@
 /// trade-off prices.  The batch path scatters each source label into dense
 /// per-hub tables once and answers every query of that source with one
 /// straight-line probe scan of the target label; the kernels here are that
-/// probe, behind a three-tier dispatch:
+/// probe.  The SIMD tiers gather the stamps of 8 or 16 target hubs per
+/// step and fold that step's hits — common hubs, which on local pairs are
+/// most of the target label — in vector registers: masked gathers of the
+/// source distances, a masked add, and a per-lane running (dist, hub)
+/// minimum, reduced across lanes once per probe.  The kernels sit behind a
+/// three-tier dispatch:
 ///
 ///   1. compile time — each ISA kernel lives in its own TU
 ///      (`simd_kernel_avx2.cpp`, `simd_kernel_avx512.cpp`) compiled with
@@ -30,8 +35,11 @@
 /// Every tier returns *byte-identical* answers — the same distance and the
 /// same meeting hub (the smallest hub id achieving the minimal distance,
 /// matching the per-query sentinel merge's ascending-order strict-<
-/// update).  Set `HUBLAB_FORCE_SCALAR=1` in the environment to pin
-/// `active_tier()` to the scalar fallback (read once, like HUBLAB_THREADS).
+/// update).  In a SIMD lane the target hubs also arrive in ascending order,
+/// so a strict unsigned < keeps the lane's smallest (dist, hub), and the
+/// cross-lane fold and the scalar tail apply the lexicographic rule.  Set
+/// `HUBLAB_FORCE_SCALAR=1` in the environment to pin `active_tier()` to the
+/// scalar fallback (read once, like HUBLAB_THREADS).
 ///
 /// Raw intrinsics are confined to the `src/hub/simd_kernel*` TUs — the
 /// `simd` lint pass enforces this; the header stays ISA-agnostic.
@@ -67,8 +75,8 @@ enum class Tier { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// of the *target* label — `size_t_` entries of `hubs_t`/`dists_t` —
 /// probing the tables per hub.  The touched table entries stay
 /// cache-resident across the group, and the scan has no merge branches to
-/// mispredict; the AVX2/AVX-512 tiers vectorize it with gathered stamp
-/// loads.  Same answer as the
+/// mispredict; the AVX2/AVX-512 tiers gather the stamps and fold a step's
+/// hits in vector registers, with no branch per hit.  Same answer as the
 /// per-query sentinel merge (`FlatHubLabeling::query_with_hub`) on the same
 /// labels: the lexicographic (dist, hub) minimum over the common hubs.
 using ProbeFn = HubQueryResult (*)(const Vertex* hubs_t, const Dist* dists_t, std::size_t size_t_,
@@ -93,8 +101,9 @@ namespace detail {
                                           std::size_t size_t_, const std::uint32_t* stamp,
                                           const Dist* sdist, std::uint32_t current);
 
-/// 8-lane AVX2 stamp-table probe (gathered stamp loads); defined in
-/// simd_kernel_avx2.cpp (only linked when the toolchain can target AVX2).
+/// 8-lane AVX2 stamp-table probe (gathered stamps, hits folded in vector
+/// registers); defined in simd_kernel_avx2.cpp (only linked when the
+/// toolchain can target AVX2).
 [[nodiscard]] HubQueryResult probe_avx2(const Vertex* hubs_t, const Dist* dists_t,
                                         std::size_t size_t_, const std::uint32_t* stamp,
                                         const Dist* sdist, std::uint32_t current);

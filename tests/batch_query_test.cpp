@@ -216,6 +216,158 @@ TEST(BatchQuery, ConcurrentThreadsUseTheirOwnScratch) {
   for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], "") << "thread chunk " << t;
 }
 
+TEST(BatchQuery, ByteIdenticalOnNearPairsOverLongLabels) {
+  // Local pairs on a weighted road graph: target labels average about 47
+  // hubs (up to about 100), about 39 of them also in the source label, so
+  // the SIMD probes fold many hits per step, often in every lane.
+  Rng rng(37);
+  const Graph g = gen::road_like(20, 20, 0.2, 10, rng);
+  const FlatHubLabeling flat(pruned_landmark_labeling(g));
+  for (const std::size_t block : kBlockSizes) {
+    const std::vector<std::pair<Vertex, Vertex>> pairs =
+        serve::WorkloadGenerator(g, serve::WorkloadKind::kNear, 11 + block).block(block);
+    for (const simd::Tier tier : simd::supported_tiers()) {
+      EXPECT_EQ(batch_mismatch(flat, pairs, tier), "");
+    }
+  }
+}
+
+/// Hand-built labelings for the SIMD probes' lane fold, one target vertex
+/// per case.  Position i of a target label holds hub 2i, which the source
+/// label holds at distance kSourceDist, or, where the case says kMiss,
+/// hub 2i + 1, which no source label holds.
+class LaneFoldCases {
+ public:
+  static constexpr std::size_t kMaxSize = 40;
+  static constexpr Dist kMiss = kInfDist;
+  static constexpr Dist kSourceDist = 7;
+
+  /// The expected answer when the minimum sits at target position `pos`,
+  /// at target distance `dist`.
+  static HubQueryResult meet(std::size_t pos, Dist dist) {
+    return {kSourceDist + dist, static_cast<Vertex>(2 * pos)};
+  }
+
+  void add(std::string what, std::vector<Dist> dists, HubQueryResult want) {
+    HUBLAB_ASSERT(dists.size() <= kMaxSize);
+    cases_.push_back({std::move(what), std::move(dists), want});
+  }
+
+  /// Answers every case as one block on every supported tier; each answer
+  /// must equal the case's and query_with_hub's.
+  void check() const {
+    const FlatHubLabeling flat = build();
+    const auto source = static_cast<Vertex>(2 * kMaxSize);
+    std::vector<std::pair<Vertex, Vertex>> pairs;
+    for (std::size_t c = 0; c < cases_.size(); ++c) {
+      pairs.emplace_back(source, static_cast<Vertex>(source + 1 + c));
+    }
+    std::vector<HubQueryResult> out(pairs.size());
+    for (const simd::Tier tier : simd::supported_tiers()) {
+      flat.query_batch_tier(pairs, out, tier);
+      for (std::size_t c = 0; c < cases_.size(); ++c) {
+        const Case& want = cases_[c];
+        const HubQueryResult ref = flat.query_with_hub(pairs[c].first, pairs[c].second);
+        ASSERT_EQ(ref.dist, want.want.dist) << "query_with_hub, " << want.what;
+        ASSERT_EQ(ref.meeting_hub, want.want.meeting_hub) << "query_with_hub, " << want.what;
+        ASSERT_EQ(out[c].dist, want.want.dist)
+            << "tier=" << simd::tier_name(tier) << ", " << want.what;
+        ASSERT_EQ(out[c].meeting_hub, want.want.meeting_hub)
+            << "tier=" << simd::tier_name(tier) << ", " << want.what;
+      }
+    }
+  }
+
+ private:
+  struct Case {
+    std::string what;
+    std::vector<Dist> dists;
+    HubQueryResult want;
+  };
+
+  /// Vertices [0, 2 * kMaxSize) are the hubs (empty labels), the next one
+  /// is the source (every even hub), and then one target per case.
+  [[nodiscard]] FlatHubLabeling build() const {
+    const std::size_t hubs = 2 * kMaxSize;
+    std::vector<std::size_t> offsets;
+    std::vector<Vertex> hub_col;
+    std::vector<Dist> dist_col;
+    const auto push = [&](std::size_t hub, Dist dist) {
+      hub_col.push_back(static_cast<Vertex>(hub));
+      dist_col.push_back(dist);
+    };
+    for (std::size_t v = 0; v < hubs; ++v) {
+      offsets.push_back(hub_col.size());
+      push(kInvalidVertex, kInfDist);
+    }
+    offsets.push_back(hub_col.size());
+    for (std::size_t h = 0; h < hubs; h += 2) push(h, kSourceDist);
+    push(kInvalidVertex, kInfDist);
+    for (const Case& c : cases_) {
+      offsets.push_back(hub_col.size());
+      for (std::size_t i = 0; i < c.dists.size(); ++i) {
+        if (c.dists[i] == kMiss) push(2 * i + 1, 1);
+        else push(2 * i, c.dists[i]);
+      }
+      push(kInvalidVertex, kInfDist);
+    }
+    offsets.push_back(hub_col.size());
+    return {hubs + 1 + cases_.size(), std::move(offsets), std::move(hub_col),
+            std::move(dist_col)};
+  }
+
+  std::vector<Case> cases_;
+};
+
+TEST(BatchQuery, LaneFoldTiesAndBoundaries) {
+  // Target sizes 0-40 cover every 8- and 16-hub step and every tail length
+  // of both SIMD probes.  Positions a case does not name are hits whose
+  // sums exceed the case's minimum.
+  constexpr Dist kFar = 1000;
+  const auto far_hits = [](std::size_t size) {
+    std::vector<Dist> dists(size);
+    for (std::size_t i = 0; i < size; ++i) dists[i] = kFar + i;
+    return dists;
+  };
+  LaneFoldCases cases;
+  for (std::size_t size = 0; size <= LaneFoldCases::kMaxSize; ++size) {
+    const std::string label = "size=" + std::to_string(size);
+    // No target hub hit: kInfDist and kInvalidVertex.
+    cases.add(label + " no hit", std::vector<Dist>(size, LaneFoldCases::kMiss), HubQueryResult{});
+    // Every target hub hit, the one minimum at each position: every lane
+    // of every step, and minima only in the tail.
+    for (std::size_t p = 0; p < size; ++p) {
+      std::vector<Dist> dists = far_hits(size);
+      dists[p] = 1;
+      cases.add(label + " min@" + std::to_string(p), std::move(dists),
+                LaneFoldCases::meet(p, 1));
+    }
+    // Equal minima at every two positions a < b — one lane across two
+    // steps (b - a a multiple of 8 or 16), two lanes of one step, the last
+    // vector slot and the first tail slot: the smaller hub, at a, wins.
+    for (std::size_t b = 1; b < size; ++b) {
+      for (std::size_t a = 0; a < b; ++a) {
+        std::vector<Dist> dists = far_hits(size);
+        dists[a] = 1;
+        dists[b] = 1;
+        cases.add(label + " tie@" + std::to_string(a) + "," + std::to_string(b),
+                  std::move(dists), LaneFoldCases::meet(a, 1));
+      }
+    }
+    // One lane first sees a sum >= 2^63, then a smaller one 16 positions
+    // on (the same lane of both probes): a signed 64-bit lane compare
+    // would keep the first.
+    for (std::size_t p = 0; p + 16 < size; ++p) {
+      std::vector<Dist> dists(size, LaneFoldCases::kMiss);
+      dists[p] = Dist{1} << 63;
+      dists[p + 16] = 3;
+      cases.add(label + " 2^63@" + std::to_string(p), std::move(dists),
+                LaneFoldCases::meet(p + 16, 3));
+    }
+  }
+  cases.check();
+}
+
 TEST(BatchQuery, EpochWrapZeroesStampsAndRestartsAtOne) {
   std::vector<std::uint32_t> stamp = {7, 0xFFFFFFFFU, 3};
   EXPECT_EQ(simd::detail::next_epoch(0, stamp), 1U);

@@ -276,6 +276,24 @@ TEST(Cli, ExplainAgreesWithReferenceOnFig1Gadget) {
   }
 }
 
+TEST(Cli, ExplainNamesTheBatchKernelOnlyForFlatLabels) {
+  // Only the flat hub-label oracle's distance_batch runs the stamp-table
+  // kernel; ch and bidij answer a block one pair at a time.
+  TempFile graph("explain_batch_kernel");
+  std::string output;
+  ASSERT_EQ(run_cli({"gen", "gadget-g", "--b", "2", "--l", "1", "-o", graph.path()}, &output), 0);
+  ASSERT_EQ(run_cli({"explain", graph.path(), "0", "5", "--oracle", "pll-flat"}, &output), 0)
+      << output;
+  EXPECT_NE(output.find("batch kernel: tier="), std::string::npos) << output;
+  for (const char* oracle : {"ch", "bidij"}) {
+    ASSERT_EQ(run_cli({"explain", graph.path(), "0", "5", "--oracle", oracle}, &output), 0)
+        << oracle << ": " << output;
+    EXPECT_NE(output.find("batch kernel: none (per-pair loop) agree=yes"), std::string::npos)
+        << oracle << ": " << output;
+    EXPECT_EQ(output.find("tier="), std::string::npos) << oracle << ": " << output;
+  }
+}
+
 TEST(Cli, ValidateBenchReportsEveryFileWhenOneHasAnOutOfRangeNumber) {
   TempFile bad("validate_out_of_range");
   TempFile good("validate_good");

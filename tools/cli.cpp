@@ -649,8 +649,10 @@ int cmd_explain(Args& args, std::ostream& out) {
   const bool agree = dist == reference;
 
   // Batched-kernel cross-check: the same pair through distance_batch must
-  // produce the same distance on the active ISA tier (byte-identity is the
-  // kernel's contract; see docs/performance.md "The batched query kernel").
+  // produce the same distance.  Only the flat hub-label oracle runs the
+  // stamp-table kernel on the active ISA tier (byte-identity is its
+  // contract; see docs/performance.md "The batched query kernel"); the
+  // others answer a block with the base-class loop over distance().
   const std::pair<Vertex, Vertex> batch_pair[1] = {{s, t}};
   HubQueryResult batch_answer[1];
   oracle->distance_batch(std::span<const std::pair<Vertex, Vertex>>(batch_pair),
@@ -673,8 +675,10 @@ int cmd_explain(Args& args, std::ostream& out) {
   out << "  labels: |L(s)|=" << probe.label_size_s() << " |L(t)|=" << probe.label_size_t() << "\n";
   out << "  hubs: scanned=" << probe.hubs_scanned() << " matched=" << probe.hubs_matched()
       << " pruned=" << probe.hubs_pruned() << "\n";
-  out << "  batch kernel: tier=" << simd::tier_name(simd::active_tier())
-      << " agree=" << (batch_agree ? "yes" : "NO") << "\n";
+  out << "  batch kernel: ";
+  if (kind == serve::OracleKind::kPllFlat) out << "tier=" << simd::tier_name(simd::active_tier());
+  else out << "none (per-pair loop)";
+  out << " agree=" << (batch_agree ? "yes" : "NO") << "\n";
   out << "  phase_ns: load=" << (t_loaded - t0) << " build=" << (t_built - t_loaded)
       << " query=" << (t_queried - t_built) << "\n";
   if (!metrics::QueryStats::kEnabled) {
