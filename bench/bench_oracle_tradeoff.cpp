@@ -45,7 +45,7 @@ void run_workload(bench::Harness& harness, const Graph& g, const char* family,
   {
     auto build_span = harness.phase(std::string("build-oracles-") + family);
     oracles.push_back(std::make_unique<ApspOracle>(g));
-    oracles.push_back(std::make_unique<HubLabelOracle>(g, pruned_landmark_labeling(g)));
+    oracles.push_back(std::make_unique<FlatHubLabelOracle>(pruned_landmark_labeling(g)));
     oracles.push_back(std::make_unique<ContractionHierarchy>(g));
     oracles.push_back(std::make_unique<ArcFlagsOracle>(g, 16));
     oracles.push_back(std::make_unique<AltOracle>(g, farthest_landmarks(g, 8)));
@@ -63,7 +63,7 @@ void run_workload(bench::Harness& harness, const Graph& g, const char* family,
                    "avg stretch"});
   for (const auto& oracle : oracles) {
     // The on-demand oracles are slow; subsample their query load.
-    const bool fast = oracle->name() == "apsp-table" || oracle->name() == "hub-labels" ||
+    const bool fast = oracle->name() == "apsp-table" || oracle->name() == "hub-labels-flat" ||
                       oracle->name() == "landmarks-upper-bound";
     const std::size_t step = fast ? 1 : 40;
 

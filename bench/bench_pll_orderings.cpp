@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
     std::size_t entries = 0;
     for (std::size_t r = 0; r < reps; ++r) {
       Timer t;
-      const FlatHubLabeling labels = pruned_landmark_labeling_flat(g, order, harness.pll_config());
+      const HubLabeling labels = pruned_landmark_labeling(g, order, harness.pll_config());
       secs += t.elapsed_s();
       entries += labels.total_hubs();
     }

@@ -23,7 +23,6 @@
 #include "algo/shortest_paths.hpp"
 #include "bench/harness.hpp"
 #include "graph/generators.hpp"
-#include "hub/flat_labeling.hpp"
 #include "hub/pll.hpp"
 #include "hub/simd_kernel.hpp"
 #include "oracle/oracle.hpp"
@@ -44,7 +43,6 @@ static_assert((kQueryPairs & (kQueryPairs - 1)) == 0);
 struct Workload {
   Graph graph;
   HubLabeling labels;
-  FlatHubLabeling flat;
   std::vector<std::pair<Vertex, Vertex>> queries;
 };
 
@@ -54,7 +52,6 @@ const Workload& road_workload() {
     Rng rng(1);
     wl.graph = gen::road_like(40, 40, 0.15, 10, rng);
     wl.labels = pruned_landmark_labeling(wl.graph);
-    wl.flat = FlatHubLabeling(wl.labels);
     wl.queries =
         serve::WorkloadGenerator(wl.graph, serve::WorkloadKind::kUniform, 2).block(kQueryPairs);
     return wl;
@@ -78,7 +75,6 @@ const Workload& sparse_workload() {
     Rng rng(3);
     wl.graph = gen::connected_gnm(2000, 4000, rng);
     wl.labels = pruned_landmark_labeling(wl.graph);
-    wl.flat = FlatHubLabeling(wl.labels);
     wl.queries =
         serve::WorkloadGenerator(wl.graph, serve::WorkloadKind::kUniform, 4).block(kQueryPairs);
     return wl;
@@ -86,20 +82,11 @@ const Workload& sparse_workload() {
   return w;
 }
 
-void bm_hub_query(benchmark::State& state, const Workload& w) {
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto [u, v] = w.queries[i++ & (kQueryPairs - 1)];
-    benchmark::DoNotOptimize(w.labels.query(u, v));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-
 void bm_flat_query(benchmark::State& state, const Workload& w) {
   std::size_t i = 0;
   for (auto _ : state) {
     const auto [u, v] = w.queries[i++ & (kQueryPairs - 1)];
-    benchmark::DoNotOptimize(w.flat.query(u, v));
+    benchmark::DoNotOptimize(w.labels.query(u, v));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -140,11 +127,9 @@ void register_benchmarks(bool smoke) {
     std::int64_t smoke_iterations;  ///< 0 = let benchmark pick, even in smoke
   };
   const std::vector<QueryCase> cases{
-      {"bm_hub_query/road40x40", &bm_hub_query, &road_workload, 256},
       {"bm_flat_query/road40x40", &bm_flat_query, &road_workload, 256},
       {"bm_bidirectional/road40x40", &bm_bidirectional, &road_workload, 16},
       {"bm_full_sssp/road40x40", &bm_full_sssp, &road_workload, 4},
-      {"bm_hub_query/gnm2000", &bm_hub_query, &sparse_workload, 256},
       {"bm_flat_query/gnm2000", &bm_flat_query, &sparse_workload, 256},
       {"bm_bidirectional/gnm2000", &bm_bidirectional, &sparse_workload, 16},
       {"bm_full_sssp/gnm2000", &bm_full_sssp, &sparse_workload, 4},
@@ -167,49 +152,17 @@ void register_benchmarks(bool smoke) {
   }
 }
 
-/// Vector-label vs flat-label merge on the *same* labeling: equal answers
-/// (checksummed) and a relative timing.  The gauge records flat time as a
-/// percent of vector time — lower is better, so bench-compare's
-/// increase-only gate fires exactly when the flat kernel's advantage
-/// erodes.  Byte gauges expose the AoS-vs-SoA space cost side by side.
-bool run_flat_phase(bench::Harness& harness, const char* family, const Workload& w) {
-  const std::size_t passes = harness.smoke() ? 32 : 256;
-  std::uint64_t vector_sum = 0;
-  std::uint64_t flat_sum = 0;
-
-  Timer vector_timer;
-  for (std::size_t p = 0; p < passes; ++p) {
-    for (const auto& [u, v] : w.queries) {
-      const Dist d = w.labels.query(u, v);
-      if (d != kInfDist) vector_sum += d;
-    }
-  }
-  const double vector_s = vector_timer.elapsed_s();
-
-  Timer flat_timer;
-  for (std::size_t p = 0; p < passes; ++p) {
-    for (const auto& [u, v] : w.queries) {
-      const Dist d = w.flat.query(u, v);
-      if (d != kInfDist) flat_sum += d;
-    }
-  }
-  const double flat_s = flat_timer.elapsed_s();
-
-  const double pct = vector_s > 0.0 ? 100.0 * flat_s / vector_s : 100.0;
-  metrics::Registry& reg = metrics::registry();
-  reg.gauge(std::string("pract.flat_query_pct_of_vector.") + family)
-      .set(static_cast<std::int64_t>(pct));
-  reg.gauge(std::string("pract.label_bytes.") + family)
+/// The labels' heap footprint per family (`pract.flat_label_bytes.<family>`;
+/// lower is better): offsets plus the sentinel-terminated hub and distance
+/// columns, the bytes every query kernel scans.
+void record_label_bytes(const char* family, const Workload& w) {
+  metrics::registry()
+      .gauge("pract.flat_label_bytes." + std::string(family))
       .set(static_cast<std::int64_t>(w.labels.memory_bytes()));
-  reg.gauge(std::string("pract.flat_label_bytes.") + family)
-      .set(static_cast<std::int64_t>(w.flat.memory_bytes()));
-  std::printf("flat/%s: vector=%.3fms flat=%.3fms (%.0f%%), bytes %zu -> %zu, checksums %s\n",
-              family, vector_s * 1e3, flat_s * 1e3, pct, w.labels.memory_bytes(),
-              w.flat.memory_bytes(), vector_sum == flat_sum ? "agree" : "DISAGREE");
-  return vector_sum == flat_sum;
+  std::printf("labels/%s: %zu bytes\n", family, w.labels.memory_bytes());
 }
 
-/// Batched vs per-query flat kernel on the same pairs: the headline gauge
+/// Batched vs per-query hub-label kernel on the same pairs: the headline gauge
 /// `pract.batch_query_pct_of_scalar.<family>` records the batched block's
 /// wall time as a percent of the one-query-at-a-time loop, and
 /// `pract.batch1_query_pct_of_scalar.<family>` the same pairs answered as
@@ -219,16 +172,16 @@ bool run_flat_phase(bench::Harness& harness, const char* family, const Workload&
 /// host-supported dispatch tier is swept over the full block and checked
 /// byte-identical — distance AND meeting hub — against per-query
 /// query_with_hub.
-bool run_batch_phase(bench::Harness& harness, const char* family, const FlatHubLabeling& flat,
+bool run_batch_phase(bench::Harness& harness, const char* family, const HubLabeling& labels,
                      std::span<const std::pair<Vertex, Vertex>> pairs) {
   const std::size_t passes = harness.smoke() ? 32 : 256;
   std::vector<HubQueryResult> answers(pairs.size());
 
   bool identical = true;
   for (const simd::Tier tier : simd::supported_tiers()) {
-    flat.query_batch_tier(pairs, answers, tier);
+    labels.query_batch_tier(pairs, answers, tier);
     for (std::size_t i = 0; i < pairs.size(); ++i) {
-      const HubQueryResult ref = flat.query_with_hub(pairs[i].first, pairs[i].second);
+      const HubQueryResult ref = labels.query_with_hub(pairs[i].first, pairs[i].second);
       if (answers[i].dist != ref.dist || answers[i].meeting_hub != ref.meeting_hub) {
         std::printf("batch/%s: tier=%s pair %zu DISAGREES with query_with_hub\n", family,
                     simd::tier_name(tier), i);
@@ -242,7 +195,7 @@ bool run_batch_phase(bench::Harness& harness, const char* family, const FlatHubL
   Timer scalar_timer;
   for (std::size_t p = 0; p < passes; ++p) {
     for (const auto& [u, v] : pairs) {
-      const Dist d = flat.query(u, v);
+      const Dist d = labels.query(u, v);
       if (d != kInfDist) scalar_sum += d;
     }
   }
@@ -251,7 +204,7 @@ bool run_batch_phase(bench::Harness& harness, const char* family, const FlatHubL
   std::uint64_t batch_sum = 0;
   Timer batch_timer;
   for (std::size_t p = 0; p < passes; ++p) {
-    flat.query_batch(pairs, answers);
+    labels.query_batch(pairs, answers);
     for (const HubQueryResult& r : answers) {
       if (r.dist != kInfDist) batch_sum += r.dist;
     }
@@ -263,7 +216,7 @@ bool run_batch_phase(bench::Harness& harness, const char* family, const FlatHubL
   Timer batch1_timer;
   for (std::size_t p = 0; p < passes; ++p) {
     for (const std::pair<Vertex, Vertex>& pair : pairs) {
-      flat.query_batch({&pair, 1}, {&one, 1});
+      labels.query_batch({&pair, 1}, {&one, 1});
       if (one.dist != kInfDist) batch1_sum += one.dist;
     }
   }
@@ -287,9 +240,9 @@ bool run_batch_phase(bench::Harness& harness, const char* family, const FlatHubL
 }
 
 /// With --perf-counters on a perf-capable host: LLC misses per thousand
-/// hub queries over a fixed sweep, the cache-residency number behind the
-/// flat-vs-vector comparison (a hub query is a scan of two label arrays,
-/// so LLC misses *are* its cost model).  Silently skipped when counters
+/// hub queries over a fixed sweep, the cache-residency number of the
+/// per-query merge (a hub query is a scan of two label arrays, so LLC
+/// misses *are* its cost model).  Silently skipped when counters
 /// are unavailable — the gauge simply doesn't appear.
 void run_llc_phase(bench::Harness& harness, const char* family, const Workload& w) {
   if (!perf::enabled()) return;
@@ -300,7 +253,7 @@ void run_llc_phase(bench::Harness& harness, const char* family, const Workload& 
     perf::ScopedHw scope(hw);
     for (std::size_t p = 0; p < passes; ++p) {
       for (const auto& [u, v] : w.queries) {
-        benchmark::DoNotOptimize(w.flat.query(u, v));
+        benchmark::DoNotOptimize(w.labels.query(u, v));
         ++queries;
       }
     }
@@ -344,12 +297,8 @@ int main(int argc, char** argv) {
   }
   benchmark::Shutdown();
 
-  bool flat_ok = true;
-  {
-    auto flat_span = harness.phase("flat-vs-vector");
-    flat_ok = hublab::run_flat_phase(harness, "road40x40", hublab::road_workload());
-    flat_ok = hublab::run_flat_phase(harness, "gnm2000", hublab::sparse_workload()) && flat_ok;
-  }
+  hublab::record_label_bytes("road40x40", hublab::road_workload());
+  hublab::record_label_bytes("gnm2000", hublab::sparse_workload());
   bool batch_ok = true;
   {
     auto batch_span = harness.phase("batch-vs-scalar");
@@ -357,16 +306,17 @@ int main(int argc, char** argv) {
                 hublab::simd::tier_name(hublab::simd::active_tier()));
     const hublab::Workload& road = hublab::road_workload();
     const hublab::Workload& sparse = hublab::sparse_workload();
-    batch_ok = hublab::run_batch_phase(harness, "road40x40", road.flat, road.queries);
-    batch_ok = hublab::run_batch_phase(harness, "road40x40_near", road.flat,
+    batch_ok = hublab::run_batch_phase(harness, "road40x40", road.labels, road.queries);
+    batch_ok = hublab::run_batch_phase(harness, "road40x40_near", road.labels,
                                        hublab::road_near_queries()) &&
                batch_ok;
-    batch_ok = hublab::run_batch_phase(harness, "gnm2000", sparse.flat, sparse.queries) && batch_ok;
+    batch_ok =
+        hublab::run_batch_phase(harness, "gnm2000", sparse.labels, sparse.queries) && batch_ok;
   }
   {
     auto llc_span = harness.phase("llc-miss-scan");
     hublab::run_llc_phase(harness, "road40x40", hublab::road_workload());
     hublab::run_llc_phase(harness, "gnm2000", hublab::sparse_workload());
   }
-  return harness.finish("PRACT microbench", ran > 0 && flat_ok && batch_ok);
+  return harness.finish("PRACT microbench", ran > 0 && batch_ok);
 }

@@ -8,7 +8,7 @@
 /// Two configurations ride an offered-load ladder under `kBlock` admission
 /// (nothing is shed, so completed == offered deterministically at every
 /// rung): `scalar1w` (one worker, per-query blocks) and `batch4w` (four
-/// workers answering blocks of 32 through FlatHubLabeling::query_batch).
+/// workers answering blocks of 32 through HubLabeling::query_batch).
 /// The headline gauges are each configuration's peak sustained throughput
 /// (`pract.serve_peak_qps.<label>`, higher is better — bench-compare's
 /// qps class gates *decreases*) and the arrival-to-completion p99 at the

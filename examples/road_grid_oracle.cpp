@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   std::printf("PLL preprocessing: %.2f ms, avg label %.1f hubs, %zu KiB\n", build.elapsed_ms(),
               labels.average_label_size(), labels.memory_bytes() / 1024);
 
-  const HubLabelOracle hub_oracle(g, labels);
+  const FlatHubLabelOracle hub_oracle(labels);
   const BidirectionalOracle bidir(g);
 
   Rng pick(8);

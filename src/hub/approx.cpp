@@ -75,15 +75,15 @@ ApproxHubLabeling approximate_labeling(const Graph& g, const HubLabeling& exact,
 
   ApproxHubLabeling out;
   out.num_dominators = dominators.size();
-  out.labels = HubLabeling(n);
+  std::vector<std::vector<HubEntry>> rows(n);
   for (Vertex v = 0; v < n; ++v) {
-    for (const HubEntry& e : exact.label(v)) {
-      const Vertex d = dom[e.hub];
+    for (const Vertex hub : exact.hubs(v)) {
+      const Vertex d = dom[hub];
       const Dist dist_to_dom = truth.at(v, d);
-      if (dist_to_dom != kInfDist) out.labels.add_hub(v, d, dist_to_dom);
+      if (dist_to_dom != kInfDist) rows[v].push_back({d, dist_to_dom});
     }
   }
-  out.labels.finalize();
+  out.labels = HubLabeling(std::move(rows));
   return out;
 }
 

@@ -10,18 +10,20 @@ namespace {
 /// Distance answered for pair (a, b) when entry (v, hub) is ignored.
 /// `a` must equal v; entries of b's label are all usable.
 Dist query_without(const HubLabeling& labeling, Vertex v, Vertex hub, Vertex b) {
-  const auto la = labeling.label(v);
-  const auto lb = labeling.label(b);
+  const auto ha = labeling.hubs(v);
+  const auto da = labeling.dists(v);
+  const auto hb = labeling.hubs(b);
+  const auto db = labeling.dists(b);
   Dist best = kInfDist;
   std::size_t i = 0;
   std::size_t j = 0;
-  while (i < la.size() && j < lb.size()) {
-    if (la[i].hub < lb[j].hub) {
+  while (i < ha.size() && j < hb.size()) {
+    if (ha[i] < hb[j]) {
       ++i;
-    } else if (la[i].hub > lb[j].hub) {
+    } else if (ha[i] > hb[j]) {
       ++j;
     } else {
-      if (la[i].hub != hub) best = std::min(best, la[i].dist + lb[j].dist);
+      if (ha[i] != hub) best = std::min(best, da[i] + db[j]);
       ++i;
       ++j;
     }
@@ -50,10 +52,8 @@ std::optional<std::pair<Vertex, Vertex>> find_redundant_entry(const Graph& g,
                                                               const DistanceMatrix& truth) {
   const auto n = static_cast<Vertex>(g.num_vertices());
   for (Vertex v = 0; v < n; ++v) {
-    for (const HubEntry& e : labeling.label(v)) {
-      if (entry_is_redundant(g, labeling, truth, v, e.hub)) {
-        return std::make_pair(v, e.hub);
-      }
+    for (const Vertex hub : labeling.hubs(v)) {
+      if (entry_is_redundant(g, labeling, truth, v, hub)) return std::make_pair(v, hub);
     }
   }
   return std::nullopt;
@@ -69,18 +69,12 @@ HubLabeling prune_to_minimal(const Graph& g, const HubLabeling& labeling,
   // Work on a mutable copy of the entry lists.
   std::vector<std::vector<HubEntry>> entries(n);
   for (Vertex v = 0; v < n; ++v) {
-    const auto label = labeling.label(v);
-    entries[v].assign(label.begin(), label.end());
+    const auto hubs = labeling.hubs(v);
+    const auto dists = labeling.dists(v);
+    for (std::size_t i = 0; i < hubs.size(); ++i) entries[v].push_back({hubs[i], dists[i]});
   }
 
-  auto rebuild = [&entries, n] {
-    HubLabeling l(n);
-    for (Vertex v = 0; v < n; ++v) {
-      for (const HubEntry& e : entries[v]) l.add_hub(v, e.hub, e.dist);
-    }
-    l.finalize();
-    return l;
-  };
+  auto rebuild = [&entries] { return HubLabeling(entries); };
 
   HubLabeling current = rebuild();
   // Single pass per entry suffices: redundancy is monotone under removal

@@ -9,20 +9,19 @@ namespace hublab {
 
 HubLabeling full_labeling(const Graph& g, const DistanceMatrix& truth) {
   const auto n = static_cast<Vertex>(g.num_vertices());
-  HubLabeling labeling(n);
+  std::vector<std::vector<HubEntry>> rows(n);
   for (Vertex v = 0; v < n; ++v) {
     for (Vertex h = 0; h < n; ++h) {
-      if (truth.at(v, h) != kInfDist) labeling.add_hub(v, h, truth.at(v, h));
+      if (truth.at(v, h) != kInfDist) rows[v].push_back({h, truth.at(v, h)});
     }
   }
-  labeling.finalize();
-  return labeling;
+  return HubLabeling(std::move(rows));
 }
 
 HubLabeling greedy_cover(const Graph& g, const DistanceMatrix& truth) {
   const auto n = static_cast<Vertex>(g.num_vertices());
   if (n > 400) throw InvalidArgument("greedy_cover limited to small graphs (n <= 400)");
-  HubLabeling labeling(n);
+  std::vector<std::vector<HubEntry>> rows(n);
 
   // Uncovered connected pairs (u <= v).
   std::vector<std::pair<Vertex, Vertex>> uncovered;
@@ -54,23 +53,22 @@ HubLabeling greedy_cover(const Graph& g, const DistanceMatrix& truth) {
       const Dist duv = truth.at(u, v);
       if (truth.at(u, best) != kInfDist && truth.at(best, v) != kInfDist &&
           truth.at(u, best) + truth.at(best, v) == duv) {
-        labeling.add_hub(u, best, truth.at(u, best));
-        labeling.add_hub(v, best, truth.at(v, best));
+        rows[u].push_back({best, truth.at(u, best)});
+        rows[v].push_back({best, truth.at(v, best)});
       } else {
         still.emplace_back(u, v);
       }
     }
     uncovered.swap(still);
   }
-  labeling.finalize();
-  return labeling;
+  return HubLabeling(std::move(rows));
 }
 
 HubLabeling random_distant_cover(const Graph& g, const DistanceMatrix& truth, std::size_t D,
                                  Rng& rng, DistantCoverStats* stats_out) {
   const auto n = static_cast<Vertex>(g.num_vertices());
   if (D < 2) throw InvalidArgument("random_distant_cover needs D >= 2");
-  HubLabeling labeling(n);
+  std::vector<std::vector<HubEntry>> rows(n);
   DistantCoverStats stats;
 
   // Shared random sample S of size ~ (n/D) ln D (at least 1, at most n).
@@ -88,18 +86,18 @@ HubLabeling random_distant_cover(const Graph& g, const DistanceMatrix& truth, st
   for (Vertex v = 0; v < n; ++v) {
     // S goes into every label (entries for unreachable hubs are dropped).
     for (Vertex s : sample) {
-      if (truth.at(v, s) != kInfDist) labeling.add_hub(v, s, truth.at(v, s));
+      if (truth.at(v, s) != kInfDist) rows[v].push_back({s, truth.at(v, s)});
     }
     // Ball of radius D-1: near pairs are covered by the far endpoint itself.
     for (Vertex x = 0; x < n; ++x) {
       const Dist d = truth.at(v, x);
       if (d != kInfDist && d < D) {
-        labeling.add_hub(v, x, d);
+        rows[v].push_back({x, d});
         ++stats.ball_hubs;
       }
     }
   }
-  labeling.finalize();
+  const HubLabeling sampled(rows);
 
   // Patch far pairs that S happened to miss (collect first, apply once;
   // extra hubs never break coverage, so redundant patches are harmless).
@@ -108,16 +106,15 @@ HubLabeling random_distant_cover(const Graph& g, const DistanceMatrix& truth, st
     for (Vertex v = u + 1; v < n; ++v) {
       const Dist duv = truth.at(u, v);
       if (duv == kInfDist || duv < D) continue;
-      if (labeling.query(u, v) != duv) misses.emplace_back(u, v);
+      if (sampled.query(u, v) != duv) misses.emplace_back(u, v);
     }
   }
   for (const auto& [u, v] : misses) {
-    labeling.add_hub(u, v, truth.at(u, v));  // far endpoint as explicit hub
+    rows[u].push_back({v, truth.at(u, v)});  // far endpoint as explicit hub
     ++stats.patched_pairs;
   }
-  labeling.finalize();
   if (stats_out != nullptr) *stats_out = stats;
-  return labeling;
+  return HubLabeling(std::move(rows));
 }
 
 }  // namespace hublab

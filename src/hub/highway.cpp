@@ -83,13 +83,13 @@ HubLabeling multiscale_cover_labeling(const Graph& g, const DistanceMatrix& trut
   if (g.is_weighted()) {
     throw InvalidArgument("multiscale_cover_labeling requires an unweighted graph");
   }
-  HubLabeling labeling(n);
+  std::vector<std::vector<HubEntry>> rows(n);
   MultiscaleStats stats;
 
   // Base: self and neighbors (covers d <= 1).
   for (Vertex v = 0; v < n; ++v) {
-    labeling.add_hub(v, v, 0);
-    for (const Arc& a : g.arcs(v)) labeling.add_hub(v, a.to, truth.at(v, a.to));
+    rows[v].push_back({v, 0});
+    for (const Arc& a : g.arcs(v)) rows[v].push_back({a.to, truth.at(v, a.to)});
   }
 
   // Largest finite distance determines the number of scales.
@@ -111,7 +111,7 @@ HubLabeling multiscale_cover_labeling(const Graph& g, const DistanceMatrix& trut
       for (Vertex w : cover) {
         const Dist d = truth.at(v, w);
         if (d != kInfDist && d <= 2 * r) {
-          labeling.add_hub(v, w, d);
+          rows[v].push_back({w, d});
           ++load;
         }
       }
@@ -120,9 +120,8 @@ HubLabeling multiscale_cover_labeling(const Graph& g, const DistanceMatrix& trut
     stats.scales.push_back(scale);
   }
 
-  labeling.finalize();
   if (stats_out != nullptr) *stats_out = stats;
-  return labeling;
+  return HubLabeling(std::move(rows));
 }
 
 }  // namespace hublab

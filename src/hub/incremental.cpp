@@ -20,8 +20,10 @@ IncrementalPll::IncrementalPll(const Graph& g, const std::vector<Vertex>& order)
   // Initial labels: import from the static builder (same order).
   const HubLabeling initial = pruned_landmark_labeling(g, order_);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    for (const HubEntry& e : initial.label(v)) {
-      labels_[v].push_back(RankEntry{rank_of_[e.hub], e.dist});
+    const auto hubs = initial.hubs(v);
+    const auto dists = initial.dists(v);
+    for (std::size_t i = 0; i < hubs.size(); ++i) {
+      labels_[v].push_back(RankEntry{rank_of_[hubs[i]], dists[i]});
     }
     std::sort(labels_[v].begin(), labels_[v].end(),
               [](const RankEntry& a, const RankEntry& b) { return a.rank < b.rank; });
@@ -126,12 +128,11 @@ std::size_t IncrementalPll::total_hubs() const {
 }
 
 HubLabeling IncrementalPll::labels() const {
-  HubLabeling out(labels_.size());
+  std::vector<std::vector<HubEntry>> rows(labels_.size());
   for (Vertex v = 0; v < labels_.size(); ++v) {
-    for (const RankEntry& e : labels_[v]) out.add_hub(v, order_[e.rank], e.dist);
+    for (const RankEntry& e : labels_[v]) rows[v].push_back({order_[e.rank], e.dist});
   }
-  out.finalize();
-  return out;
+  return HubLabeling(std::move(rows));
 }
 
 std::vector<Vertex> unpack_shortest_path(const Graph& g, const HubLabeling& labels, Vertex u,

@@ -2,103 +2,175 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <utility>
 
 #include "algo/distance_matrix.hpp"
 #include "algo/shortest_paths.hpp"
+#include "hub/simd_kernel.hpp"
+#include "util/metrics.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace hublab {
 
-void HubLabeling::finalize() {
-  if (finalized_) return;
-  for (auto& label : labels_) {
-    // Rows with strictly increasing hub ids are already in finalized form;
-    // one scan beats the sort for builders that emit hub-sorted rows.
+HubLabeling::HubLabeling(std::vector<std::vector<HubEntry>> rows) : num_vertices_(rows.size()) {
+  std::size_t slots = num_vertices_;  // one sentinel per label
+  for (auto& row : rows) {
+    // Rows with strictly increasing hub ids are already in final form; one
+    // scan beats the sort for builders that emit hub-sorted rows.
     const bool strictly_sorted =
-        std::adjacent_find(label.begin(), label.end(), [](const HubEntry& a, const HubEntry& b) {
+        std::adjacent_find(row.begin(), row.end(), [](const HubEntry& a, const HubEntry& b) {
           return a.hub >= b.hub;
-        }) == label.end();
+        }) == row.end();
     if (!strictly_sorted) {
-      std::sort(label.begin(), label.end(), [](const HubEntry& a, const HubEntry& b) {
+      std::sort(row.begin(), row.end(), [](const HubEntry& a, const HubEntry& b) {
         return a.hub != b.hub ? a.hub < b.hub : a.dist < b.dist;
       });
-      label.erase(std::unique(label.begin(), label.end(),
-                              [](const HubEntry& a, const HubEntry& b) { return a.hub == b.hub; }),
-                  label.end());
+      row.erase(std::unique(row.begin(), row.end(),
+                            [](const HubEntry& a, const HubEntry& b) { return a.hub == b.hub; }),
+                row.end());
     }
-    label.shrink_to_fit();
+    slots += row.size();
   }
-  finalized_ = true;
+  offsets_.reserve(num_vertices_ + 1);
+  hubs_.reserve(slots);
+  dists_.reserve(slots);
+  for (auto& row : rows) {
+    offsets_.push_back(hubs_.size());
+    for (const HubEntry& e : row) {
+      HUBLAB_ASSERT_MSG(e.hub != kInvalidVertex, "kInvalidVertex is reserved as the sentinel");
+      hubs_.push_back(e.hub);
+      dists_.push_back(e.dist);
+    }
+    hubs_.push_back(kInvalidVertex);
+    dists_.push_back(kInfDist);
+    std::vector<HubEntry>().swap(row);  // release each row once copied
+  }
+  offsets_.push_back(hubs_.size());
 }
 
-Dist HubLabeling::query(Vertex u, Vertex v) const { return query_with_hub(u, v).dist; }
-
-HubQueryResult HubLabeling::query_with_hub(Vertex u, Vertex v) const {
-  HUBLAB_ASSERT_RANGE(u, labels_.size());
-  HUBLAB_ASSERT_RANGE(v, labels_.size());
-  HUBLAB_ASSERT_MSG(finalized_, "HubLabeling::finalize() must be called before querying");
-  const auto& a = labels_[u];
-  const auto& b = labels_[v];
-  HubQueryResult best;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i].hub < b[j].hub) {
-      ++i;
-    } else if (a[i].hub > b[j].hub) {
-      ++j;
-    } else {
-      const Dist d = a[i].dist + b[j].dist;
-      if (d < best.dist) {
-        best.dist = d;
-        best.meeting_hub = a[i].hub;
-      }
-      ++i;
-      ++j;
+HubLabeling::HubLabeling(std::size_t num_vertices, std::vector<std::size_t> offsets,
+                         std::vector<Vertex> hubs, std::vector<Dist> dists)
+    : num_vertices_(num_vertices),
+      offsets_(std::move(offsets)),
+      hubs_(std::move(hubs)),
+      dists_(std::move(dists)) {
+  HUBLAB_ASSERT_MSG(offsets_.size() == num_vertices_ + 1, "offsets must have n + 1 entries");
+  HUBLAB_ASSERT_MSG(hubs_.size() == dists_.size(), "hub/dist arrays must be parallel");
+  HUBLAB_ASSERT_MSG(offsets_.back() == hubs_.size(), "final offset must close the hub array");
+  for (std::size_t v = 0; v < num_vertices_; ++v) {
+    const std::size_t first = offsets_[v];
+    const std::size_t last = offsets_[v + 1] - 1;  // sentinel slot
+    HUBLAB_ASSERT_MSG(hubs_[last] == kInvalidVertex && dists_[last] == kInfDist,
+                      "every label must be sentinel-terminated");
+    for (std::size_t i = first + 1; i < last; ++i) {
+      HUBLAB_ASSERT_MSG(hubs_[i - 1] < hubs_[i], "labels must be sorted and deduplicated");
     }
   }
-  return best;
 }
 
 bool HubLabeling::has_hub(Vertex v, Vertex hub) const {
-  HUBLAB_ASSERT_RANGE(v, labels_.size());
-  const auto& label = labels_[v];
-  const auto it = std::lower_bound(label.begin(), label.end(), hub,
-                                   [](const HubEntry& e, Vertex h) { return e.hub < h; });
-  return it != label.end() && it->hub == hub;
-}
-
-std::size_t HubLabeling::memory_bytes() const {
-  std::size_t bytes = labels_.capacity() * sizeof(std::vector<HubEntry>);
-  for (const auto& label : labels_) bytes += label.capacity() * sizeof(HubEntry);
-  return bytes;
-}
-
-std::size_t HubLabeling::total_hubs() const {
-  std::size_t total = 0;
-  for (const auto& label : labels_) total += label.size();
-  return total;
+  const auto label = hubs(v);
+  return std::binary_search(label.begin(), label.end(), hub);
 }
 
 double HubLabeling::average_label_size() const {
-  if (labels_.empty()) return 0.0;
-  return static_cast<double>(total_hubs()) / static_cast<double>(labels_.size());
+  if (num_vertices_ == 0) return 0.0;
+  return static_cast<double>(total_hubs()) / static_cast<double>(num_vertices_);
 }
 
 std::size_t HubLabeling::max_label_size() const {
   std::size_t best = 0;
-  for (const auto& label : labels_) best = std::max(best, label.size());
+  for (Vertex v = 0; v < num_vertices_; ++v) best = std::max(best, label_size(v));
   return best;
+}
+
+void HubLabeling::query_batch(std::span<const std::pair<Vertex, Vertex>> pairs,
+                              std::span<HubQueryResult> out) const {
+  query_batch_tier(pairs, out, simd::active_tier());
+}
+
+namespace {
+
+/// The batched kernel's scratch, one per calling thread and kept across
+/// calls, so a block pays only for the labels it touches.  `stamp` and
+/// `sdist` grow to the largest labeling the thread has queried (12 B per
+/// vertex) and are zeroed only when the epoch wraps; the epoch only grows,
+/// so a stamp left by an earlier group, call or labeling never matches.
+struct BatchScratch {
+  std::vector<std::uint32_t> stamp;  ///< stamp[h] == epoch: h is in the current source label
+  std::vector<Dist> sdist;           ///< distance of h in the current source label
+  std::vector<std::uint64_t> order;  ///< (source << 32) | position, grouped by source
+  std::uint32_t epoch = 0;
+};
+
+thread_local BatchScratch t_batch_scratch;
+
+}  // namespace
+
+void HubLabeling::query_batch_tier(std::span<const std::pair<Vertex, Vertex>> pairs,
+                                   std::span<HubQueryResult> out, simd::Tier tier) const {
+  HUBLAB_ASSERT_MSG(pairs.size() == out.size(), "query_batch: pairs and out must be parallel");
+  BatchScratch& s = t_batch_scratch;
+  if (s.stamp.size() < num_vertices_) {
+    s.stamp.resize(num_vertices_, 0);  // 0 is never a current epoch
+    s.sdist.resize(num_vertices_);
+  }
+  // Group the block by source vertex, so consecutive queries share the same
+  // source label (the cache-blocking win) while results land at their
+  // original positions.  Sorting (source << 32) | position keys gives a
+  // stable sort's order without std::stable_sort's per-call temporary
+  // buffer, and without a comparator loading pairs[] indirectly.
+  HUBLAB_ASSERT_MSG(pairs.size() <= std::uint64_t{1} << 32,
+                    "query_batch: a block's positions must fit in 32 bits");
+  s.order.resize(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    s.order[i] = (std::uint64_t{pairs[i].first} << 32) | i;
+  }
+  std::sort(s.order.begin(), s.order.end());
+  // Scatter each source group's label into the tables once under a fresh
+  // epoch, then answer every query of the group with one linear probe scan
+  // of its target label — no merge, no data-dependent branches.
+  const simd::ProbeFn probe = simd::probe_for(tier);  // one dispatch per block
+  std::uint64_t groups = 0;
+  Vertex prev_source = kInvalidVertex;  // never a valid source
+  for (const std::uint64_t key : s.order) {
+    const auto idx = static_cast<std::uint32_t>(key);
+    const auto [u, v] = pairs[idx];
+    HUBLAB_ASSERT_RANGE(u, num_vertices_);
+    HUBLAB_ASSERT_RANGE(v, num_vertices_);
+    if (u != prev_source) {
+      ++groups;
+      s.epoch = simd::detail::next_epoch(s.epoch, s.stamp);
+      const Vertex* sh = hubs_.data() + offsets_[u];
+      const Dist* sd = dists_.data() + offsets_[u];
+      const std::size_t sn = label_size(u);
+      for (std::size_t i = 0; i < sn; ++i) {
+        s.stamp[sh[i]] = s.epoch;
+        s.sdist[sh[i]] = sd[i];
+      }
+      prev_source = u;
+    }
+    out[idx] = probe(hubs_.data() + offsets_[v], dists_.data() + offsets_[v], label_size(v),
+                     s.stamp.data(), s.sdist.data(), s.epoch);
+  }
+  // Looked up once per process: the registry's lookup takes its global
+  // mutex, and reset() zeroes values in place, so the handles stay valid.
+  static metrics::Counter& calls = metrics::registry().counter("query.batch.calls");
+  static metrics::Counter& batched = metrics::registry().counter("query.batch.pairs");
+  static metrics::Counter& source_groups = metrics::registry().counter("query.batch.source_groups");
+  calls.add(1);
+  batched.add(pairs.size());
+  source_groups.add(groups);
 }
 
 AuditReport HubLabeling::audit(const Graph& g, std::size_t num_samples, std::uint64_t seed,
                                std::size_t threads) const {
   AuditReport report;
   const std::string ctx = "hub-labeling";
-  const std::size_t n = labels_.size();
+  const std::size_t n = num_vertices_;
   threads = par::resolve_threads(threads);
 
   if (!report.require(n == g.num_vertices(), ctx,
@@ -106,8 +178,6 @@ AuditReport HubLabeling::audit(const Graph& g, std::size_t num_samples, std::uin
                           std::to_string(g.num_vertices()))) {
     return report;
   }
-  report.require(finalized_ || total_hubs() == 0, ctx,
-                 "labeling has entries but finalize() was not called since the last add_hub()");
 
   // Structural pass over deterministic chunks; per-chunk reports merged in
   // chunk order reproduce the sequential issue list for every thread count.
@@ -117,23 +187,24 @@ AuditReport HubLabeling::audit(const Graph& g, std::size_t num_samples, std::uin
     par::run_chunks(chunks, threads, [&](const par::ChunkRange& chunk) {
       AuditReport& part = parts[chunk.index];
       for (std::size_t v = chunk.begin; v < chunk.end; ++v) {
-        const auto& label = labels_[v];
-        for (std::size_t i = 0; i < label.size(); ++i) {
+        const auto hub = hubs(static_cast<Vertex>(v));
+        const auto dist = dists(static_cast<Vertex>(v));
+        for (std::size_t i = 0; i < hub.size(); ++i) {
           const std::string entry =
               "label S(" + std::to_string(v) + ") entry #" + std::to_string(i);
-          part.require(label[i].hub < n, ctx,
-                       entry + " hub " + std::to_string(label[i].hub) + " out of range, n=" +
+          part.require(hub[i] < n, ctx,
+                       entry + " hub " + std::to_string(hub[i]) + " out of range, n=" +
                            std::to_string(n));
           if (i > 0) {
-            part.require(label[i - 1].hub < label[i].hub, ctx,
-                         entry + " hub " + std::to_string(label[i].hub) +
-                             " not strictly after previous hub " +
-                             std::to_string(label[i - 1].hub) + " (unsorted or duplicate)");
+            part.require(hub[i - 1] < hub[i], ctx,
+                         entry + " hub " + std::to_string(hub[i]) +
+                             " not strictly after previous hub " + std::to_string(hub[i - 1]) +
+                             " (unsorted or duplicate)");
           }
-          if (label[i].hub == v) {
-            part.require(label[i].dist == 0, ctx,
+          if (hub[i] == v) {
+            part.require(dist[i] == 0, ctx,
                          entry + " self-hub distance expected 0, observed " +
-                             std::to_string(label[i].dist));
+                             std::to_string(dist[i]));
           }
         }
       }
@@ -160,11 +231,13 @@ AuditReport HubLabeling::audit(const Graph& g, std::size_t num_samples, std::uin
     for (std::size_t s = chunk.begin; s < chunk.end; ++s) {
       const auto [u, v] = samples[s];
       const std::vector<Dist> dist_u = sssp_distances(g, u);
-      for (const HubEntry& e : labels_[u]) {
-        part.require(dist_u[e.hub] == e.dist, ctx,
-                     "S(" + std::to_string(u) + ") stores dist " + std::to_string(e.dist) +
-                         " to hub " + std::to_string(e.hub) + ", true distance is " +
-                         std::to_string(dist_u[e.hub]));
+      const auto hub = hubs(u);
+      const auto dist = dists(u);
+      for (std::size_t i = 0; i < hub.size(); ++i) {
+        part.require(dist_u[hub[i]] == dist[i], ctx,
+                     "S(" + std::to_string(u) + ") stores dist " + std::to_string(dist[i]) +
+                         " to hub " + std::to_string(hub[i]) + ", true distance is " +
+                         std::to_string(dist_u[hub[i]]));
       }
       if (dist_u[v] == kInfDist) continue;
       const Dist answered = query(u, v);
@@ -231,11 +304,13 @@ std::optional<LabelingDefect> verify_labeling(const Graph& g, const HubLabeling&
       for (std::size_t vi = chunk.begin; vi < chunk.end; ++vi) {
         if (scan.superseded(chunk.index)) return;
         const auto v = static_cast<Vertex>(vi);
-        for (const HubEntry& e : labeling.label(v)) {
-          if (e.hub >= n || truth.at(v, e.hub) != e.dist) {
+        const auto hubs = labeling.hubs(v);
+        const auto dists = labeling.dists(v);
+        for (std::size_t i = 0; i < hubs.size(); ++i) {
+          if (hubs[i] >= n || truth.at(v, hubs[i]) != dists[i]) {
             scan.record(chunk.index,
-                        LabelingDefect{LabelingDefect::Kind::kWrongDistance, v, e.hub, e.dist,
-                                       e.hub < n ? truth.at(v, e.hub) : kInfDist});
+                        LabelingDefect{LabelingDefect::Kind::kWrongDistance, v, hubs[i], dists[i],
+                                       hubs[i] < n ? truth.at(v, hubs[i]) : kInfDist});
             return;
           }
         }
@@ -294,11 +369,13 @@ std::optional<LabelingDefect> verify_labeling_sampled(const Graph& g, const HubL
       const auto dist_u = sssp_distances(g, u);
       // Check u's own entries while we have its distances.
       bool found = false;
-      for (const HubEntry& e : labeling.label(u)) {
-        if (e.hub >= n || dist_u[e.hub] != e.dist) {
+      const auto hubs = labeling.hubs(u);
+      const auto dists = labeling.dists(u);
+      for (std::size_t i = 0; i < hubs.size(); ++i) {
+        if (hubs[i] >= n || dist_u[hubs[i]] != dists[i]) {
           scan.record(chunk.index,
-                      LabelingDefect{LabelingDefect::Kind::kWrongDistance, u, e.hub, e.dist,
-                                     e.hub < n ? dist_u[e.hub] : kInfDist});
+                      LabelingDefect{LabelingDefect::Kind::kWrongDistance, u, hubs[i], dists[i],
+                                     hubs[i] < n ? dist_u[hubs[i]] : kInfDist});
           found = true;
           break;
         }
@@ -329,10 +406,12 @@ HubLabeling monotone_closure(const Graph& g, const HubLabeling& labeling, std::s
       const SsspResult tree = sssp(g, v);
       // Mark every tree ancestor of every hub; collect marked vertices.
       std::fill(marked.begin(), marked.end(), false);
-      for (const HubEntry& e : labeling.label(v)) {
-        HUBLAB_ASSERT_MSG(e.hub < n && tree.dist[e.hub] == e.dist,
+      const auto hubs = labeling.hubs(v);
+      const auto dists = labeling.dists(v);
+      for (std::size_t i = 0; i < hubs.size(); ++i) {
+        HUBLAB_ASSERT_MSG(hubs[i] < n && tree.dist[hubs[i]] == dists[i],
                           "monotone_closure requires exact-distance labels");
-        for (Vertex x = e.hub; x != kInvalidVertex && !marked[x]; x = tree.parent[x]) {
+        for (Vertex x = hubs[i]; x != kInvalidVertex && !marked[x]; x = tree.parent[x]) {
           marked[x] = true;
           if (x == v) break;
         }
@@ -343,9 +422,7 @@ HubLabeling monotone_closure(const Graph& g, const HubLabeling& labeling, std::s
       }
     }
   });
-  HubLabeling result(std::move(closed));
-  result.finalize();
-  return result;
+  return HubLabeling(std::move(closed));
 }
 
 }  // namespace hublab

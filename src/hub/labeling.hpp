@@ -2,9 +2,11 @@
 
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "util/querystats.hpp"
 
 /// \file labeling.hpp
 /// Hub labelings (2-hop covers, [CHKZ03]): every vertex v stores a hubset
@@ -15,12 +17,14 @@
 
 namespace hublab {
 
+namespace simd {
+enum class Tier;  // hub/simd_kernel.hpp, which includes this header
+}  // namespace simd
+
 /// One label entry: a hub and the exact distance to it.
 struct HubEntry {
   Vertex hub;
   Dist dist;
-
-  bool operator==(const HubEntry&) const = default;
 };
 
 /// Result of a hub query: the distance estimate and the hub realizing it.
@@ -29,67 +33,151 @@ struct HubQueryResult {
   Vertex meeting_hub = kInvalidVertex;
 };
 
-/// A hub labeling for an n-vertex undirected graph.
+/// A hub labeling for an n-vertex undirected graph, stored as flat
+/// structure-of-arrays columns for the query fast path:
 ///
-/// Entries are kept sorted by hub id so that queries are a linear merge of
-/// the two labels, O(|S(u)| + |S(v)|).
+///  - `offsets_[v]` — CSR-style start of v's label in the hub/dist arrays;
+///  - `hubs_`      — all hub ids, each label sorted ascending and
+///                   terminated by a `kInvalidVertex` sentinel;
+///  - `dists_`     — distances parallel to `hubs_` (sentinel slots hold
+///                   `kInfDist`).
+///
+/// Splitting hubs from distances keeps the merge loop's comparisons on a
+/// dense u32 stream, and the sentinel (== the maximum u32, sorting after
+/// every real hub) lets the merge advance without bounds checks: the loop
+/// only ever tests hub values, and terminates when both cursors reach
+/// their sentinels.  A query is a linear merge of the two labels,
+/// O(|S(u)| + |S(v)|).  The structure is immutable; build a new one to
+/// change a label.
 class HubLabeling {
  public:
   HubLabeling() = default;
-  explicit HubLabeling(std::size_t n) : labels_(n) {}
 
-  /// Adopt pre-built labels (e.g. assembled per-vertex by parallel
-  /// builders); call finalize() before querying.
-  explicit HubLabeling(std::vector<std::vector<HubEntry>> labels)
-      : labels_(std::move(labels)), finalized_(false) {}
+  /// Build from per-vertex rows in any order: each row is sorted by hub id
+  /// and keeps the minimum distance per hub.  No hub id may be the
+  /// kInvalidVertex sentinel.
+  explicit HubLabeling(std::vector<std::vector<HubEntry>> rows);
 
-  [[nodiscard]] std::size_t num_vertices() const { return labels_.size(); }
+  /// Adopt pre-built flat arrays (the PLL builder, the label loader).  The
+  /// arrays must already be in this class's layout: `offsets` has n + 1
+  /// entries counting sentinels, every label is sorted ascending by hub id
+  /// and terminated by a kInvalidVertex/kInfDist sentinel pair.
+  HubLabeling(std::size_t num_vertices, std::vector<std::size_t> offsets,
+              std::vector<Vertex> hubs, std::vector<Dist> dists);
 
-  /// Append an entry; call finalize() before querying.
-  void add_hub(Vertex v, Vertex hub, Dist dist) {
-    HUBLAB_ASSERT_RANGE(v, labels_.size());
-    labels_[v].push_back(HubEntry{hub, dist});
-    finalized_ = false;
+  /// perfbench/e2e.cpp spells this; the next benchmark PR deletes it.
+  void finalize() const {}
+
+  [[nodiscard]] std::size_t num_vertices() const { return num_vertices_; }
+
+  /// Entries of S(v), excluding the sentinel.
+  [[nodiscard]] std::size_t label_size(Vertex v) const {
+    HUBLAB_ASSERT_RANGE(v, num_vertices_);
+    return offsets_[v + 1] - offsets_[v] - 1;
   }
 
-  /// Sort every label by hub id and collapse duplicate hubs to the minimum
-  /// distance.  Idempotent.
-  void finalize();
-
-  /// Exact-or-overestimate distance via the common-hub minimum; kInfDist if
-  /// the labels share no hub.
-  [[nodiscard]] Dist query(Vertex u, Vertex v) const;
-
-  /// As query(), also reporting the meeting hub.
-  [[nodiscard]] HubQueryResult query_with_hub(Vertex u, Vertex v) const;
-
-  [[nodiscard]] std::span<const HubEntry> label(Vertex v) const {
-    HUBLAB_ASSERT_RANGE(v, labels_.size());
-    return labels_[v];
+  /// Hub ids of S(v) in ascending order, excluding the sentinel.
+  [[nodiscard]] std::span<const Vertex> hubs(Vertex v) const {
+    HUBLAB_ASSERT_RANGE(v, num_vertices_);
+    return {hubs_.data() + offsets_[v], label_size(v)};
   }
 
-  /// True if `hub` appears in S(v).
-  [[nodiscard]] bool has_hub(Vertex v, Vertex hub) const;
+  /// Distances parallel to hubs(v).
+  [[nodiscard]] std::span<const Dist> dists(Vertex v) const {
+    HUBLAB_ASSERT_RANGE(v, num_vertices_);
+    return {dists_.data() + offsets_[v], label_size(v)};
+  }
 
-  /// Sum of label sizes over all vertices.
-  [[nodiscard]] std::size_t total_hubs() const;
+  /// Sum of label sizes over all vertices (sentinels excluded).
+  [[nodiscard]] std::size_t total_hubs() const {
+    return hubs_.empty() ? 0 : hubs_.size() - num_vertices_;
+  }
 
   /// Average label size (total / n).
   [[nodiscard]] double average_label_size() const;
 
   [[nodiscard]] std::size_t max_label_size() const;
 
-  /// Actual heap footprint of the representation: every label vector's
-  /// *capacity* (what the allocator really holds, not just what is used)
-  /// plus the per-vector bookkeeping in labels_.  This is what a serving
-  /// process pays for the vector-of-vectors layout; compare with
-  /// FlatHubLabeling::memory_bytes() for the SoA cost.
-  [[nodiscard]] std::size_t memory_bytes() const;
+  /// True if `hub` appears in S(v).
+  [[nodiscard]] bool has_hub(Vertex v, Vertex hub) const;
 
-  /// Payload alone: label entries actually in use, no capacity slack and
-  /// no per-vector headers (the space the paper's bounds count).
-  [[nodiscard]] std::size_t payload_bytes() const {
-    return total_hubs() * sizeof(HubEntry);
+  /// Exact-or-overestimate distance via the common-hub minimum; kInfDist if
+  /// the labels share no hub.
+  [[nodiscard]] Dist query(Vertex u, Vertex v) const { return query_with_hub(u, v).dist; }
+
+  /// As query(), also reporting the meeting hub: the smallest hub id
+  /// achieving the minimum.
+  [[nodiscard]] HubQueryResult query_with_hub(Vertex u, Vertex v) const {
+    metrics::NoQueryStats none;
+    return query_with_stats(u, v, none);
+  }
+
+  /// The merge loop behind query_with_hub(), with an attribution probe
+  /// (`hublab explain`, the server's per-query scan attribution): same
+  /// sentinel-terminated merge, same result, plus the probe records the
+  /// label sizes, one scanned entry per cursor step, one match per common
+  /// hub, and the meeting hub.  query_with_hub() runs it with the no-op
+  /// `NoQueryStats` (util/querystats.hpp).
+  template <class Stats>
+  [[nodiscard]] HubQueryResult query_with_stats(Vertex u, Vertex v, Stats& stats) const {
+    HUBLAB_ASSERT_RANGE(u, num_vertices_);
+    HUBLAB_ASSERT_RANGE(v, num_vertices_);
+    stats.labels(label_size(u), label_size(v));
+    const Vertex* ha = hubs_.data() + offsets_[u];
+    const Dist* da = dists_.data() + offsets_[u];
+    const Vertex* hb = hubs_.data() + offsets_[v];
+    const Dist* db = dists_.data() + offsets_[v];
+    HubQueryResult best;
+    for (;;) {
+      const Vertex a = *ha;
+      const Vertex b = *hb;
+      if (a == b) {
+        if (a == kInvalidVertex) break;  // both cursors hit their sentinels
+        stats.scanned();
+        stats.matched();
+        const Dist d = *da + *db;
+        if (d < best.dist) {
+          best.dist = d;
+          best.meeting_hub = a;
+        }
+        ++ha, ++da;
+        ++hb, ++db;
+      } else if (a < b) {
+        stats.scanned();
+        ++ha, ++da;
+      } else {
+        stats.scanned();
+        ++hb, ++db;
+      }
+    }
+    stats.meeting(best.meeting_hub);
+    return best;
+  }
+
+  /// Batched queries: answer `pairs[i]` into `out[i]` (same size spans).
+  /// The block is grouped by source vertex (indices sorted by source, ties
+  /// in block order); each source label is scattered once into per-hub stamp
+  /// tables and every query of the group is one probe scan of its target
+  /// label, on the tier reported by `simd::active_tier()`.  The tables are
+  /// per calling thread and kept across calls (12 B per vertex of the
+  /// largest labeling the thread has queried), so a block of any size pays
+  /// only for the labels it touches.  Results are byte-identical to
+  /// per-query `query_with_hub` for every tier and block size: same
+  /// distance, same meeting hub.  Registers the `query.batch.*` counters
+  /// (docs/observability.md).
+  void query_batch(std::span<const std::pair<Vertex, Vertex>> pairs,
+                   std::span<HubQueryResult> out) const;
+
+  /// As query_batch(), on an explicit dispatch tier (tests and the
+  /// bench's tier sweep; unavailable tiers degrade to scalar).
+  void query_batch_tier(std::span<const std::pair<Vertex, Vertex>> pairs,
+                        std::span<HubQueryResult> out, simd::Tier tier) const;
+
+  /// Actual heap footprint: array capacities (offsets, hub and distance
+  /// columns, sentinels included).
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return offsets_.capacity() * sizeof(std::size_t) + hubs_.capacity() * sizeof(Vertex) +
+           dists_.capacity() * sizeof(Dist);
   }
 
   /// Deep invariant audit (see util/audit.hpp): every label is sorted
@@ -106,8 +194,10 @@ class HubLabeling {
                                   std::uint64_t seed = 1, std::size_t threads = 1) const;
 
  private:
-  std::vector<std::vector<HubEntry>> labels_;
-  bool finalized_ = true;
+  std::size_t num_vertices_ = 0;
+  std::vector<std::size_t> offsets_;  ///< size n + 1, counting sentinels
+  std::vector<Vertex> hubs_;          ///< per-label sorted, sentinel-terminated
+  std::vector<Dist> dists_;           ///< parallel to hubs_
 };
 
 class DistanceMatrix;  // algo/distance_matrix.hpp

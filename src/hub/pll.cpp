@@ -193,22 +193,9 @@ class PllBuilder {
 
   HubLabeling run() {
     build_labels();
-    // Single pass: rank-keyed rows to vertex-keyed public labels, each
-    // exactly sized; finalize() sorts rows by hub id.
-    const std::size_t n = g_.num_vertices();
-    std::vector<std::vector<HubEntry>> labels(n);
-    for (Vertex v = 0; v < n; ++v) take_row(v, labels[v]);
-    HubLabeling out(std::move(labels));
-    out.finalize();
-    return out;
-  }
-
-  FlatHubLabeling run_flat() {
-    build_labels();
-    // Single pass straight into the SoA layout: per row, map ranks to hub
+    // Single pass straight into the flat columns: per row, map ranks to hub
     // ids, sort by hub (ranks are unique, so rows have no duplicates) and
-    // append with the sentinel.  Matches FlatHubLabeling(HubLabeling) on
-    // the finalized labeling bit for bit.
+    // append with the sentinel.
     const std::size_t n = g_.num_vertices();
     std::size_t slots = n;  // one sentinel per label
     for (const std::vector<Entry>& row : rows_) slots += row.size();
@@ -232,7 +219,7 @@ class PllBuilder {
       dists.push_back(kInfDist);
     }
     offsets.push_back(hubs.size());
-    return FlatHubLabeling(n, std::move(offsets), std::move(hubs), std::move(dists));
+    return HubLabeling(n, std::move(offsets), std::move(hubs), std::move(dists));
   }
 
  private:
@@ -442,12 +429,6 @@ HubLabeling pruned_landmark_labeling(const Graph& g, const std::vector<Vertex>& 
 HubLabeling pruned_landmark_labeling(const Graph& g, VertexOrder order, std::uint64_t seed,
                                      const PllConfig& config) {
   return pruned_landmark_labeling(g, make_vertex_order(g, order, seed), config);
-}
-
-FlatHubLabeling pruned_landmark_labeling_flat(const Graph& g, const std::vector<Vertex>& order,
-                                              const PllConfig& config) {
-  if (distances_fit_u32(g)) return PllBuilder<std::uint32_t>(g, order, config).run_flat();
-  return PllBuilder<Dist>(g, order, config).run_flat();
 }
 
 }  // namespace hublab

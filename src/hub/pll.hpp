@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "hub/flat_labeling.hpp"
 #include "hub/labeling.hpp"
 
 /// \file pll.hpp
@@ -59,12 +58,8 @@ HubLabeling pruned_landmark_labeling(const Graph& g,
                                      VertexOrder order = VertexOrder::kDegreeDescending,
                                      std::uint64_t seed = 0, const PllConfig& config = {});
 
-/// As pruned_landmark_labeling, but finalizes straight into the flat SoA
-/// layout in a single pass over the builder's rows — the intermediate
-/// HubLabeling is never materialized.  The result is
-/// byte-identical to `FlatHubLabeling(pruned_landmark_labeling(g, order))`.
-FlatHubLabeling pruned_landmark_labeling_flat(const Graph& g, const std::vector<Vertex>& order,
-                                              const PllConfig& config = {});
+// perfbench/e2e.cpp spells this; the next benchmark PR deletes it.
+inline HubLabeling pruned_landmark_labeling_flat(const Graph& g, const std::vector<Vertex>& order) { return pruned_landmark_labeling(g, order); }
 
 /// Exact distances from the first min(bp_roots, n) roots of an order plus
 /// Akiba–Iwata–Yoshida bit-parallel neighborhood masks, built by one

@@ -50,11 +50,12 @@ void save_labeling(const HubLabeling& labeling, std::ostream& out) {
   write_pod<std::uint32_t>(out, kLabelingFormatVersion);
   write_pod<std::uint64_t>(out, labeling.num_vertices());
   for (Vertex v = 0; v < labeling.num_vertices(); ++v) {
-    const auto label = labeling.label(v);
-    write_pod<std::uint64_t>(out, label.size());
-    for (const HubEntry& e : label) {
-      write_pod<std::uint32_t>(out, e.hub);
-      write_pod<std::uint64_t>(out, e.dist);
+    const auto hubs = labeling.hubs(v);
+    const auto dists = labeling.dists(v);
+    write_pod<std::uint64_t>(out, hubs.size());
+    for (std::size_t i = 0; i < hubs.size(); ++i) {
+      write_pod<std::uint32_t>(out, hubs[i]);
+      write_pod<std::uint64_t>(out, dists[i]);
     }
   }
   if (!out) throw Error("labeling write failed");
@@ -83,7 +84,15 @@ HubLabeling load_labeling(std::istream& in) {
   std::uint64_t left = bytes_left(in);
   if (n > left / kCountBytes) throw ParseError("labeling file: vertex count exceeds file size");
 
-  std::vector<std::vector<HubEntry>> labels(n);
+  // A well-formed file holds exactly n counts and (left - 8n) / 12
+  // entries, so the columns (one sentinel slot per label) are sized once.
+  const std::uint64_t slots = n + (left - n * kCountBytes) / kEntryBytes;
+  std::vector<std::size_t> offsets;
+  std::vector<Vertex> hubs;
+  std::vector<Dist> dists;
+  offsets.reserve(n + 1);
+  hubs.reserve(slots);
+  dists.reserve(slots);
   std::vector<char> block;  // one label's entries, as stored
   for (std::uint64_t v = 0; v < n; ++v) {
     const auto count = read_pod<std::uint64_t>(in);
@@ -96,8 +105,7 @@ HubLabeling load_labeling(std::istream& in) {
     block.resize(count * kEntryBytes);
     in.read(block.data(), static_cast<std::streamsize>(block.size()));
     if (!in) throw ParseError("labeling file truncated");
-    std::vector<HubEntry>& label = labels[v];
-    label.resize(count);
+    offsets.push_back(hubs.size());
     std::uint64_t prev_hub_plus_one = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
       const char* entry = block.data() + i * kEntryBytes;
@@ -108,12 +116,15 @@ HubLabeling load_labeling(std::istream& in) {
       if (hub >= n) throw ParseError("labeling file: hub id out of range");
       if (hub + 1ULL <= prev_hub_plus_one) throw ParseError("labeling file: hubs not ascending");
       prev_hub_plus_one = hub + 1ULL;
-      label[i] = HubEntry{hub, dist};
+      hubs.push_back(hub);
+      dists.push_back(dist);
     }
+    hubs.push_back(kInvalidVertex);
+    dists.push_back(kInfDist);
   }
-  HubLabeling labeling(std::move(labels));
-  labeling.finalize();
-  return labeling;
+  if (left != 0) throw ParseError("labeling file: trailing bytes after the last label");
+  offsets.push_back(hubs.size());
+  return HubLabeling(n, std::move(offsets), std::move(hubs), std::move(dists));
 }
 
 void save_labeling_file(const HubLabeling& labeling, const std::string& file_path) {

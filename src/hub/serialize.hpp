@@ -9,12 +9,13 @@
 /// Binary persistence for hub labelings.
 ///
 /// Preprocessing is the expensive half of a hub-label deployment; this
-/// stores the finalized labels so queries can start without rebuilding.
+/// stores the labels so queries can start without rebuilding.
 /// Format (little-endian):
 ///   magic "HLAB" | u32 version | u64 n | per vertex: u64 count,
 ///   then count x (u32 hub, u64 dist).
 /// Loading validates the magic, version, monotone hub order and bounds,
-/// throwing ParseError on any corruption.
+/// and that nothing follows the n-th label, throwing ParseError on any
+/// corruption; a valid file is read straight into the labeling's columns.
 
 namespace hublab {
 

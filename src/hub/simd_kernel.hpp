@@ -9,7 +9,7 @@
 
 /// \file simd_kernel.hpp
 /// The stamp-table probe behind the batched query path
-/// (hub/flat_labeling.hpp, `FlatHubLabeling::query_batch`).
+/// (hub/labeling.hpp, `HubLabeling::query_batch`).
 ///
 /// A hub-label query is the intersection of two ascending hub columns plus
 /// a distance-sum minimum — the serving hot path the paper's Section 1.1
@@ -64,7 +64,7 @@ enum class Tier { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// to the scalar fallback (read once at first call).
 [[nodiscard]] bool force_scalar() noexcept;
 
-/// The tier `FlatHubLabeling::query_batch` dispatches to:
+/// The tier `HubLabeling::query_batch` dispatches to:
 /// best_supported_tier(), unless force_scalar().
 [[nodiscard]] Tier active_tier() noexcept;
 
@@ -77,7 +77,7 @@ enum class Tier { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// cache-resident across the group, and the scan has no merge branches to
 /// mispredict; the AVX2/AVX-512 tiers gather the stamps and fold a step's
 /// hits in vector registers, with no branch per hit.  Same answer as the
-/// per-query sentinel merge (`FlatHubLabeling::query_with_hub`) on the same
+/// per-query sentinel merge (`HubLabeling::query_with_hub`) on the same
 /// labels: the lexicographic (dist, hub) minimum over the common hubs.
 using ProbeFn = HubQueryResult (*)(const Vertex* hubs_t, const Dist* dists_t, std::size_t size_t_,
                                    const std::uint32_t* stamp, const Dist* sdist,

@@ -16,7 +16,7 @@ class CentroidDecomposer {
  public:
   explicit CentroidDecomposer(const Graph& g)
       : g_(g), alive_(g.num_vertices(), true), size_(g.num_vertices(), 0),
-        labeling_(g.num_vertices()) {}
+        rows_(g.num_vertices()) {}
 
   HubLabeling run() {
     std::vector<bool> processed(g_.num_vertices(), false);
@@ -27,8 +27,7 @@ class CentroidDecomposer {
         mark_component(v, processed);
       }
     }
-    labeling_.finalize();
-    return std::move(labeling_);
+    return HubLabeling(std::move(rows_));
   }
 
  private:
@@ -100,7 +99,7 @@ class CentroidDecomposer {
     while (!stack.empty()) {
       const auto [u, d] = stack.back();
       stack.pop_back();
-      labeling_.add_hub(u, center, d);
+      rows_[u].push_back({center, d});
       for (const Arc& a : g_.arcs(u)) {
         if (alive_[a.to] && !seen[a.to]) {
           seen[a.to] = true;
@@ -125,7 +124,7 @@ class CentroidDecomposer {
   std::vector<std::size_t> size_;
   std::vector<Vertex> parent_;
   std::vector<Vertex> order_;
-  HubLabeling labeling_;
+  std::vector<std::vector<HubEntry>> rows_;
 };
 
 }  // namespace
@@ -171,12 +170,11 @@ struct Region {
 class GridSeparatorLabeler {
  public:
   GridSeparatorLabeler(const Graph& g, std::size_t rows, std::size_t cols)
-      : g_(g), rows_(rows), cols_(cols), labeling_(g.num_vertices()) {}
+      : g_(g), rows_(rows), cols_(cols), labels_(g.num_vertices()) {}
 
   HubLabeling run() {
     split(Region{0, rows_ - 1, 0, cols_ - 1});
-    labeling_.finalize();
-    return std::move(labeling_);
+    return HubLabeling(std::move(labels_));
   }
 
  private:
@@ -193,7 +191,7 @@ class GridSeparatorLabeler {
       for (std::size_t r = reg.r0; r <= reg.r1; ++r) {
         for (std::size_t c = reg.c0; c <= reg.c1; ++c) {
           const Vertex v = id(r, c);
-          if (dist[v] != kInfDist) labeling_.add_hub(v, s, dist[v]);
+          if (dist[v] != kInfDist) labels_[v].push_back({s, dist[v]});
         }
       }
     }
@@ -201,7 +199,7 @@ class GridSeparatorLabeler {
 
   void split(const Region& reg) {
     if (reg.height() == 1 && reg.width() == 1) {
-      labeling_.add_hub(id(reg.r0, reg.c0), id(reg.r0, reg.c0), 0);
+      labels_[id(reg.r0, reg.c0)].push_back({id(reg.r0, reg.c0), 0});
       return;
     }
     std::vector<Vertex> separator;
@@ -223,7 +221,7 @@ class GridSeparatorLabeler {
   const Graph& g_;
   std::size_t rows_;
   std::size_t cols_;
-  HubLabeling labeling_;
+  std::vector<std::vector<HubEntry>> labels_;  ///< per-vertex rows
 };
 
 }  // namespace
@@ -240,7 +238,7 @@ class BfsSeparatorLabeler {
  public:
   explicit BfsSeparatorLabeler(const Graph& g)
       : g_(g), in_region_(g.num_vertices(), 0), hop_(g.num_vertices(), kInfDist),
-        labeling_(g.num_vertices()) {}
+        rows_(g.num_vertices()) {}
 
   HubLabeling run() {
     // Seed the recursion with each connected component.
@@ -252,8 +250,7 @@ class BfsSeparatorLabeler {
     std::vector<std::vector<Vertex>> regions(num_comps);
     for (Vertex v = 0; v < g_.num_vertices(); ++v) regions[comp[v]].push_back(v);
     for (auto& region : regions) split(std::move(region));
-    labeling_.finalize();
-    return std::move(labeling_);
+    return HubLabeling(std::move(rows_));
   }
 
  private:
@@ -287,7 +284,7 @@ class BfsSeparatorLabeler {
   void split(std::vector<Vertex> region) {
     HUBLAB_ASSERT(!region.empty());
     if (region.size() == 1) {
-      labeling_.add_hub(region[0], region[0], 0);
+      rows_[region[0]].push_back({region[0], 0});
       return;
     }
     ++epoch_;
@@ -311,7 +308,7 @@ class BfsSeparatorLabeler {
     for (Vertex s : separator) {
       const auto dist = sssp_distances(g_, s);
       for (Vertex v : region) {
-        if (dist[v] != kInfDist) labeling_.add_hub(v, s, dist[v]);
+        if (dist[v] != kInfDist) rows_[v].push_back({s, dist[v]});
       }
       in_region_[s] = 0;  // remove from region
     }
@@ -342,7 +339,7 @@ class BfsSeparatorLabeler {
   const Graph& g_;
   std::vector<std::uint32_t> in_region_;
   std::vector<Dist> hop_;
-  HubLabeling labeling_;
+  std::vector<std::vector<HubEntry>> rows_;
   std::uint32_t epoch_ = 0;
 };
 

@@ -178,10 +178,10 @@ HubLabeling upper_bound_labeling(const Graph& g, const DistanceMatrix& truth, st
   }
 
   // Assemble final labels: S union Q_v union R_v union N(F_v).
-  HubLabeling labeling(n);
-  auto add_if_reachable = [&labeling, &truth](Vertex v, Vertex hub) {
+  std::vector<std::vector<HubEntry>> rows(n);
+  auto add_if_reachable = [&rows, &truth](Vertex v, Vertex hub) {
     const Dist d = truth.at(v, hub);
-    if (d != kInfDist) labeling.add_hub(v, hub, d);
+    if (d != kInfDist) rows[v].push_back({hub, d});
   };
   for (Vertex v = 0; v < n; ++v) {
     for (Vertex s : st.sample) add_if_reachable(v, s);
@@ -197,7 +197,7 @@ HubLabeling upper_bound_labeling(const Graph& g, const DistanceMatrix& truth, st
     stats.sum_r += st.r_of[v].size();
     stats.sum_f += f_of[v].size() - 1;  // exclude the seeded v
   }
-  labeling.finalize();
+  HubLabeling labeling(std::move(rows));
   stats.total_hubs = labeling.total_hubs();
   stats.average_label_size = labeling.average_label_size();
   if (stats_out != nullptr) *stats_out = stats;
@@ -232,14 +232,15 @@ HubLabeling upper_bound_labeling_sparse(const Graph& g, std::size_t D, Rng& rng,
   // Project back: the label of v is the label of its representative copy,
   // with every hub copy mapped to its original vertex.  Weight-0 chains
   // preserve all the distances involved.
-  HubLabeling out(n);
+  std::vector<std::vector<HubEntry>> rows(n);
   for (Vertex v = 0; v < n; ++v) {
-    for (const HubEntry& e : inner.label(red.representative[v])) {
-      out.add_hub(v, red.origin[e.hub], e.dist);
+    const auto hubs = inner.hubs(red.representative[v]);
+    const auto dists = inner.dists(red.representative[v]);
+    for (std::size_t i = 0; i < hubs.size(); ++i) {
+      rows[v].push_back({red.origin[hubs[i]], dists[i]});
     }
   }
-  out.finalize();
-  return out;
+  return HubLabeling(std::move(rows));
 }
 
 bool verify_lemma_4_2(const Graph& g, const DistanceMatrix& truth, std::size_t D, Rng& rng) {

@@ -68,14 +68,15 @@ EncodedLabels HubDistanceLabeling::encode_labeling(const HubLabeling& labeling, 
   out.labels.reserve(labeling.num_vertices());
   for (Vertex v = 0; v < labeling.num_vertices(); ++v) {
     BitWriter w;
-    const auto label = labeling.label(v);
+    const auto hubs = labeling.hubs(v);
+    const auto dists = labeling.dists(v);
     w.put_bits(static_cast<std::uint64_t>(codec), 2);  // self-describing codec tag
-    w.put_gamma0(label.size());
+    w.put_gamma0(hubs.size());
     Vertex prev_plus_one = 0;  // hubs are strictly ascending
-    for (const HubEntry& e : label) {
-      w.put_gamma(e.hub + 1 - prev_plus_one);  // gap >= 1
-      prev_plus_one = e.hub + 1;
-      put_dist(w, codec, e.dist);
+    for (std::size_t i = 0; i < hubs.size(); ++i) {
+      w.put_gamma(hubs[i] + 1 - prev_plus_one);  // gap >= 1
+      prev_plus_one = hubs[i] + 1;
+      put_dist(w, codec, dists[i]);
     }
     out.labels.push_back(w.take());
   }
@@ -198,13 +199,15 @@ CorrectedApproxLabeling::CorrectedApproxLabeling(Factory exact_factory)
 namespace {
 
 /// Write one approx-hub block: gamma0 count, then (gap, dist) gamma pairs.
-void write_hub_block(BitWriter& w, std::span<const HubEntry> label) {
-  w.put_gamma0(label.size());
+void write_hub_block(BitWriter& w, const HubLabeling& labeling, Vertex v) {
+  const auto hubs = labeling.hubs(v);
+  const auto dists = labeling.dists(v);
+  w.put_gamma0(hubs.size());
   Vertex prev_plus_one = 0;
-  for (const HubEntry& e : label) {
-    w.put_gamma(e.hub + 1 - prev_plus_one);
-    prev_plus_one = e.hub + 1;
-    w.put_gamma0(e.dist);
+  for (std::size_t i = 0; i < hubs.size(); ++i) {
+    w.put_gamma(hubs[i] + 1 - prev_plus_one);
+    prev_plus_one = hubs[i] + 1;
+    w.put_gamma0(dists[i]);
   }
 }
 
@@ -238,7 +241,7 @@ EncodedLabels CorrectedApproxLabeling::encode(const Graph& g) const {
     BitWriter w;
     w.put_gamma(static_cast<std::uint64_t>(n) + 1);
     w.put_bits(v, 32);
-    write_hub_block(w, approx.labels.label(v));
+    write_hub_block(w, approx.labels, v);
     // 2-bit corrections: est - actual in {0,1,2}; 3 marks unreachable.
     for (Vertex u = 0; u < n; ++u) {
       const Dist actual = truth.at(v, u);

@@ -251,22 +251,23 @@ HubLabeling ContractionHierarchy::extract_hub_labeling() const {
   // Raw search spaces: may contain upward-distance overestimates, but the
   // CH correctness theorem guarantees the *query minimum* over them is the
   // exact distance.
-  HubLabeling raw(n);
+  std::vector<std::vector<HubEntry>> rows(n);
   for (Vertex v = 0; v < n; ++v) {
-    for (const auto& [w, d] : upward_search(v)) raw.add_hub(v, w, d);
+    for (const auto& [w, d] : upward_search(v)) rows[v].push_back({w, d});
   }
-  raw.finalize();
+  const HubLabeling raw(std::move(rows));
 
   // Keep only the exact entries: raw.query is the true distance, and the
   // apex of any shortest path survives the filter on both sides.
-  HubLabeling out(n);
+  std::vector<std::vector<HubEntry>> exact(n);
   for (Vertex v = 0; v < n; ++v) {
-    for (const HubEntry& e : raw.label(v)) {
-      if (raw.query(v, e.hub) == e.dist) out.add_hub(v, e.hub, e.dist);
+    const auto hubs = raw.hubs(v);
+    const auto dists = raw.dists(v);
+    for (std::size_t i = 0; i < hubs.size(); ++i) {
+      if (raw.query(v, hubs[i]) == dists[i]) exact[v].push_back({hubs[i], dists[i]});
     }
   }
-  out.finalize();
-  return out;
+  return HubLabeling(std::move(exact));
 }
 
 double ContractionHierarchy::average_upward_degree() const {

@@ -17,11 +17,6 @@ Dist BidirectionalOracle::distance_with_stats(Vertex u, Vertex v,
   return bidirectional_distance_with_stats(*g_, u, v, stats);
 }
 
-HubLabelOracle::HubLabelOracle(const Graph& g, HubLabeling labeling)
-    : labels_(std::move(labeling)) {
-  HUBLAB_ASSERT(labels_.num_vertices() == g.num_vertices());
-}
-
 LandmarkOracle::LandmarkOracle(const Graph& g, const std::vector<Vertex>& landmarks) {
   rows_.reserve(landmarks.size());
   for (Vertex l : landmarks) rows_.push_back(sssp_distances(g, l));

@@ -8,7 +8,6 @@
 
 #include "algo/distance_matrix.hpp"
 #include "graph/graph.hpp"
-#include "hub/flat_labeling.hpp"
 #include "hub/labeling.hpp"
 #include "util/querystats.hpp"
 
@@ -36,7 +35,7 @@ class DistanceOracle {
   /// per-query scan attribution at batch 1): same answer, plus the probe
   /// records whatever the oracle's kernel can attribute — label sizes,
   /// entries scanned, common hubs compared, meeting hub
-  /// (util/querystats.hpp).  The flat, CH and bidirectional oracles run
+  /// (util/querystats.hpp).  The hub-label, CH and bidirectional oracles run
   /// the same kernel loop as distance(), with the caller's probe instead
   /// of the no-op one.  Oracles without an instrumented kernel answer
   /// through plain distance() and leave the probe untouched.
@@ -47,11 +46,10 @@ class DistanceOracle {
   }
 
   /// Batched queries: answer `pairs[i]` into `out[i]` (same size spans).
-  /// The default loops over distance() (no meeting hubs); hub-label
-  /// oracles override with their batch kernels, which also report the
-  /// meeting hub and — for the flat oracle — run the tier-dispatched
-  /// stamp-table probe (hub/simd_kernel.hpp).  Every override answers
-  /// byte-identically to the per-query path.
+  /// The default loops over distance() (no meeting hubs); the hub-label
+  /// oracle overrides with its batch kernel, which also reports the
+  /// meeting hub and runs the tier-dispatched stamp-table probe
+  /// (hub/simd_kernel.hpp), byte-identically to the per-query path.
   virtual void distance_batch(std::span<const std::pair<Vertex, Vertex>> pairs,
                               std::span<HubQueryResult> out) const {
     for (std::size_t i = 0; i < pairs.size() && i < out.size(); ++i) {
@@ -98,39 +96,12 @@ class BidirectionalOracle final : public DistanceOracle {
   const Graph* g_;
 };
 
-/// Hub-labeling oracle (the paper's subject): space = sum of label sizes,
-/// query = sorted-merge of two labels.  Not a serving oracle (the server
-/// and `hublab explain` build the flat one), so its merge carries no probe:
-/// distance_with_stats() is the base class's plain answer.
-class HubLabelOracle final : public DistanceOracle {
- public:
-  HubLabelOracle(const Graph& g, HubLabeling labeling);
-  [[nodiscard]] std::string name() const override { return "hub-labels"; }
-  [[nodiscard]] Dist distance(Vertex u, Vertex v) const override { return labels_.query(u, v); }
-  /// Per-pair sorted merges (the vector-label kernel has no SIMD tier),
-  /// but with meeting hubs — answers match the flat oracle's batch path.
-  void distance_batch(std::span<const std::pair<Vertex, Vertex>> pairs,
-                      std::span<HubQueryResult> out) const override {
-    for (std::size_t i = 0; i < pairs.size() && i < out.size(); ++i) {
-      out[i] = labels_.query_with_hub(pairs[i].first, pairs[i].second);
-    }
-  }
-  [[nodiscard]] std::size_t space_bytes() const override { return labels_.memory_bytes(); }
-  [[nodiscard]] const HubLabeling& labeling() const { return labels_; }
-
- private:
-  HubLabeling labels_;
-};
-
-/// Hub-labeling oracle over the flat SoA representation
-/// (hub/flat_labeling.hpp): same answers as HubLabelOracle on the same
-/// labeling, but the query merge runs over sentinel-terminated flat arrays
-/// and space drops to the CSR cost.
+/// Hub-labeling oracle (the paper's subject) over the flat label columns
+/// (hub/labeling.hpp): query = sentinel-terminated merge of two labels,
+/// space = the columns' footprint.
 class FlatHubLabelOracle final : public DistanceOracle {
  public:
-  explicit FlatHubLabelOracle(const HubLabeling& labeling) : labels_(labeling) {}
-  /// Adopt an already-flat labeling (the builder's single-pass finalize).
-  explicit FlatHubLabelOracle(FlatHubLabeling labeling) : labels_(std::move(labeling)) {}
+  explicit FlatHubLabelOracle(HubLabeling labeling) : labels_(std::move(labeling)) {}
   [[nodiscard]] std::string name() const override { return "hub-labels-flat"; }
   [[nodiscard]] Dist distance(Vertex u, Vertex v) const override { return labels_.query(u, v); }
   [[nodiscard]] Dist distance_with_stats(Vertex u, Vertex v,
@@ -138,16 +109,16 @@ class FlatHubLabelOracle final : public DistanceOracle {
     return labels_.query_with_stats(u, v, stats).dist;
   }
   /// The batched kernel: source-grouped stamp-table probes on the active
-  /// ISA tier, for every block size (FlatHubLabeling::query_batch).
+  /// ISA tier, for every block size (HubLabeling::query_batch).
   void distance_batch(std::span<const std::pair<Vertex, Vertex>> pairs,
                       std::span<HubQueryResult> out) const override {
     labels_.query_batch(pairs, out);
   }
   [[nodiscard]] std::size_t space_bytes() const override { return labels_.memory_bytes(); }
-  [[nodiscard]] const FlatHubLabeling& labeling() const { return labels_; }
+  [[nodiscard]] const HubLabeling& labeling() const { return labels_; }
 
  private:
-  FlatHubLabeling labels_;
+  HubLabeling labels_;
 };
 
 /// Landmark oracle: k landmark SSSP trees; queries return the best

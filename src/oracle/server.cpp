@@ -227,8 +227,7 @@ std::unique_ptr<DistanceOracle> make_oracle(const Graph& g, OracleKind kind,
   switch (kind) {
     case OracleKind::kPllFlat: {
       const auto order = make_vertex_order(g, VertexOrder::kDegreeDescending);
-      // Single-pass finalize straight into the flat layout.
-      return std::make_unique<FlatHubLabelOracle>(pruned_landmark_labeling_flat(g, order, pll));
+      return std::make_unique<FlatHubLabelOracle>(pruned_landmark_labeling(g, order, pll));
     }
     case OracleKind::kCh:
       return std::make_unique<ContractionHierarchy>(g);

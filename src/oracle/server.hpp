@@ -34,7 +34,7 @@
 /// arrivals that is due into a private FIFO (bounded by `ring_capacity`
 /// under open arrivals), then answers the oldest <= `batch` of them
 /// through DistanceOracle::distance_batch (for the flat oracle, the SIMD
-/// batched kernel FlatHubLabeling::query_batch), or one at a time through
+/// batched kernel HubLabeling::query_batch), or one at a time through
 /// `distance_with_stats` at `batch == 1`, which keeps per-query scan-cost
 /// attribution.  Every block member is charged the block's wall time: it
 /// completes when the kernel call returns.  The arrival kinds differ only

@@ -11,7 +11,7 @@
 /// one query was slow — how many hub entries the merge scanned, how many
 /// common hubs it actually compared, which hub the winning path met at —
 /// and passed by reference into the `*_with_stats` entry points of the
-/// query kernels (the flat hub-label merge in hub/flat_labeling.hpp, the
+/// query kernels (the flat hub-label merge in hub/labeling.hpp, the
 /// CH two-pointer intersection, bidirectional Dijkstra).  Each kernel is
 /// one loop templated on the probe type: the plain entry points run it
 /// with `NoQueryStats`, whose methods are empty inline functions, so the

@@ -125,10 +125,10 @@ TEST(LabelingAudit, PllLabelingsAuditCleanOnRandomGraphs) {
 
 TEST(LabelingAudit, CatchesWrongDistanceEntry) {
   const Graph g = gen::path(5);
-  HubLabeling labels(5);
   // All-pairs-through-vertex-0 cover, but one distance is off by one.
-  for (Vertex v = 0; v < 5; ++v) labels.add_hub(v, 0, v == 3 ? 4 : v);
-  labels.finalize();
+  std::vector<std::vector<HubEntry>> rows(5);
+  for (Vertex v = 0; v < 5; ++v) rows[v].push_back({0, v == 3 ? 4 : Dist{v}});
+  const HubLabeling labels(std::move(rows));
   const AuditReport report = labels.audit(g, 64, 42);
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.to_string().find("true distance"), std::string::npos);
@@ -136,36 +136,46 @@ TEST(LabelingAudit, CatchesWrongDistanceEntry) {
 
 TEST(LabelingAudit, CatchesUncoveredPair) {
   const Graph g = gen::path(4);
-  HubLabeling labels(4);
-  for (Vertex v = 0; v < 4; ++v) labels.add_hub(v, v, 0);  // self-hubs only
-  labels.finalize();
+  std::vector<std::vector<HubEntry>> rows(4);
+  for (Vertex v = 0; v < 4; ++v) rows[v].push_back({v, 0});  // self-hubs only
+  const HubLabeling labels(std::move(rows));
   const AuditReport report = labels.audit(g, 64, 7);
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.to_string().find("uncovered"), std::string::npos);
 }
 
-TEST(LabelingAudit, CatchesUnsortedLabelsWhenNotFinalized) {
+TEST(LabelingAudit, UnsortedDuplicateRowsAuditCleanOnceConstructed) {
+  // Exact rows for the path 0-1-2, each out of hub order and with a
+  // duplicate hub at a larger distance: the rows constructor sorts every
+  // row and keeps each hub's minimum, so the result passes both the
+  // structural pass and the sampled cover check.
   const Graph g = gen::path(3);
-  HubLabeling labels(3);
-  labels.add_hub(1, 2, 1);
-  labels.add_hub(1, 0, 1);  // out of order; finalize() never called
-  const AuditReport report = labels.audit(g, 0, 1);
-  EXPECT_FALSE(report.ok());
+  const HubLabeling labels({{{2, 2}, {0, 0}, {1, 1}, {2, 7}},
+                            {{2, 1}, {0, 5}, {1, 0}, {0, 1}},
+                            {{1, 4}, {2, 0}, {0, 2}, {1, 1}}});
+  const AuditReport report = labels.audit(g, 16, 1);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  for (Vertex v = 0; v < 3; ++v) {
+    ASSERT_EQ(labels.label_size(v), 3u);
+    for (Vertex h = 0; h < 3; ++h) {
+      EXPECT_EQ(labels.hubs(v)[h], h);
+      EXPECT_EQ(labels.dists(v)[h], v > h ? v - h : h - v);
+    }
+  }
 }
 
 TEST(LabelingAudit, CatchesOutOfRangeHubAndBadSelfDistance) {
   const Graph g = gen::path(3);
-  HubLabeling labels(3);
-  labels.add_hub(0, 7, 1);  // hub id beyond n
-  labels.add_hub(1, 1, 2);  // self-hub with nonzero distance
-  labels.finalize();
+  const HubLabeling labels({{{7, 1}} /* hub id beyond n */,
+                            {{1, 2}} /* self-hub with nonzero distance */,
+                            {}});
   const AuditReport report = labels.audit(g, 0, 1);
   EXPECT_GE(report.num_issues(), 2u);
 }
 
 TEST(LabelingAudit, SizeMismatchIsReported) {
   const Graph g = gen::path(4);
-  const HubLabeling labels(3);
+  const HubLabeling labels(std::vector<std::vector<HubEntry>>(3));
   EXPECT_FALSE(labels.audit(g, 0, 1).ok());
 }
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "hub/flat_labeling.hpp"
 #include "hub/labeling.hpp"
 #include "hub/pll.hpp"
 #include "hub/simd_kernel.hpp"
@@ -34,8 +33,7 @@ constexpr std::size_t kBlockSizes[] = {1, 7, 64, 4096};
 /// block size, `query_batch_tier` answers byte-identically — distance AND
 /// meeting hub — to the per-query reference `query_with_hub`.
 void expect_batch_identity(const Graph& g) {
-  const HubLabeling labels = pruned_landmark_labeling(g);
-  const FlatHubLabeling flat(labels);
+  const HubLabeling flat = pruned_landmark_labeling(g);
   for (const std::size_t block : kBlockSizes) {
     const std::vector<std::pair<Vertex, Vertex>> pairs =
         serve::WorkloadGenerator(g, serve::WorkloadKind::kUniform, 7 + block).block(block);
@@ -93,27 +91,24 @@ TEST(BatchQuery, ByteIdenticalOnWeightedRoadGraph) {
 }
 
 TEST(BatchQuery, OracleBatchEntryPointsAgree) {
-  // distance_batch through the oracle interface: the flat oracle's SIMD
-  // batch kernel, the vector oracle's per-pair merges, and the base-class
+  // distance_batch through the oracle interface: the hub-label oracle's
+  // SIMD batch kernel, its labeling's per-pair merges, and the base-class
   // default (distance() loop, no hubs) must all report the same distances.
   Rng rng(33);
   const Graph g = gen::connected_gnm(80, 160, rng);
-  const HubLabeling labels = pruned_landmark_labeling(g);
-  const HubLabelOracle vec(g, labels);
-  const FlatHubLabelOracle flat(labels);
+  const FlatHubLabelOracle flat(pruned_landmark_labeling(g));
   const BidirectionalOracle bidij(g);
 
   const std::vector<std::pair<Vertex, Vertex>> pairs =
       serve::WorkloadGenerator(g, serve::WorkloadKind::kZipf, 9).block(128);
-  std::vector<HubQueryResult> from_vec(pairs.size());
   std::vector<HubQueryResult> from_flat(pairs.size());
   std::vector<HubQueryResult> from_bidij(pairs.size());
-  vec.distance_batch(pairs, from_vec);
   flat.distance_batch(pairs, from_flat);
   bidij.distance_batch(pairs, from_bidij);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    ASSERT_EQ(from_flat[i].dist, from_vec[i].dist) << "pair#" << i;
-    ASSERT_EQ(from_flat[i].meeting_hub, from_vec[i].meeting_hub) << "pair#" << i;
+    const HubQueryResult merged = flat.labeling().query_with_hub(pairs[i].first, pairs[i].second);
+    ASSERT_EQ(from_flat[i].dist, merged.dist) << "pair#" << i;
+    ASSERT_EQ(from_flat[i].meeting_hub, merged.meeting_hub) << "pair#" << i;
     ASSERT_EQ(from_flat[i].dist, from_bidij[i].dist) << "pair#" << i;
   }
 }
@@ -123,7 +118,7 @@ TEST(BatchQuery, OracleBatchEntryPointsAgree) {
 TEST(BatchQuery, MetricsCountBlocksPairsAndGroups) {
   Rng rng(35);
   const Graph g = gen::connected_gnm(50, 100, rng);
-  const FlatHubLabeling flat(pruned_landmark_labeling(g));
+  const HubLabeling flat = pruned_landmark_labeling(g);
   const std::vector<std::pair<Vertex, Vertex>> pairs =
       serve::WorkloadGenerator(g, serve::WorkloadKind::kUniform, 3).block(64);
   std::vector<HubQueryResult> out(pairs.size());
@@ -147,7 +142,7 @@ TEST(BatchQuery, MetricsCountBlocksPairsAndGroups) {
 
 /// First disagreement between `query_batch_tier` on `tier` and per-query
 /// `query_with_hub` over `pairs`, or "" when every answer is byte-identical.
-std::string batch_mismatch(const FlatHubLabeling& flat,
+std::string batch_mismatch(const HubLabeling& flat,
                            std::span<const std::pair<Vertex, Vertex>> pairs, simd::Tier tier) {
   std::vector<HubQueryResult> out(pairs.size());
   flat.query_batch_tier(pairs, out, tier);
@@ -170,8 +165,8 @@ TEST(BatchQuery, ScratchSurvivesAlternatingLabelings) {
   Rng rng(41);
   const Graph small_g = gen::connected_gnm(40, 80, rng);
   const Graph large_g = gen::connected_gnm(300, 600, rng);
-  const FlatHubLabeling small_flat(pruned_landmark_labeling(small_g));
-  const FlatHubLabeling large_flat(pruned_landmark_labeling(large_g));
+  const HubLabeling small_flat = pruned_landmark_labeling(small_g);
+  const HubLabeling large_flat = pruned_landmark_labeling(large_g);
   std::vector<std::string> failures;
   std::thread worker([&] {
     std::uint64_t seed = 100;
@@ -199,7 +194,7 @@ TEST(BatchQuery, ConcurrentThreadsUseTheirOwnScratch) {
   // thread's answers must stay byte-identical to the per-query reference.
   Rng rng(43);
   const Graph g = gen::connected_gnm(200, 400, rng);
-  const FlatHubLabeling flat(pruned_landmark_labeling(g));
+  const HubLabeling flat = pruned_landmark_labeling(g);
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kThreadBlocks[kThreads] = {1, 7, 64, 512};
   std::vector<std::string> failures(kThreads);
@@ -222,7 +217,7 @@ TEST(BatchQuery, ByteIdenticalOnNearPairsOverLongLabels) {
   // the SIMD probes fold many hits per step, often in every lane.
   Rng rng(37);
   const Graph g = gen::road_like(20, 20, 0.2, 10, rng);
-  const FlatHubLabeling flat(pruned_landmark_labeling(g));
+  const HubLabeling flat = pruned_landmark_labeling(g);
   for (const std::size_t block : kBlockSizes) {
     const std::vector<std::pair<Vertex, Vertex>> pairs =
         serve::WorkloadGenerator(g, serve::WorkloadKind::kNear, 11 + block).block(block);
@@ -256,7 +251,7 @@ class LaneFoldCases {
   /// Answers every case as one block on every supported tier; each answer
   /// must equal the case's and query_with_hub's.
   void check() const {
-    const FlatHubLabeling flat = build();
+    const HubLabeling flat = build();
     const auto source = static_cast<Vertex>(2 * kMaxSize);
     std::vector<std::pair<Vertex, Vertex>> pairs;
     for (std::size_t c = 0; c < cases_.size(); ++c) {
@@ -287,7 +282,7 @@ class LaneFoldCases {
 
   /// Vertices [0, 2 * kMaxSize) are the hubs (empty labels), the next one
   /// is the source (every even hub), and then one target per case.
-  [[nodiscard]] FlatHubLabeling build() const {
+  [[nodiscard]] HubLabeling build() const {
     const std::size_t hubs = 2 * kMaxSize;
     std::vector<std::size_t> offsets;
     std::vector<Vertex> hub_col;

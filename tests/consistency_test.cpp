@@ -67,7 +67,7 @@ TEST_P(ConsistencyMatrix, AllExactMethodsAgree) {
   oracles.push_back(std::make_unique<ApspOracle>(g));
   oracles.push_back(std::make_unique<SsspOracle>(g));
   oracles.push_back(std::make_unique<BidirectionalOracle>(g));
-  oracles.push_back(std::make_unique<HubLabelOracle>(g, pruned_landmark_labeling(g)));
+  oracles.push_back(std::make_unique<FlatHubLabelOracle>(pruned_landmark_labeling(g)));
   oracles.push_back(std::make_unique<ContractionHierarchy>(g));
   oracles.push_back(std::make_unique<ArcFlagsOracle>(g, 5));
   oracles.push_back(std::make_unique<AltOracle>(g, farthest_landmarks(g, 4)));

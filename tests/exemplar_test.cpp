@@ -11,7 +11,7 @@
 
 #include "algo/shortest_paths.hpp"
 #include "graph/generators.hpp"
-#include "hub/flat_labeling.hpp"
+#include "hub/labeling.hpp"
 #include "hub/pll.hpp"
 #include "lowerbound/gadget.hpp"
 #include "oracle/contraction_hierarchy.hpp"
@@ -320,7 +320,7 @@ std::vector<std::pair<Vertex, Vertex>> attribution_pairs(std::size_t n, Rng& rng
 TEST(QueryStats, FlatMergeCountsMatchTheLabels) {
   Rng rng(43);
   for (const Graph& g : attribution_graphs()) {
-    const FlatHubLabeling flat(pruned_landmark_labeling(g));
+    const HubLabeling flat = pruned_landmark_labeling(g);
     for (const auto& [s, t] : attribution_pairs(g.num_vertices(), rng)) {
       QueryStats stats;
       const HubQueryResult got = flat.query_with_stats(s, t, stats);

@@ -12,81 +12,75 @@
 namespace hublab {
 namespace {
 
+/// Every vertex is its own only hub: exact for s = t, uncovered otherwise.
+HubLabeling self_hubs_only(Vertex n) {
+  std::vector<std::vector<HubEntry>> rows(n);
+  for (Vertex v = 0; v < n; ++v) rows[v].push_back({v, 0});
+  return HubLabeling(std::move(rows));
+}
+
 TEST(HubLabeling, EmptyQueryIsInfinite) {
-  HubLabeling l(2);
-  l.finalize();
+  const HubLabeling l(std::vector<std::vector<HubEntry>>(2));
   EXPECT_EQ(l.query(0, 1), kInfDist);
   EXPECT_EQ(l.query_with_hub(0, 1).meeting_hub, kInvalidVertex);
 }
 
 TEST(HubLabeling, HandBuiltQuery) {
   // Path 0-1-2, hub = vertex 1 for everyone.
-  HubLabeling l(3);
-  l.add_hub(0, 1, 1);
-  l.add_hub(1, 1, 0);
-  l.add_hub(2, 1, 1);
-  l.finalize();
+  const HubLabeling l({{{1, 1}}, {{1, 0}}, {{1, 1}}});
   EXPECT_EQ(l.query(0, 2), 2u);
   EXPECT_EQ(l.query(0, 1), 1u);
   EXPECT_EQ(l.query_with_hub(0, 2).meeting_hub, 1u);
 }
 
 TEST(HubLabeling, PicksMinimumOverCommonHubs) {
-  HubLabeling l(2);
-  l.add_hub(0, 0, 0);
-  l.add_hub(0, 1, 9);
-  l.add_hub(1, 0, 4);
-  l.add_hub(1, 1, 0);
-  l.finalize();
+  const HubLabeling l({{{0, 0}, {1, 9}}, {{0, 4}, {1, 0}}});
   EXPECT_EQ(l.query(0, 1), 4u);
   EXPECT_EQ(l.query_with_hub(0, 1).meeting_hub, 0u);
 }
 
-TEST(HubLabeling, FinalizeDedupsKeepingMin) {
-  HubLabeling l(1);
-  l.add_hub(0, 5, 10);
-  l.add_hub(0, 5, 3);
-  l.add_hub(0, 5, 7);
-  l.finalize();
-  ASSERT_EQ(l.label(0).size(), 1u);
-  EXPECT_EQ(l.label(0)[0].dist, 3u);
+TEST(HubLabeling, RowsConstructorKeepsTheMinimumPerDuplicateHub) {
+  // Duplicates in any position: the row keeps one entry per hub, at its
+  // minimum distance, and queries see that minimum.
+  const HubLabeling l({{{5, 10}, {2, 4}, {5, 3}, {2, 6}, {5, 7}}, {{5, 0}, {2, 1}, {2, 0}}});
+  ASSERT_EQ(l.label_size(0), 2u);
+  EXPECT_EQ(l.hubs(0)[0], 2u);
+  EXPECT_EQ(l.dists(0)[0], 4u);
+  EXPECT_EQ(l.hubs(0)[1], 5u);
+  EXPECT_EQ(l.dists(0)[1], 3u);
+  ASSERT_EQ(l.label_size(1), 2u);
+  EXPECT_EQ(l.dists(1)[0], 0u);
+  EXPECT_EQ(l.query(0, 1), 3u);
+  EXPECT_EQ(l.query_with_hub(0, 1).meeting_hub, 5u);
 }
 
-TEST(HubLabeling, FinalizeSortsByHub) {
-  HubLabeling l(1);
-  l.add_hub(0, 9, 1);
-  l.add_hub(0, 2, 1);
-  l.add_hub(0, 5, 1);
-  l.finalize();
-  const auto lab = l.label(0);
-  ASSERT_EQ(lab.size(), 3u);
-  EXPECT_EQ(lab[0].hub, 2u);
-  EXPECT_EQ(lab[2].hub, 9u);
+TEST(HubLabeling, RowsConstructorSortsEachRowByHub) {
+  const HubLabeling l({{{9, 1}, {2, 1}, {5, 1}}, {}, {{7, 2}, {3, 0}}});
+  const std::vector<Vertex> row0(l.hubs(0).begin(), l.hubs(0).end());
+  EXPECT_EQ(row0, (std::vector<Vertex>{2, 5, 9}));
+  EXPECT_EQ(l.label_size(1), 0u);
+  const std::vector<Vertex> row2(l.hubs(2).begin(), l.hubs(2).end());
+  EXPECT_EQ(row2, (std::vector<Vertex>{3, 7}));
+  const std::vector<Dist> dist2(l.dists(2).begin(), l.dists(2).end());
+  EXPECT_EQ(dist2, (std::vector<Dist>{0, 2}));
+  EXPECT_EQ(l.total_hubs(), 5u);
 }
 
 TEST(HubLabeling, HasHub) {
-  HubLabeling l(2);
-  l.add_hub(0, 3, 1);
-  l.finalize();
+  const HubLabeling l({{{3, 1}}, {}});
   EXPECT_TRUE(l.has_hub(0, 3));
   EXPECT_FALSE(l.has_hub(0, 2));
   EXPECT_FALSE(l.has_hub(1, 3));
 }
 
 TEST(HubLabeling, Statistics) {
-  HubLabeling l(3);
-  l.add_hub(0, 0, 0);
-  l.add_hub(1, 0, 1);
-  l.add_hub(1, 1, 0);
-  l.finalize();
+  const HubLabeling l({{{0, 0}}, {{0, 1}, {1, 0}}, {}});
   EXPECT_EQ(l.total_hubs(), 3u);
   EXPECT_DOUBLE_EQ(l.average_label_size(), 1.0);
   EXPECT_EQ(l.max_label_size(), 2u);
-  // payload counts entries only; the heap footprint additionally carries the
-  // per-vertex vector headers and any capacity slack.
-  EXPECT_EQ(l.payload_bytes(), 3 * sizeof(HubEntry));
-  EXPECT_GE(l.memory_bytes(),
-            l.payload_bytes() + 3 * sizeof(std::vector<HubEntry>));
+  // The rows constructor sizes the columns exactly: n + 1 offsets and one
+  // hub and one distance per entry and per sentinel.
+  EXPECT_EQ(l.memory_bytes(), 4 * sizeof(std::size_t) + 6 * (sizeof(Vertex) + sizeof(Dist)));
 }
 
 TEST(VerifyLabeling, AcceptsCorrectCover) {
@@ -100,14 +94,9 @@ TEST(VerifyLabeling, DetectsWrongDistance) {
   const Graph g = gen::path(3);
   const auto truth = DistanceMatrix::compute(g);
   // An undercutting wrong distance (true dist(0,2) is 2, stored 1).
-  HubLabeling bad(3);
-  bad.add_hub(0, 2, 1);  // true distance is 2
-  bad.add_hub(2, 2, 0);
-  bad.add_hub(0, 0, 0);
-  bad.add_hub(1, 0, 1);
-  bad.add_hub(1, 1, 0);
-  bad.add_hub(2, 1, 1);
-  bad.finalize();
+  const HubLabeling bad({{{2, 1} /* true distance is 2 */, {0, 0}},
+                         {{0, 1}, {1, 0}},
+                         {{2, 0}, {1, 1}}});
   const auto defect = verify_labeling(g, bad, truth);
   ASSERT_TRUE(defect.has_value());
   EXPECT_EQ(defect->kind, LabelingDefect::Kind::kWrongDistance);
@@ -116,9 +105,7 @@ TEST(VerifyLabeling, DetectsWrongDistance) {
 TEST(VerifyLabeling, DetectsUncoveredPair) {
   const Graph g = gen::path(3);
   const auto truth = DistanceMatrix::compute(g);
-  HubLabeling l(3);
-  for (Vertex v = 0; v < 3; ++v) l.add_hub(v, v, 0);  // only self-hubs
-  l.finalize();
+  const HubLabeling l = self_hubs_only(3);
   const auto defect = verify_labeling(g, l, truth);
   ASSERT_TRUE(defect.has_value());
   EXPECT_EQ(defect->kind, LabelingDefect::Kind::kUncoveredPair);
@@ -133,9 +120,7 @@ TEST(VerifyLabelingSampled, AcceptsCorrectCover) {
 
 TEST(VerifyLabelingSampled, CatchesPlantedDefect) {
   const Graph g = gen::path(10);
-  HubLabeling l(10);
-  for (Vertex v = 0; v < 10; ++v) l.add_hub(v, v, 0);
-  l.finalize();
+  const HubLabeling l = self_hubs_only(10);
   // With many samples the sampled verifier must find an uncovered pair.
   EXPECT_TRUE(verify_labeling_sampled(g, l, 500, 3).has_value());
 }
@@ -155,9 +140,7 @@ TEST(MonotoneClosure, ContainsOriginalHubs) {
   const HubLabeling pll = pruned_landmark_labeling(g);
   const HubLabeling closed = monotone_closure(g, pll);
   for (Vertex v = 0; v < 30; ++v) {
-    for (const HubEntry& e : pll.label(v)) {
-      EXPECT_TRUE(closed.has_hub(v, e.hub));
-    }
+    for (const Vertex hub : pll.hubs(v)) EXPECT_TRUE(closed.has_hub(v, hub));
   }
   EXPECT_GE(closed.total_hubs(), pll.total_hubs());
 }
@@ -177,10 +160,10 @@ TEST(MonotoneClosure, ClosedUnderTreeAncestors) {
   const HubLabeling pll = pruned_landmark_labeling(g, VertexOrder::kNatural);
   const HubLabeling closed = monotone_closure(g, pll);
   for (Vertex v = 0; v < 8; ++v) {
-    for (const HubEntry& e : closed.label(v)) {
-      // Every vertex strictly between v and e.hub on the path is a hub too.
-      const Vertex lo = std::min(v, e.hub);
-      const Vertex hi = std::max(v, e.hub);
+    for (const Vertex hub : closed.hubs(v)) {
+      // Every vertex strictly between v and hub on the path is a hub too.
+      const Vertex lo = std::min(v, hub);
+      const Vertex hi = std::max(v, hub);
       for (Vertex x = lo; x <= hi; ++x) EXPECT_TRUE(closed.has_hub(v, x));
     }
   }
@@ -195,11 +178,10 @@ TEST(MonotoneClosure, ClosedUnderTreeAncestors) {
 void expect_same_labels(const HubLabeling& a, const HubLabeling& b) {
   ASSERT_EQ(a.num_vertices(), b.num_vertices());
   for (Vertex v = 0; v < a.num_vertices(); ++v) {
-    const auto la = a.label(v);
-    const auto lb = b.label(v);
-    ASSERT_EQ(la.size(), lb.size()) << "label size differs at v=" << v;
-    for (std::size_t i = 0; i < la.size(); ++i) {
-      EXPECT_EQ(la[i], lb[i]) << "entry " << i << " of v=" << v;
+    ASSERT_EQ(a.label_size(v), b.label_size(v)) << "label size differs at v=" << v;
+    for (std::size_t i = 0; i < a.label_size(v); ++i) {
+      EXPECT_EQ(a.hubs(v)[i], b.hubs(v)[i]) << "entry " << i << " of v=" << v;
+      EXPECT_EQ(a.dists(v)[i], b.dists(v)[i]) << "entry " << i << " of v=" << v;
     }
   }
 }
@@ -221,11 +203,11 @@ TEST(ParallelDeterminism, VerifyLabelingFindsSameFirstDefect) {
   const auto truth = DistanceMatrix::compute(g);
   // Two planted wrong distances; the reported defect must be the first in
   // sequential scan order regardless of which chunk scans it.
-  HubLabeling bad(9);
-  for (Vertex v = 0; v < 9; ++v) bad.add_hub(v, 0, v);  // hub 0 covers all
-  bad.add_hub(3, 8, 1);  // true dist(3,8) = 5
-  bad.add_hub(7, 8, 9);  // true dist(7,8) = 1
-  bad.finalize();
+  std::vector<std::vector<HubEntry>> rows(9);
+  for (Vertex v = 0; v < 9; ++v) rows[v].push_back({0, v});  // hub 0 covers all
+  rows[3].push_back({8, 1});  // true dist(3,8) = 5
+  rows[7].push_back({8, 9});  // true dist(7,8) = 1
+  const HubLabeling bad(std::move(rows));
   const auto seq = verify_labeling(g, bad, truth, 1);
   const auto par4 = verify_labeling(g, bad, truth, 4);
   ASSERT_TRUE(seq.has_value());
@@ -248,9 +230,7 @@ TEST(ParallelDeterminism, VerifyLabelingAcceptsCoverAtAnyThreadCount) {
 
 TEST(ParallelDeterminism, SampledVerifierDrawsSameSamples) {
   const Graph g = gen::path(12);
-  HubLabeling l(12);
-  for (Vertex v = 0; v < 12; ++v) l.add_hub(v, v, 0);  // only self-hubs
-  l.finalize();
+  const HubLabeling l = self_hubs_only(12);
   const auto seq = verify_labeling_sampled(g, l, 300, 5, 1);
   const auto par4 = verify_labeling_sampled(g, l, 300, 5, 4);
   ASSERT_TRUE(seq.has_value());
@@ -273,14 +253,14 @@ TEST(ParallelDeterminism, AuditReportIsThreadCountInvariant) {
   Rng rng(14);
   const Graph g = gen::connected_gnm(40, 80, rng);
   // A corrupted labeling so the report actually carries issues.
-  HubLabeling bad = pruned_landmark_labeling(g);
-  HubLabeling twisted(g.num_vertices());
+  const HubLabeling bad = pruned_landmark_labeling(g);
+  std::vector<std::vector<HubEntry>> rows(g.num_vertices());
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    for (const HubEntry& e : bad.label(v)) {
-      twisted.add_hub(v, e.hub, e.dist + (v % 3 == 0 ? 1 : 0));
+    for (std::size_t i = 0; i < bad.label_size(v); ++i) {
+      rows[v].push_back({bad.hubs(v)[i], bad.dists(v)[i] + (v % 3 == 0 ? 1 : 0)});
     }
   }
-  twisted.finalize();
+  const HubLabeling twisted(std::move(rows));
   const AuditReport seq = twisted.audit(g, 24, 9, 1);
   const AuditReport par4 = twisted.audit(g, 24, 9, 4);
   EXPECT_EQ(seq.ok(), par4.ok());

@@ -28,7 +28,7 @@ HubLabeling pll_natural(const Graph& g) {
 TEST(Integration, RoadNetworkOracle) {
   Rng rng(1);
   const Graph g = gen::road_like(12, 12, 0.2, 9, rng);
-  const HubLabelOracle oracle(g, pruned_landmark_labeling(g));
+  const FlatHubLabelOracle oracle(pruned_landmark_labeling(g));
   Rng pick(2);
   for (int i = 0; i < 50; ++i) {
     const auto u = static_cast<Vertex>(pick.next_below(g.num_vertices()));

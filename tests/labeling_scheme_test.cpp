@@ -68,9 +68,7 @@ TEST(HubScheme, EncodeExistingLabelingMatchesQueries) {
 TEST(HubScheme, BitSizeMatchesEntryCodes) {
   // Single-vertex labeling with known entries: size must equal the sum of
   // the gamma code lengths.
-  HubLabeling l(1);
-  l.add_hub(0, 4, 7);
-  l.finalize();
+  const HubLabeling l({{{4, 7}}});
   const EncodedLabels enc = HubDistanceLabeling::encode_labeling(l);
   const std::size_t expected = 2                          // codec tag
                                + gamma_code_length(1 + 1)  // count 1 -> gamma0
@@ -136,18 +134,16 @@ INSTANTIATE_TEST_SUITE_P(Codecs, CodecSweep,
 
 TEST(Codecs, DeltaWinsOnLargeDistances) {
   // The weighted gadget has distances ~ 2lA; delta codes beat gamma there.
-  HubLabeling l(1);
-  l.add_hub(0, 0, 1 << 20);
-  l.finalize();
+  const HubLabeling l({{{0, Dist{1} << 20}}});
   const auto gamma = HubDistanceLabeling::encode_labeling(l, DistCodec::kGamma);
   const auto delta = HubDistanceLabeling::encode_labeling(l, DistCodec::kDelta);
   EXPECT_LT(delta.total_bits(), gamma.total_bits());
 }
 
 TEST(Codecs, GammaWinsOnSmallDistances) {
-  HubLabeling l(1);
-  for (Vertex h = 0; h < 20; ++h) l.add_hub(0, h, h % 4);
-  l.finalize();
+  std::vector<std::vector<HubEntry>> rows(1);
+  for (Vertex h = 0; h < 20; ++h) rows[0].push_back({h, h % 4});
+  const HubLabeling l(std::move(rows));
   const auto gamma = HubDistanceLabeling::encode_labeling(l, DistCodec::kGamma);
   const auto fixed = HubDistanceLabeling::encode_labeling(l, DistCodec::kFixed32);
   EXPECT_LT(gamma.total_bits(), fixed.total_bits());

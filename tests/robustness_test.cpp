@@ -156,11 +156,11 @@ TEST(Fuzz, LabelingLoaderRejectsOversizedDeclarationsBeforeAllocating) {
 /// Every row strictly ascending, every hub < num_vertices().
 void expect_well_formed(const HubLabeling& l) {
   for (Vertex v = 0; v < l.num_vertices(); ++v) {
-    const auto label = l.label(v);
-    for (std::size_t i = 0; i < label.size(); ++i) {
-      ASSERT_LT(label[i].hub, l.num_vertices()) << "v=" << v;
+    const auto hubs = l.hubs(v);
+    for (std::size_t i = 0; i < hubs.size(); ++i) {
+      ASSERT_LT(hubs[i], l.num_vertices()) << "v=" << v;
       if (i > 0) {
-        ASSERT_LT(label[i - 1].hub, label[i].hub) << "v=" << v;
+        ASSERT_LT(hubs[i - 1], hubs[i]) << "v=" << v;
       }
     }
   }
@@ -203,8 +203,8 @@ TEST(Fuzz, LabelingLoaderByteFlipSweep) {
     for (Vertex v = 0; v < labels.num_vertices(); ++v) {
       std::stringstream cut(bytes.substr(0, boundary));
       EXPECT_THROW((void)load_labeling(cut), ParseError) << "cut at label " << v;
-      if (mid_entry == 0 && !labels.label(v).empty()) mid_entry = boundary + 8 + 6;
-      boundary += 8 + 12 * labels.label(v).size();
+      if (mid_entry == 0 && labels.label_size(v) > 0) mid_entry = boundary + 8 + 6;
+      boundary += 8 + 12 * labels.label_size(v);
     }
     ASSERT_EQ(boundary, bytes.size());
     ASSERT_GT(mid_entry, 0u);

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -41,11 +45,35 @@ TEST(Serialize, RoundTripsLabeling) {
   const HubLabeling loaded = load_labeling(buffer);
   ASSERT_EQ(loaded.num_vertices(), original.num_vertices());
   for (Vertex v = 0; v < 50; ++v) {
-    const auto a = original.label(v);
-    const auto b = loaded.label(v);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
+    ASSERT_EQ(original.label_size(v), loaded.label_size(v));
+    for (std::size_t i = 0; i < original.label_size(v); ++i) {
+      EXPECT_EQ(original.hubs(v)[i], loaded.hubs(v)[i]);
+      EXPECT_EQ(original.dists(v)[i], loaded.dists(v)[i]);
+    }
   }
+}
+
+TEST(Serialize, RoundTripKeepsTheServingArrays) {
+  // A loaded labeling is the saved one, column for column, and its columns
+  // are sized exactly as the builder's: the same memory_bytes().
+  Rng rng(5);
+  const Graph g = gen::road_like(8, 8, 0.2, 10, rng);
+  const HubLabeling original = pruned_landmark_labeling(g);
+  std::stringstream buffer;
+  save_labeling(original, buffer);
+  const HubLabeling loaded = load_labeling(buffer);
+  ASSERT_EQ(loaded.num_vertices(), original.num_vertices());
+  for (Vertex v = 0; v < original.num_vertices(); ++v) {
+    const auto hubs = loaded.hubs(v);
+    const auto dists = loaded.dists(v);
+    EXPECT_TRUE(std::equal(hubs.begin(), hubs.end(), original.hubs(v).begin(),
+                           original.hubs(v).end()))
+        << "hubs of v=" << v;
+    EXPECT_TRUE(std::equal(dists.begin(), dists.end(), original.dists(v).begin(),
+                           original.dists(v).end()))
+        << "dists of v=" << v;
+  }
+  EXPECT_EQ(loaded.memory_bytes(), original.memory_bytes());
 }
 
 TEST(Serialize, QueriesIdenticalAfterReload) {
@@ -63,8 +91,7 @@ TEST(Serialize, QueriesIdenticalAfterReload) {
 }
 
 TEST(Serialize, EmptyLabelingRoundTrips) {
-  HubLabeling empty(5);
-  empty.finalize();
+  const HubLabeling empty(std::vector<std::vector<HubEntry>>(5));
   std::stringstream buffer;
   save_labeling(empty, buffer);
   const HubLabeling loaded = load_labeling(buffer);
@@ -88,6 +115,26 @@ TEST(Serialize, TruncationThrows) {
        {std::size_t{5}, std::size_t{12}, full.size() / 2, full.size() - 3}) {
     std::stringstream cut_buffer(full.substr(0, cut));
     EXPECT_THROW(load_labeling(cut_buffer), ParseError) << "cut=" << cut;
+  }
+}
+
+TEST(Serialize, TrailingBytesThrow) {
+  // Nothing may follow the n-th label: one stray byte, or a whole second
+  // copy of the file, is corruption rather than a valid labeling.
+  Rng rng(6);
+  const Graph g = gen::connected_gnm(20, 40, rng);
+  std::stringstream buffer;
+  save_labeling(pruned_landmark_labeling(g), buffer);
+  const std::string file = buffer.str();
+  for (const std::string& padded : {file + '\0', file + file}) {
+    std::stringstream stream(padded);
+    try {
+      (void)load_labeling(stream);
+      ADD_FAILURE() << "loaded a file with " << padded.size() - file.size()
+                    << " trailing bytes";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("trailing bytes"), std::string::npos) << e.what();
+    }
   }
 }
 
@@ -391,12 +438,41 @@ TEST(Cli, NumericOptionsRejectBadValues) {
       {"serve", graph.path(), "--slow-query-ms", "inf"},
       {"serve", graph.path(), "--warmup-ms", "18446744073710"},
       {"gen", "gnm", "--n", "ten"},
+      // 32-bit parameters past 2^32: a usage error, not a truncated value.
+      {"gen", "road", "--maxw", "4294967306"},
+      {"gen", "gadget-h", "--b", "4294967298"},
   };
   for (const std::vector<std::string>& args : cases) {
     const std::string& flag = args[args.size() - 2];
     EXPECT_EQ(run_cli(args, &output), 1) << flag << ": " << output;
     EXPECT_NE(output.find("error: "), std::string::npos) << output;
     EXPECT_NE(output.find(flag), std::string::npos) << flag << ": " << output;
+  }
+}
+
+TEST(Cli, PositionalIdsPast32BitsAreUsageErrors) {
+  // Vertex ids and gadget parameters are 32-bit: 2^32 + 5 must not wrap to
+  // vertex 5, nor 2^32 + 2 to b = 2.
+  TempFile graph("ids_past_32_bits");
+  TempFile labels("ids_past_32_bits_labels");
+  std::string output;
+  ASSERT_EQ(run_cli({"gen", "grid", "--rows", "3", "--cols", "3", "-o", graph.path()}, &output), 0);
+  ASSERT_EQ(run_cli({"label", graph.path(), "-o", labels.path()}, &output), 0);
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"query", graph.path(), labels.path(), "4294967301", "0"}, "U"},
+      {{"query", graph.path(), labels.path(), "0", "4294967301"}, "V"},
+      {{"explain", graph.path(), "4294967301", "0"}, "S"},
+      {{"explain", graph.path(), "0", "4294967301"}, "T"},
+      {{"certify-gadget", "4294967298", "1"}, "B"},
+      {{"certify-gadget", "2", "4294967297"}, "L"},
+      {{"sumindex", "4294967298", "1"}, "B"},
+      {{"sumindex", "2", "4294967297"}, "L"},
+  };
+  for (const auto& [args, name] : cases) {
+    EXPECT_EQ(run_cli(args, &output), 1) << args[0] << " " << name << ": " << output;
+    EXPECT_NE(output.find("error: "), std::string::npos) << output;
+    EXPECT_NE(output.find("for " + name + ":"), std::string::npos)
+        << args[0] << " " << name << ": " << output;
   }
 }
 

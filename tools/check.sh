@@ -66,11 +66,8 @@ orderings = gauges("BENCH_pll_orderings.json")
 for key in ("pract.pll_build_entry_ns.regular3", "pract.pll_build_entry_ns.road"):
     headline[key] = orderings[key]
 for key, value in sorted(gauges("BENCH_query_oracles.json").items()):
-    if key.startswith(("pract.flat_query_pct_of_vector.",
-                       "pract.batch_query_pct_of_scalar.")):
+    if key.startswith("pract.batch_query_pct_of_scalar."):
         headline[key] = value
-assert any(k.startswith("pract.flat_query_pct_of_vector.") for k in headline), \
-    "BENCH_query_oracles.json carries no pract.flat_query_pct_of_vector.* gauges"
 assert any(k.startswith("pract.batch_query_pct_of_scalar.") for k in headline), \
     "BENCH_query_oracles.json carries no pract.batch_query_pct_of_scalar.* gauges"
 for key, value in sorted(gauges("BENCH_serve_scaling.json").items()):
@@ -131,7 +128,7 @@ ctest --preset asan-ubsan -j "${jobs}"
 stage "3/15 TSan build + parallel-path tests"
 # The suites that drive util/parallel's pool with threads > 1: the pool
 # itself, every parallelized hub-labeling entry point (PllCanonical builds
-# PLL labels at 4 threads), the flat kernel, the
+# PLL labels at 4 threads), the hub-label kernel, the
 # sketch merges the server reduces with, and the server itself — its shard
 # workers share the oracle, the pool and the batch kernel's thread_local
 # tables under every arrival kind (open, closed, report and batch suites).

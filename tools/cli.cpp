@@ -18,10 +18,10 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/transforms.hpp"
-#include "hub/flat_labeling.hpp"
 #include "hub/order.hpp"
 #include "hub/pll.hpp"
 #include "hub/serialize.hpp"
+#include "hub/simd_kernel.hpp"
 #include "lowerbound/certify.hpp"
 #include "lowerbound/gadget.hpp"
 #include "oracle/oracle.hpp"
@@ -80,6 +80,12 @@ std::uint64_t parse_u64(const std::string& s, const std::string& what) {
   return parse_number<std::uint64_t>(s, what);
 }
 
+/// A vertex id, gadget parameter or edge weight: 32 bits, so a larger value
+/// is a usage error rather than a silent truncation.
+std::uint32_t parse_u32(const std::string& s, const std::string& what) {
+  return parse_number<std::uint32_t>(s, what);
+}
+
 /// A millisecond duration flag as whole nanoseconds.  NaN, infinities and
 /// counts past 2^64 ns are usage errors naming `what`: converting them to
 /// an integer is undefined behaviour.
@@ -121,6 +127,11 @@ class Args {
     return v ? parse_u64(*v, name) : fallback;
   }
 
+  [[nodiscard]] std::uint32_t option_u32(const std::string& name, std::uint32_t fallback) const {
+    const auto v = option(name);
+    return v ? parse_u32(*v, name) : fallback;
+  }
+
   [[nodiscard]] double option_double(const std::string& name, double fallback) const {
     const auto v = option(name);
     return v ? parse_number<double>(*v, name) : fallback;
@@ -150,8 +161,8 @@ int cmd_gen(Args& args, std::ostream& out) {
   const std::uint64_t m = args.option_u64("--m", 2 * n);
   const std::uint64_t rows = args.option_u64("--rows", 10);
   const std::uint64_t cols = args.option_u64("--cols", 10);
-  const std::uint64_t b = args.option_u64("--b", 2);
-  const std::uint64_t ell = args.option_u64("--l", 2);
+  const std::uint32_t b = args.option_u32("--b", 2);
+  const std::uint32_t ell = args.option_u32("--l", 2);
 
   Graph g;
   if (*family == "gnm") {
@@ -165,17 +176,14 @@ int cmd_gen(Args& args, std::ostream& out) {
   } else if (*family == "regular") {
     g = gen::random_regular(n, args.option_u64("--d", 3), rng);
   } else if (*family == "road") {
-    g = gen::road_like(rows, cols, 0.2, static_cast<Weight>(args.option_u64("--maxw", 10)), rng);
+    g = gen::road_like(rows, cols, 0.2, args.option_u32("--maxw", 10), rng);
   } else if (*family == "rs") {
     // Ruzsa-Szemeredi graph from a Behrend set (Definition 1.3); 3M vertices.
     g = rs::behrend_rs_graph(args.option_u64("--M", 16)).graph;
   } else if (*family == "gadget-h") {
-    g = lb::LayeredGadget(
-            lb::GadgetParams{static_cast<std::uint32_t>(b), static_cast<std::uint32_t>(ell)})
-            .graph();
+    g = lb::LayeredGadget(lb::GadgetParams{b, ell}).graph();
   } else if (*family == "gadget-g") {
-    const lb::LayeredGadget h(
-        lb::GadgetParams{static_cast<std::uint32_t>(b), static_cast<std::uint32_t>(ell)});
+    const lb::LayeredGadget h(lb::GadgetParams{b, ell});
     g = lb::Degree3Gadget(h).graph();
   } else {
     throw InvalidArgument("gen: unknown family: " + *family);
@@ -224,10 +232,9 @@ int cmd_label(Args& args, std::ostream& out) {
   PllConfig pll;
   pll.threads = static_cast<std::size_t>(args.option_u64("--threads", 0));
   const HubLabeling labels = pruned_landmark_labeling(g, order, pll);
-  const FlatHubLabeling flat(labels);
   out << "PLL(" << order_name << "): avg=" << labels.average_label_size()
       << " max=" << labels.max_label_size() << " total=" << labels.total_hubs()
-      << " bytes=" << labels.memory_bytes() << " flat_bytes=" << flat.memory_bytes() << "\n";
+      << " bytes=" << labels.memory_bytes() << "\n";
   if (const auto output = args.option("-o")) {
     save_labeling_file(labels, *output);
     out << "wrote " << *output << "\n";
@@ -248,8 +255,8 @@ int cmd_query(Args& args, std::ostream& out) {
   if (labels.num_vertices() != g.num_vertices()) {
     throw InvalidArgument("query: labels do not match graph size");
   }
-  const auto u = static_cast<Vertex>(parse_u64(*u_str, "U"));
-  const auto v = static_cast<Vertex>(parse_u64(*v_str, "V"));
+  const Vertex u = parse_u32(*u_str, "U");
+  const Vertex v = parse_u32(*v_str, "V");
   if (u >= g.num_vertices() || v >= g.num_vertices()) {
     throw InvalidArgument("query: vertex out of range");
   }
@@ -292,8 +299,7 @@ int cmd_certify_gadget(Args& args, std::ostream& out) {
   const auto b_str = args.next_positional();
   const auto l_str = args.next_positional();
   if (!b_str || !l_str) throw InvalidArgument("certify-gadget: usage: certify-gadget B L");
-  const lb::GadgetParams p{static_cast<std::uint32_t>(parse_u64(*b_str, "B")),
-                           static_cast<std::uint32_t>(parse_u64(*l_str, "L"))};
+  const lb::GadgetParams p{parse_u32(*b_str, "B"), parse_u32(*l_str, "L")};
   const lb::LayeredGadget h(p);
   const auto report = lb::verify_lemma_2_2(h, 128, 1);
   out << "H_{" << p.b << "," << p.ell << "}: n=" << h.graph().num_vertices()
@@ -309,8 +315,7 @@ int cmd_sumindex(Args& args, std::ostream& out) {
   const auto b_str = args.next_positional();
   const auto l_str = args.next_positional();
   if (!b_str || !l_str) throw InvalidArgument("sumindex: usage: sumindex B L [--trials N]");
-  const lb::GadgetParams p{static_cast<std::uint32_t>(parse_u64(*b_str, "B")),
-                           static_cast<std::uint32_t>(parse_u64(*l_str, "L"))};
+  const lb::GadgetParams p{parse_u32(*b_str, "B"), parse_u32(*l_str, "L")};
   const auto scheme = std::make_shared<HubDistanceLabeling>(
       +[](const Graph& g) { return pruned_landmark_labeling(g, VertexOrder::kNatural); }, "pll");
   const si::GadgetProtocol protocol(p, scheme);
@@ -633,8 +638,8 @@ int cmd_explain(Args& args, std::ostream& out) {
   const std::uint64_t t0 = monotonic_ns();
   const Graph g = io::load_edge_list(*graph_file);
   const std::uint64_t t_loaded = monotonic_ns();
-  const auto s = static_cast<Vertex>(parse_u64(*s_str, "S"));
-  const auto t = static_cast<Vertex>(parse_u64(*t_str, "T"));
+  const Vertex s = parse_u32(*s_str, "S");
+  const Vertex t = parse_u32(*t_str, "T");
   if (s >= g.num_vertices() || t >= g.num_vertices()) {
     throw InvalidArgument("explain: vertex out of range");
   }
