@@ -82,16 +82,13 @@ HubLabeling prune_to_minimal(const Graph& g, const HubLabeling& labeling,
   // entry checked earlier may become essential later, so we re-verify each
   // candidate against the *current* labeling before dropping it.
   for (Vertex v = n; v-- > 0;) {
-    bool changed = false;
     for (std::size_t i = entries[v].size(); i-- > 0;) {
       const Vertex hub = entries[v][i].hub;
       if (entry_is_redundant(g, current, truth, v, hub)) {
         entries[v].erase(entries[v].begin() + static_cast<std::ptrdiff_t>(i));
-        changed = true;
         current = rebuild();
       }
     }
-    if (changed) current = rebuild();
   }
   return current;
 }

@@ -15,61 +15,72 @@
 
 namespace hublab {
 
-HubLabeling::HubLabeling(std::vector<std::vector<HubEntry>> rows) : num_vertices_(rows.size()) {
-  std::size_t slots = num_vertices_;  // one sentinel per label
+namespace {
+
+/// Sort a row by hub id, keeping the minimum distance per hub.  Rows with
+/// strictly increasing hub ids are already in final form; one scan beats
+/// the sort for producers that emit hub-sorted rows.
+void sort_row(std::vector<HubEntry>& row) {
+  const bool strictly_sorted =
+      std::adjacent_find(row.begin(), row.end(), [](const HubEntry& a, const HubEntry& b) {
+        return a.hub >= b.hub;
+      }) == row.end();
+  if (strictly_sorted) return;
+  std::sort(row.begin(), row.end(), [](const HubEntry& a, const HubEntry& b) {
+    return a.hub != b.hub ? a.hub < b.hub : a.dist < b.dist;
+  });
+  row.erase(std::unique(row.begin(), row.end(),
+                        [](const HubEntry& a, const HubEntry& b) { return a.hub == b.hub; }),
+            row.end());
+}
+
+/// Sorts every row in place and returns the entry count left.
+std::size_t sort_rows(std::vector<std::vector<HubEntry>>& rows) {
+  std::size_t entries = 0;
   for (auto& row : rows) {
-    // Rows with strictly increasing hub ids are already in final form; one
-    // scan beats the sort for builders that emit hub-sorted rows.
-    const bool strictly_sorted =
-        std::adjacent_find(row.begin(), row.end(), [](const HubEntry& a, const HubEntry& b) {
-          return a.hub >= b.hub;
-        }) == row.end();
-    if (!strictly_sorted) {
-      std::sort(row.begin(), row.end(), [](const HubEntry& a, const HubEntry& b) {
-        return a.hub != b.hub ? a.hub < b.hub : a.dist < b.dist;
-      });
-      row.erase(std::unique(row.begin(), row.end(),
-                            [](const HubEntry& a, const HubEntry& b) { return a.hub == b.hub; }),
-                row.end());
-    }
-    slots += row.size();
+    sort_row(row);
+    entries += row.size();
   }
-  offsets_.reserve(num_vertices_ + 1);
-  hubs_.reserve(slots);
-  dists_.reserve(slots);
-  for (auto& row : rows) {
-    offsets_.push_back(hubs_.size());
-    for (const HubEntry& e : row) {
-      HUBLAB_ASSERT_MSG(e.hub != kInvalidVertex, "kInvalidVertex is reserved as the sentinel");
-      hubs_.push_back(e.hub);
-      dists_.push_back(e.dist);
+  return entries;
+}
+
+}  // namespace
+
+HubLabeling::HubLabeling(std::size_t num_vertices, std::size_t num_entries,
+                         const RowFiller& fill_row)
+    : num_vertices_(num_vertices) {
+  HUBLAB_ASSERT_MSG(num_vertices < kInvalidVertex,
+                    "vertex count must stay below the kInvalidVertex sentinel");
+  offsets_.reserve(num_vertices + 1);
+  hubs_.reserve(num_entries + num_vertices);  // one sentinel per label
+  dists_.reserve(num_entries + num_vertices);
+  std::vector<HubEntry> row;
+  for (Vertex v = 0; v < num_vertices; ++v) {
+    row.clear();
+    fill_row(v, row);
+    sort_row(row);
+    // Grow both columns by the row and its sentinel, which the fill value
+    // writes, and copy the row through raw pointers: per-entry push_back
+    // costs a capacity check and a store of the end pointer.
+    const std::size_t at = hubs_.size();
+    offsets_.push_back(at);
+    hubs_.resize(at + row.size() + 1, kInvalidVertex);
+    dists_.resize(at + row.size() + 1, kInfDist);
+    Vertex* hubs = hubs_.data() + at;
+    Dist* dists = dists_.data() + at;
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      HUBLAB_ASSERT_RANGE(row[i].hub, num_vertices);  // S(v) is a subset of V
+      hubs[i] = row[i].hub;
+      dists[i] = row[i].dist;
     }
-    hubs_.push_back(kInvalidVertex);
-    dists_.push_back(kInfDist);
-    std::vector<HubEntry>().swap(row);  // release each row once copied
   }
   offsets_.push_back(hubs_.size());
 }
 
-HubLabeling::HubLabeling(std::size_t num_vertices, std::vector<std::size_t> offsets,
-                         std::vector<Vertex> hubs, std::vector<Dist> dists)
-    : num_vertices_(num_vertices),
-      offsets_(std::move(offsets)),
-      hubs_(std::move(hubs)),
-      dists_(std::move(dists)) {
-  HUBLAB_ASSERT_MSG(offsets_.size() == num_vertices_ + 1, "offsets must have n + 1 entries");
-  HUBLAB_ASSERT_MSG(hubs_.size() == dists_.size(), "hub/dist arrays must be parallel");
-  HUBLAB_ASSERT_MSG(offsets_.back() == hubs_.size(), "final offset must close the hub array");
-  for (std::size_t v = 0; v < num_vertices_; ++v) {
-    const std::size_t first = offsets_[v];
-    const std::size_t last = offsets_[v + 1] - 1;  // sentinel slot
-    HUBLAB_ASSERT_MSG(hubs_[last] == kInvalidVertex && dists_[last] == kInfDist,
-                      "every label must be sentinel-terminated");
-    for (std::size_t i = first + 1; i < last; ++i) {
-      HUBLAB_ASSERT_MSG(hubs_[i - 1] < hubs_[i], "labels must be sorted and deduplicated");
-    }
-  }
-}
+HubLabeling::HubLabeling(std::vector<std::vector<HubEntry>> rows)
+    : HubLabeling(rows.size(), sort_rows(rows), [&rows](Vertex v, std::vector<HubEntry>& row) {
+        row = std::move(rows[v]);  // frees the previous row
+      }) {}
 
 bool HubLabeling::has_hub(Vertex v, Vertex hub) const {
   const auto label = hubs(v);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <span>
 #include <utility>
@@ -47,23 +48,31 @@ struct HubQueryResult {
 /// every real hub) lets the merge advance without bounds checks: the loop
 /// only ever tests hub values, and terminates when both cursors reach
 /// their sentinels.  A query is a linear merge of the two labels,
-/// O(|S(u)| + |S(v)|).  The structure is immutable; build a new one to
-/// change a label.
+/// O(|S(u)| + |S(v)|).  One construction loop writes the columns, so
+/// every producer hands it rows and every labeling has S(v) within V.  The
+/// structure is immutable; build a new one to change a label.
 class HubLabeling {
  public:
   HubLabeling() = default;
 
-  /// Build from per-vertex rows in any order: each row is sorted by hub id
-  /// and keeps the minimum distance per hub.  No hub id may be the
-  /// kInvalidVertex sentinel.
-  explicit HubLabeling(std::vector<std::vector<HubEntry>> rows);
+  /// Fills S(v) into `row`, which arrives empty: hubs in any order,
+  /// duplicates allowed.
+  using RowFiller = std::function<void(Vertex v, std::vector<HubEntry>& row)>;
 
-  /// Adopt pre-built flat arrays (the PLL builder, the label loader).  The
-  /// arrays must already be in this class's layout: `offsets` has n + 1
-  /// entries counting sentinels, every label is sorted ascending by hub id
-  /// and terminated by a kInvalidVertex/kInfDist sentinel pair.
-  HubLabeling(std::size_t num_vertices, std::vector<std::size_t> offsets,
-              std::vector<Vertex> hubs, std::vector<Dist> dists);
+  /// The one construction loop, which alone writes the columns.  For
+  /// v = 0..n-1 it calls `fill_row(v, row)` once, sorts the row by hub id
+  /// keeping the minimum distance per hub (one scan when the row is
+  /// already strictly ascending), asserts every hub is < n (S(v) is a
+  /// subset of V; HUBLAB_ASSERT_RANGE), and appends the row and its
+  /// sentinel.  The columns are reserved once for `num_entries` entries
+  /// plus the n sentinels, so a producer passing the exact count after
+  /// deduplication gets capacity == size.
+  HubLabeling(std::size_t num_vertices, std::size_t num_entries, const RowFiller& fill_row);
+
+  /// Build from per-vertex rows (rows[v] is S(v)) through the construction
+  /// loop.  Each row is sorted first, to count the entries, and freed once
+  /// it is moved in.
+  explicit HubLabeling(std::vector<std::vector<HubEntry>> rows);
 
   /// perfbench/e2e.cpp spells this; the next benchmark PR deletes it.
   void finalize() const {}

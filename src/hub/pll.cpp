@@ -193,33 +193,12 @@ class PllBuilder {
 
   HubLabeling run() {
     build_labels();
-    // Single pass straight into the flat columns: per row, map ranks to hub
-    // ids, sort by hub (ranks are unique, so rows have no duplicates) and
-    // append with the sentinel.
-    const std::size_t n = g_.num_vertices();
-    std::size_t slots = n;  // one sentinel per label
-    for (const std::vector<Entry>& row : rows_) slots += row.size();
-    std::vector<std::size_t> offsets;
-    std::vector<Vertex> hubs;
-    std::vector<Dist> dists;
-    offsets.reserve(n + 1);
-    hubs.reserve(slots);
-    dists.reserve(slots);
-    std::vector<HubEntry> row;
-    for (Vertex v = 0; v < n; ++v) {
-      offsets.push_back(hubs.size());
-      take_row(v, row);
-      std::sort(row.begin(), row.end(),
-                [](const HubEntry& a, const HubEntry& b) { return a.hub < b.hub; });
-      for (const HubEntry& e : row) {
-        hubs.push_back(e.hub);
-        dists.push_back(e.dist);
-      }
-      hubs.push_back(kInvalidVertex);
-      dists.push_back(kInfDist);
-    }
-    offsets.push_back(hubs.size());
-    return HubLabeling(n, std::move(offsets), std::move(hubs), std::move(dists));
+    // Ranks are unique, so the rows hold no duplicate hub; the construction
+    // loop sorts each row from rank order into hub order.
+    std::size_t entries = 0;
+    for (const std::vector<Entry>& row : rows_) entries += row.size();
+    return HubLabeling(g_.num_vertices(), entries,
+                       [this](Vertex v, std::vector<HubEntry>& row) { take_row(v, row); });
   }
 
  private:
@@ -262,7 +241,6 @@ class PllBuilder {
 
   /// Move v's row out as hub-id entries in rank order, freeing the row.
   void take_row(Vertex v, std::vector<HubEntry>& out) {
-    out.clear();
     out.reserve(rows_[v].size());
     for (const Entry& e : rows_[v]) out.push_back(HubEntry{order_[e.rank], e.dist});
     std::vector<Entry>().swap(rows_[v]);

@@ -85,46 +85,37 @@ HubLabeling load_labeling(std::istream& in) {
   if (n > left / kCountBytes) throw ParseError("labeling file: vertex count exceeds file size");
 
   // A well-formed file holds exactly n counts and (left - 8n) / 12
-  // entries, so the columns (one sentinel slot per label) are sized once.
-  const std::uint64_t slots = n + (left - n * kCountBytes) / kEntryBytes;
-  std::vector<std::size_t> offsets;
-  std::vector<Vertex> hubs;
-  std::vector<Dist> dists;
-  offsets.reserve(n + 1);
-  hubs.reserve(slots);
-  dists.reserve(slots);
+  // entries, so the columns are sized once.  Every label is checked before
+  // it reaches the construction loop, whose assertions never see bad input.
   std::vector<char> block;  // one label's entries, as stored
-  for (std::uint64_t v = 0; v < n; ++v) {
-    const auto count = read_pod<std::uint64_t>(in);
-    left -= kCountBytes;
-    if (count > n) throw ParseError("labeling file: label larger than vertex count");
-    if (count > (left - (n - v - 1) * kCountBytes) / kEntryBytes) {
-      throw ParseError("labeling file: label size exceeds file size");
-    }
-    left -= count * kEntryBytes;
-    block.resize(count * kEntryBytes);
-    in.read(block.data(), static_cast<std::streamsize>(block.size()));
-    if (!in) throw ParseError("labeling file truncated");
-    offsets.push_back(hubs.size());
-    std::uint64_t prev_hub_plus_one = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const char* entry = block.data() + i * kEntryBytes;
-      std::uint32_t hub = 0;
-      std::uint64_t dist = 0;
-      std::memcpy(&hub, entry, sizeof hub);
-      std::memcpy(&dist, entry + sizeof hub, sizeof dist);
-      if (hub >= n) throw ParseError("labeling file: hub id out of range");
-      if (hub + 1ULL <= prev_hub_plus_one) throw ParseError("labeling file: hubs not ascending");
-      prev_hub_plus_one = hub + 1ULL;
-      hubs.push_back(hub);
-      dists.push_back(dist);
-    }
-    hubs.push_back(kInvalidVertex);
-    dists.push_back(kInfDist);
-  }
+  HubLabeling labeling(
+      n, (left - n * kCountBytes) / kEntryBytes, [&](Vertex v, std::vector<HubEntry>& row) {
+        const auto count = read_pod<std::uint64_t>(in);
+        left -= kCountBytes;
+        if (count > n) throw ParseError("labeling file: label larger than vertex count");
+        if (count > (left - (n - v - 1) * kCountBytes) / kEntryBytes) {
+          throw ParseError("labeling file: label size exceeds file size");
+        }
+        left -= count * kEntryBytes;
+        block.resize(count * kEntryBytes);
+        in.read(block.data(), static_cast<std::streamsize>(block.size()));
+        if (!in) throw ParseError("labeling file truncated");
+        row.resize(count);
+        std::uint64_t prev_hub_plus_one = 0;
+        for (std::uint64_t i = 0; i < count; ++i) {
+          const char* entry = block.data() + i * kEntryBytes;
+          std::uint32_t hub = 0;
+          std::uint64_t dist = 0;
+          std::memcpy(&hub, entry, sizeof hub);
+          std::memcpy(&dist, entry + sizeof hub, sizeof dist);
+          if (hub >= n) throw ParseError("labeling file: hub id out of range");
+          if (hub + 1ULL <= prev_hub_plus_one) throw ParseError("labeling file: hubs not ascending");
+          prev_hub_plus_one = hub + 1ULL;
+          row[i] = {hub, dist};
+        }
+      });
   if (left != 0) throw ParseError("labeling file: trailing bytes after the last label");
-  offsets.push_back(hubs.size());
-  return HubLabeling(n, std::move(offsets), std::move(hubs), std::move(dists));
+  return labeling;
 }
 
 void save_labeling_file(const HubLabeling& labeling, const std::string& file_path) {

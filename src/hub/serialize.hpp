@@ -15,7 +15,8 @@
 ///   then count x (u32 hub, u64 dist).
 /// Loading validates the magic, version, monotone hub order and bounds,
 /// and that nothing follows the n-th label, throwing ParseError on any
-/// corruption; a valid file is read straight into the labeling's columns.
+/// corruption; each checked label is handed to HubLabeling's construction
+/// loop as one row.
 
 namespace hublab {
 

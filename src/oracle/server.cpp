@@ -70,7 +70,7 @@ struct WorkerStats {
   std::map<std::uint64_t, WindowAccum> windows;
 };
 
-/// A shard worker's block buffers, sized once to `batch`.
+/// A shard worker's block buffers, sized once to the most a block can hold.
 struct Block {
   explicit Block(std::size_t batch) : items(batch), pairs(batch), answers(batch) {}
   std::vector<QueryItem> items;
@@ -358,8 +358,12 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
   const std::uint64_t window_ns = std::max<std::uint64_t>(1, config.window_ns);
   const std::size_t n = pairs.size();
   // A closed-loop worker admits one block at a time, so its queue never
-  // holds more than a block and never sheds.
-  const std::size_t bound = closed ? batch : config.ring_capacity;
+  // holds more than a block and never sheds.  No worker ever holds more
+  // than its own slice of the queries, so the FIFO is capped at the
+  // largest slice whatever --ring or --batch says: a FIFO that full holds
+  // the worker's whole slice, leaving no arrival to wait or be shed.
+  const std::size_t slice = (n + workers - 1) / workers;
+  const std::size_t bound = std::min(closed ? batch : config.ring_capacity, slice);
   const bool sheds = !closed && config.admission == AdmissionPolicy::kShed;
 
   {
@@ -445,7 +449,7 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
     // closed arrivals taking a query is its arrival.
     auto serve_worker = [&](std::size_t w) {
       WorkerStats& s = stats[w];
-      Block block(batch);
+      Block block(std::min(batch, bound));
       std::vector<QueryItem> fifo(bound);  // ring buffer: `queued` items from `head`
       std::size_t head = 0;
       std::size_t tail = 0;

@@ -157,7 +157,9 @@ struct ServerConfig {
   std::uint64_t burst = 32;  ///< arrivals per burst group (kBurst only)
   AdmissionPolicy admission = AdmissionPolicy::kShed;
   /// Exact bound on each open-loop worker's queue of admitted, unanswered
-  /// queries (`--ring`; no power-of-two rounding).
+  /// queries (`--ring`; no power-of-two rounding).  A worker's buffers hold
+  /// at most its own slice of the queries, so a larger bound (or `batch`)
+  /// costs no memory.
   std::size_t ring_capacity = 1024;
   std::size_t batch = 32;  ///< max items per answered block; 1 = per-query loop
   TimingMode timing = TimingMode::kWall;

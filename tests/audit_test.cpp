@@ -164,13 +164,28 @@ TEST(LabelingAudit, UnsortedDuplicateRowsAuditCleanOnceConstructed) {
   }
 }
 
-TEST(LabelingAudit, CatchesOutOfRangeHubAndBadSelfDistance) {
+TEST(LabelingAudit, CatchesBadSelfDistance) {
   const Graph g = gen::path(3);
-  const HubLabeling labels({{{7, 1}} /* hub id beyond n */,
-                            {{1, 2}} /* self-hub with nonzero distance */,
-                            {}});
+  const HubLabeling labels({{{0, 0}}, {{1, 2}} /* self-hub with nonzero distance */, {}});
   const AuditReport report = labels.audit(g, 0, 1);
-  EXPECT_GE(report.num_issues(), 2u);
+  EXPECT_EQ(report.num_issues(), 1u) << report.to_string();
+}
+
+// A hub id beyond n cannot be built at all (S(v) is a subset of V), so the
+// audit's own range check is a second line of defence.  The suite name
+// keeps these forks out of the ThreadSanitizer stage's test selection.
+TEST(LabelingDeathTest, OutOfRangeHubAbortsConstruction) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  using Rows = std::vector<std::vector<HubEntry>>;
+  // The batched kernel's stamp table has n slots, so hub 7 of a 3-vertex
+  // labeling would be written past it.
+  EXPECT_DEATH(HubLabeling(Rows{{{7, 1}}, {{1, 0}}, {}}), "bounds check failed");
+  EXPECT_DEATH(HubLabeling(Rows{{}, {{0, 1}, {2, 1}}}), "bounds check failed");
+  EXPECT_DEATH(HubLabeling(Rows{{{kInvalidVertex, 0}}}), "bounds check failed");
+  EXPECT_DEATH(HubLabeling(2, 1, [](Vertex v, std::vector<HubEntry>& row) {
+                 if (v == 1) row.push_back({2, 0});
+               }),
+               "bounds check failed");
 }
 
 TEST(LabelingAudit, SizeMismatchIsReported) {

@@ -284,31 +284,19 @@ class LaneFoldCases {
   /// is the source (every even hub), and then one target per case.
   [[nodiscard]] HubLabeling build() const {
     const std::size_t hubs = 2 * kMaxSize;
-    std::vector<std::size_t> offsets;
-    std::vector<Vertex> hub_col;
-    std::vector<Dist> dist_col;
-    const auto push = [&](std::size_t hub, Dist dist) {
-      hub_col.push_back(static_cast<Vertex>(hub));
-      dist_col.push_back(dist);
-    };
-    for (std::size_t v = 0; v < hubs; ++v) {
-      offsets.push_back(hub_col.size());
-      push(kInvalidVertex, kInfDist);
+    std::vector<std::vector<HubEntry>> rows(hubs + 1 + cases_.size());
+    for (std::size_t h = 0; h < hubs; h += 2) {
+      rows[hubs].push_back({static_cast<Vertex>(h), kSourceDist});
     }
-    offsets.push_back(hub_col.size());
-    for (std::size_t h = 0; h < hubs; h += 2) push(h, kSourceDist);
-    push(kInvalidVertex, kInfDist);
-    for (const Case& c : cases_) {
-      offsets.push_back(hub_col.size());
-      for (std::size_t i = 0; i < c.dists.size(); ++i) {
-        if (c.dists[i] == kMiss) push(2 * i + 1, 1);
-        else push(2 * i, c.dists[i]);
+    for (std::size_t c = 0; c < cases_.size(); ++c) {
+      std::vector<HubEntry>& row = rows[hubs + 1 + c];
+      for (std::size_t i = 0; i < cases_[c].dists.size(); ++i) {
+        const Dist dist = cases_[c].dists[i];
+        if (dist == kMiss) row.push_back({static_cast<Vertex>(2 * i + 1), 1});
+        else row.push_back({static_cast<Vertex>(2 * i), dist});
       }
-      push(kInvalidVertex, kInfDist);
     }
-    offsets.push_back(hub_col.size());
-    return {hubs + 1 + cases_.size(), std::move(offsets), std::move(hub_col),
-            std::move(dist_col)};
+    return HubLabeling(std::move(rows));
   }
 
   std::vector<Case> cases_;

@@ -77,7 +77,7 @@ TEST(FlatHubLabeling, HandlesDisconnectedPairs) {
 TEST(FlatHubLabeling, PerVertexSpansMatchSource) {
   // The per-vertex spans are the source rows, sorted by hub id.
   const std::vector<std::vector<HubEntry>> rows{
-      {{4, 2}, {0, 1}, {2, 0}}, {}, {{1, 5}}, {{3, 0}, {0, 9}}};
+      {{4, 2}, {0, 1}, {2, 0}}, {}, {{1, 5}}, {{3, 0}, {0, 9}}, {}};
   const HubLabeling flat(rows);
   ASSERT_EQ(flat.num_vertices(), rows.size());
   for (Vertex v = 0; v < rows.size(); ++v) {

@@ -41,8 +41,12 @@ TEST(HubLabeling, PicksMinimumOverCommonHubs) {
 
 TEST(HubLabeling, RowsConstructorKeepsTheMinimumPerDuplicateHub) {
   // Duplicates in any position: the row keeps one entry per hub, at its
-  // minimum distance, and queries see that minimum.
-  const HubLabeling l({{{5, 10}, {2, 4}, {5, 3}, {2, 6}, {5, 7}}, {{5, 0}, {2, 1}, {2, 0}}});
+  // minimum distance, and queries see that minimum.  Vertices 2-5 have
+  // empty labels, so hubs 2 and 5 are vertices.
+  std::vector<std::vector<HubEntry>> rows(6);
+  rows[0] = {{5, 10}, {2, 4}, {5, 3}, {2, 6}, {5, 7}};
+  rows[1] = {{5, 0}, {2, 1}, {2, 0}};
+  const HubLabeling l(std::move(rows));
   ASSERT_EQ(l.label_size(0), 2u);
   EXPECT_EQ(l.hubs(0)[0], 2u);
   EXPECT_EQ(l.dists(0)[0], 4u);
@@ -55,7 +59,10 @@ TEST(HubLabeling, RowsConstructorKeepsTheMinimumPerDuplicateHub) {
 }
 
 TEST(HubLabeling, RowsConstructorSortsEachRowByHub) {
-  const HubLabeling l({{{9, 1}, {2, 1}, {5, 1}}, {}, {{7, 2}, {3, 0}}});
+  std::vector<std::vector<HubEntry>> rows(10);
+  rows[0] = {{9, 1}, {2, 1}, {5, 1}};
+  rows[2] = {{7, 2}, {3, 0}};
+  const HubLabeling l(std::move(rows));
   const std::vector<Vertex> row0(l.hubs(0).begin(), l.hubs(0).end());
   EXPECT_EQ(row0, (std::vector<Vertex>{2, 5, 9}));
   EXPECT_EQ(l.label_size(1), 0u);
@@ -67,7 +74,7 @@ TEST(HubLabeling, RowsConstructorSortsEachRowByHub) {
 }
 
 TEST(HubLabeling, HasHub) {
-  const HubLabeling l({{{3, 1}}, {}});
+  const HubLabeling l({{{3, 1}}, {}, {}, {}});
   EXPECT_TRUE(l.has_hub(0, 3));
   EXPECT_FALSE(l.has_hub(0, 2));
   EXPECT_FALSE(l.has_hub(1, 3));

@@ -66,9 +66,9 @@ TEST(HubScheme, EncodeExistingLabelingMatchesQueries) {
 }
 
 TEST(HubScheme, BitSizeMatchesEntryCodes) {
-  // Single-vertex labeling with known entries: size must equal the sum of
-  // the gamma code lengths.
-  const HubLabeling l({{{4, 7}}});
+  // One label with known entries (vertices 1-4 only make hub 4 a vertex):
+  // its size must equal the sum of the gamma code lengths.
+  const HubLabeling l({{{4, 7}}, {}, {}, {}, {}});
   const EncodedLabels enc = HubDistanceLabeling::encode_labeling(l);
   const std::size_t expected = 2                          // codec tag
                                + gamma_code_length(1 + 1)  // count 1 -> gamma0
@@ -141,7 +141,7 @@ TEST(Codecs, DeltaWinsOnLargeDistances) {
 }
 
 TEST(Codecs, GammaWinsOnSmallDistances) {
-  std::vector<std::vector<HubEntry>> rows(1);
+  std::vector<std::vector<HubEntry>> rows(20);
   for (Vertex h = 0; h < 20; ++h) rows[0].push_back({h, h % 4});
   const HubLabeling l(std::move(rows));
   const auto gamma = HubDistanceLabeling::encode_labeling(l, DistCodec::kGamma);

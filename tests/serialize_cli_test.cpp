@@ -14,6 +14,7 @@
 #include "hub/serialize.hpp"
 #include "tools/cli.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/profiler.hpp"
 #include "util/report.hpp"
@@ -417,6 +418,53 @@ TEST(Cli, ServeSimPromOutFailsCleanlyOnUnwritablePath) {
                     &output),
             1);
   EXPECT_NE(output.find("--window-ms must be > 0"), std::string::npos) << output;
+}
+
+TEST(Cli, ServeQpsSweepReportsEveryRate) {
+  // Every rate of the ladder is one run against the one oracle: it prints
+  // one `sweep qps=` line and adds one point to the report's sweep array.
+  TempFile graph("serve_sweep");
+  TempFile json("serve_sweep_json");
+  std::string output;
+  ASSERT_EQ(run_cli({"gen", "grid", "--rows", "4", "--cols", "4", "-o", graph.path()}, &output), 0);
+  ASSERT_EQ(run_cli({"serve", graph.path(), "--smoke", "--queries", "200", "--workers", "1",
+                     "--qps-sweep", "20000,40000", "--json-out", json.path()},
+                    &output),
+            0)
+      << output;
+  std::size_t lines = 0;
+  for (std::size_t at = output.find("sweep qps="); at != std::string::npos;
+       at = output.find("sweep qps=", at + 1)) {
+    ++lines;
+  }
+  EXPECT_EQ(lines, 2u) << output;
+  EXPECT_NE(output.find("sweep qps=20000: "), std::string::npos) << output;
+  EXPECT_NE(output.find("sweep qps=40000: "), std::string::npos) << output;
+  std::ifstream in(json.path());
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const JsonValue report = parse_json(buf.str());
+  const JsonValue* sweep = report.find("sweep");
+  ASSERT_NE(sweep, nullptr);
+  ASSERT_TRUE(sweep->is_array());
+  ASSERT_EQ(sweep->array_items.size(), 2u);
+  EXPECT_EQ(sweep->array_items[0].find("qps")->number_value, 20000.0);
+  EXPECT_EQ(sweep->array_items[1].find("qps")->number_value, 40000.0);
+  EXPECT_EQ(sweep->array_items[1].find("queries")->number_value, 200.0);
+
+  // A closed loop has no offered rate, and every rate must be positive.
+  const std::vector<std::vector<std::string>> bad = {
+      {"--arrival", "closed", "--qps-sweep", "20000"},
+      {"--qps-sweep", ","},
+      {"--qps-sweep", "20000,0"},
+      {"--qps-sweep", "-5"},
+  };
+  for (const std::vector<std::string>& flags : bad) {
+    std::vector<std::string> args = {"serve", graph.path(), "--smoke", "--queries", "200"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    EXPECT_EQ(run_cli(args, &output), 1) << flags.back() << ": " << output;
+    EXPECT_NE(output.find("error: "), std::string::npos) << output;
+  }
 }
 
 TEST(Cli, NumericOptionsRejectBadValues) {

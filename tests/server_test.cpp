@@ -280,6 +280,27 @@ TEST(ServeOpen, BlockAdmissionAnswersEveryQuery) {
   EXPECT_EQ(r.latency_ns.count() + r.trimmed_warmup + r.trimmed_cooldown, r.completed);
 }
 
+TEST(ServeOpen, HugeRingOrBatchAnswersEveryQuery) {
+  // A worker never holds more than its own slice of the queries, so its
+  // FIFO and block buffers stop at the slice: a 10^12-item ring (open
+  // loop) or block (closed loop) allocates 64 items and sheds nothing.
+  constexpr std::size_t kHuge = 1'000'000'000'000;
+  ServerConfig open = base_config();
+  open.num_queries = 64;
+  open.workers = 1;
+  open.qps = 1e6;
+  open.ring_capacity = kHuge;
+  ServerConfig closed = closed_config(OracleKind::kPllFlat, WorkloadKind::kUniform);
+  closed.num_queries = 64;
+  closed.batch = kHuge;
+  for (const ServerConfig* config : {&open, &closed}) {
+    const ServerResult r = run_server_on(test_graph(), test_oracle(), *config);
+    EXPECT_EQ(r.offered, 64u);
+    EXPECT_EQ(r.completed, 64u);
+    EXPECT_EQ(r.rejected, 0u);
+  }
+}
+
 TEST(ServeOpen, ChecksumMatchesDirectOracleLoop) {
   // kBlock answers the whole pre-generated stream, so the served checksum
   // must equal a plain sequential loop over the same WorkloadGenerator

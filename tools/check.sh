@@ -27,6 +27,9 @@
 #      the near-pair pract.batch_query_pct_of_scalar.road40x40_near <= 100
 #      gate
 #  15. -Wall -Wextra -Werror build of the full tree  (preset werror)
+#  16. end-to-end benchmark self-test: perfbench/selftest.py builds the
+#      frozen perfbench/e2e.cpp into build/perfbench and runs every
+#      workload on tiny inputs, untraced and traced
 #
 # Exits non-zero on the first failing stage.  Run from anywhere.
 #
@@ -115,17 +118,17 @@ if [ "${1:-}" = "regen-baselines" ]; then
   exit 0
 fi
 
-stage "1/15 RelWithDebInfo build + tests"
+stage "1/16 RelWithDebInfo build + tests"
 cmake --preset dev
 cmake --build --preset dev -j "${jobs}"
 ctest --preset dev -j "${jobs}"
 
-stage "2/15 ASan+UBSan build + tests"
+stage "2/16 ASan+UBSan build + tests"
 cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "${jobs}"
 ctest --preset asan-ubsan -j "${jobs}"
 
-stage "3/15 TSan build + parallel-path tests"
+stage "3/16 TSan build + parallel-path tests"
 # The suites that drive util/parallel's pool with threads > 1: the pool
 # itself, every parallelized hub-labeling entry point (PllCanonical builds
 # PLL labels at 4 threads), the hub-label kernel, the
@@ -139,7 +142,7 @@ cmake --build --preset tsan -j "${jobs}"
 ctest --preset tsan -j "${jobs}" \
   -R 'StaticChunks|ResolveThreads|HardwareThreads|ParallelFor|RunChunks|ParallelDeterminism|FlatHubLabeling|BatchQuery|QuantileSketch|PllCanonical|ServeOpen|ServeClosed|ServeReport'
 
-stage "4/15 HUBLAB_METRICS=OFF build + tests"
+stage "4/16 HUBLAB_METRICS=OFF build + tests"
 # The one build where counters, tracing and the per-query attribution
 # probe are compiled out: metrics::QueryStats is metrics::NoQueryStats, so
 # every query kernel runs its no-op instantiation on both entry points.
@@ -147,13 +150,13 @@ cmake --preset metrics-off
 cmake --build --preset metrics-off -j "${jobs}"
 ctest --preset metrics-off -j "${jobs}"
 
-stage "5/15 clang-tidy gate"
+stage "5/16 clang-tidy gate"
 cmake --build --preset dev --target run-tidy
 
-stage "6/15 hublab_lint (with header self-containment)"
+stage "6/16 hublab_lint (with header self-containment)"
 cmake --build --preset dev --target run-lint
 
-stage "7/15 hublab_lint SARIF artifact"
+stage "7/16 hublab_lint SARIF artifact"
 # Re-run the analyzer emitting SARIF (the CI-consumable artifact) and prove
 # the document is well-formed 2.1.0 with the full rule catalog.  Headers
 # were already probed in stage 6.
@@ -171,7 +174,7 @@ print(f"sarif: valid 2.1.0, {len(rules)} rules, {len(run['results'])} results")
 PY
 rm -f "${sarif_out}"
 
-stage "8/15 bench smoke + BENCH_*.json schema validation"
+stage "8/16 bench smoke + BENCH_*.json schema validation"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "${smoke_dir}"' EXIT
 repo_root="$(pwd -P)"
@@ -190,7 +193,7 @@ fi
 build/dev/tools/hublab validate-bench "${smoke_dir}"/BENCH_*.json
 echo "bench-smoke: ${bench_count} benches, ${json_count} schema-valid JSON files"
 
-stage "9/15 bench-compare vs committed baselines"
+stage "9/16 bench-compare vs committed baselines"
 # Wall-clock thresholds are deliberately loose here (different machines,
 # shared CI runners); structural metrics are seeded and should stay close.
 compare_failures=0
@@ -212,14 +215,14 @@ if [ "${compare_failures}" -ne 0 ]; then
 fi
 echo "bench-compare: all benches within thresholds of bench/baselines/"
 
-stage "10/15 bench trajectory (headline gauges -> next bench/trajectory.jsonl point)"
+stage "10/16 bench trajectory (headline gauges -> next bench/trajectory.jsonl point)"
 # The committed history plus this run's point go to the smoke directory, so
 # a green run leaves the tree clean; `tools/check.sh regen-baselines`
 # appends the point to bench/trajectory.jsonl, and `git log -p` on it reads
 # as a perf trajectory across revisions.
 trajectory "${smoke_dir}" "${smoke_dir}/trajectory.jsonl"
 
-stage "11/15 closed-loop serve smoke + SERVE_*.json schema validation"
+stage "11/16 closed-loop serve smoke + SERVE_*.json schema validation"
 # Three closed-loop runs (each worker takes its next block when the last
 # returns): per-query with a Prometheus dump, 4 workers, and the CH oracle.
 (cd "${smoke_dir}" \
@@ -246,7 +249,7 @@ assert doc["queries"] == doc["offered"], (doc["queries"], doc["offered"])
 PY
 echo "serve-closed: SERVE_closed_*.json schema-valid, every query answered, Prometheus dump has serve metrics"
 
-stage "12/15 open-loop serve smoke (hublab serve, wall + virtual overload)"
+stage "12/16 open-loop serve smoke (hublab serve, wall + virtual overload)"
 # Two runs against the gadget graph from stage 11: a wall-clock run at a
 # QPS the box trivially sustains (block admission: nothing is shed) and a
 # virtual-time overload run offering 8x the simulated capacity against a
@@ -280,7 +283,7 @@ print(f"serve-open: low rejected=0/{low['offered']}, "
 PY
 echo "serve-open: SERVE_open_*.json schema-valid, admission behaves at both extremes"
 
-stage "13/15 perf-counters smoke + schema-v3 hw validation"
+stage "13/16 perf-counters smoke + schema-v3 hw validation"
 # The banner always states a verdict ("hardware ..." / "unavailable ...");
 # hw blocks in the JSON are required only on hardware-capable hosts —
 # containers and locked-down kernels degrade to the timer-only fallback.
@@ -301,7 +304,7 @@ else
   echo "perf-smoke: $(grep '^perf counters: ' "${perf_log}") -- hw blocks not required"
 fi
 
-stage "14/15 batch query kernel: tier banner, forced-scalar run, pct gates"
+stage "14/16 batch query kernel: tier banner, forced-scalar run, pct gates"
 # The batched kernel's three-tier dispatch must (a) report which ISA tier
 # it resolved, (b) degrade to the scalar tier under HUBLAB_FORCE_SCALAR=1
 # with the identity checks still green, and (c) keep its wins: on gnm2000
@@ -346,8 +349,14 @@ batch_gate pract.batch_query_pct_of_scalar.gnm2000 70
 batch_gate pract.batch1_query_pct_of_scalar.gnm2000 100
 batch_gate pract.batch_query_pct_of_scalar.road40x40_near 100
 
-stage "15/15 Werror build"
+stage "15/16 Werror build"
 cmake --preset werror
 cmake --build --preset werror -j "${jobs}"
+
+stage "16/16 end-to-end benchmark self-test (perfbench/selftest.py)"
+# perfbench/e2e.cpp is the only program outside the tier-1 tree that links
+# the serving path (and spells the labeling constructors and shims it
+# uses), so this is where a change that breaks it shows first.
+CARGO_TARGET_DIR="$(pwd -P)/build/perfbench" python3 perfbench/selftest.py
 
 stage "all stages passed"
