@@ -15,6 +15,7 @@
 #include "graph/generators.hpp"
 #include "hub/order.hpp"
 #include "hub/pll.hpp"
+#include "hub/simd_kernel.hpp"
 #include "lowerbound/gadget.hpp"
 #include "oracle/contraction_hierarchy.hpp"
 #include "util/table.hpp"
@@ -33,6 +34,10 @@ double avg_for_order(const Graph& g, const std::vector<Vertex>& order, const Pll
 int main(int argc, char** argv) {
   bench::Harness harness(argc, argv, "pll_orderings",
                          "Ablation: PLL vertex orderings across graph families");
+
+  // The cover kernel every build below runs (the graphs are far below the
+  // gathers' index limit, so it is the active tier).
+  std::printf("pll cover: tier=%s\n", simd::tier_name(simd::active_tier()));
 
   TextTable table({"family", "n", "m", "degree", "betweenness~", "random", "natural",
                    "CH-derived"});

@@ -144,7 +144,8 @@ void HubLabeling::query_batch_tier(std::span<const std::pair<Vertex, Vertex>> pa
   // Scatter each source group's label into the tables once under a fresh
   // epoch, then answer every query of the group with one linear probe scan
   // of its target label — no merge, no data-dependent branches.
-  const simd::ProbeFn probe = simd::probe_for(tier);  // one dispatch per block
+  // One dispatch per block; hub ids index the stamp tables.
+  const simd::ProbeFn probe = simd::probe_for(simd::gather_tier(tier, num_vertices_));
   std::uint64_t groups = 0;
   Vertex prev_source = kInvalidVertex;  // never a valid source
   for (const std::uint64_t key : s.order) {

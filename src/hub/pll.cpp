@@ -1,9 +1,13 @@
 #include "hub/pll.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
+#include "hub/simd_kernel.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
 #include "util/qsketch.hpp"
@@ -149,17 +153,6 @@ Dist BitParallelRoots::estimate(Vertex u, Vertex v) const {
 
 namespace {
 
-/// In-progress label entry keyed by hub *rank*: rows built in rank order
-/// are sorted, and the cover test indexes the root's label by rank.  `D`
-/// is the stored distance type (see distances_fit_u32): {u32, u32} is an
-/// 8-byte entry, {u32, Dist} the 16-byte wide one.
-template <typename D>
-struct RankEntry {
-  Vertex rank;
-  D dist;
-};
-static_assert(sizeof(RankEntry<std::uint32_t>) == 8);
-
 /// True when every distance a pruned search settles fits in 32 bits below
 /// the narrow rows' "absent" value 0xFFFFFFFF.  A settled distance is the
 /// length of a simple path (its search-tree path), so it is at most
@@ -169,10 +162,63 @@ bool distances_fit_u32(const Graph& g) {
   return n <= 1 || (n - 1) * std::uint64_t{g.max_weight()} < 0xFFFFFFFFu;
 }
 
+/// The pruned Dijkstra's queue: a monotone radix heap of (key, vertex)
+/// items.  Every pushed key is at least the last popped one, because
+/// weights are nonnegative.  Bucket 0 holds the items whose key equals the
+/// last popped key, bucket b >= 1 those whose key first differs from it in
+/// bit b - 1.  A pop that finds bucket 0 empty takes the lowest nonempty
+/// bucket's minimum as the new last key and moves that bucket's items into
+/// lower buckets, so an item moves at most 64 times.  Equal keys pop in an
+/// unspecified order; the canonical labels do not depend on it.  The
+/// buckets keep their capacity across searches.
+class RadixHeap {
+ public:
+  using Item = std::pair<Dist, Vertex>;
+
+  /// Start a search; the queue is empty between searches.
+  void reset() { last_ = 0; }
+
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  void push(Dist key, Vertex v) {
+    buckets_[bucket(key)].emplace_back(key, v);
+    ++size_;
+  }
+
+  /// Remove and return an item of minimum key; the queue must not be
+  /// empty.
+  Item pop() {
+    if (buckets_[0].empty()) {
+      std::size_t b = 1;
+      while (buckets_[b].empty()) ++b;
+      std::vector<Item>& from = buckets_[b];
+      last_ = from.front().first;
+      for (const Item& item : from) last_ = std::min(last_, item.first);
+      for (const Item& item : from) buckets_[bucket(item.first)].push_back(item);
+      from.clear();
+    }
+    const Item item = buckets_[0].back();
+    buckets_[0].pop_back();
+    --size_;
+    return item;
+  }
+
+ private:
+  /// 0 for the last popped key, else one past the highest differing bit.
+  [[nodiscard]] std::size_t bucket(Dist key) const {
+    return static_cast<std::size_t>(std::bit_width(key ^ last_));
+  }
+
+  std::array<std::vector<Item>, 65> buckets_;
+  Dist last_ = 0;
+  std::size_t size_ = 0;
+};
+
 /// The pruned-landmark loop over one contiguous, rank-ordered row per
 /// vertex, storing distances as `D`.  The search itself (tentative
-/// distances, heap keys) stays in Dist, so the pop order and the labels
-/// do not depend on `D`.
+/// distances, queue keys) stays in Dist, so the labels do not depend on
+/// `D`.
 template <typename D>
 class PllBuilder {
  public:
@@ -180,6 +226,7 @@ class PllBuilder {
       : g_(g),
         order_(order),
         threads_(par::resolve_threads(config.threads)),
+        cover_(pick_cover(g.num_vertices())),
         rows_(g.num_vertices()),
         root_dist_(g.num_vertices(), kAbsent),
         dist_(g.num_vertices(), kInfDist) {
@@ -202,22 +249,32 @@ class PllBuilder {
   }
 
  private:
-  using Entry = RankEntry<D>;
+  using Entry = simd::RankEntry<D>;
+  using CoverFn = bool (*)(const Entry* row, std::size_t size, const D* root_dist, D d);
 
   /// root_dist_ value of a rank not in the current root's label.  Every
   /// distance a search settles is below it (distances_fit_u32 for the
   /// narrow rows, finiteness for the wide ones).
   static constexpr D kAbsent = std::numeric_limits<D>::max();
 
-  /// Entries per branch-free step of the cover test.
-  static constexpr std::size_t kScanBlock = 16;
-
   /// Frontiers below this size are pruned inline: the fan-out overhead
   /// would outweigh the scan.
   static constexpr std::size_t kParallelFrontierMin = 512;
 
+  /// The cover kernel, picked once per build.  Narrow rows run the tier
+  /// of simd::active_tier() (so HUBLAB_FORCE_SCALAR pins it), which
+  /// gather_tier drops to scalar when ranks outgrow the gathers' signed
+  /// 32-bit indices; the wide rows run the scalar scan.
+  static CoverFn pick_cover(std::size_t n) {
+    if constexpr (std::is_same_v<D, std::uint32_t>) {
+      return simd::cover_for(simd::gather_tier(simd::active_tier(), n));
+    } else {
+      return &simd::detail::cover_scan<D>;
+    }
+  }
+
   /// Run the per-rank pruned searches.  The searches share every piece of
-  /// scratch state (frontier buffers, the Dijkstra heap, touched lists),
+  /// scratch state (frontier buffers, the Dijkstra queue, touched lists),
   /// so per-root work allocates only when a row grows.
   void build_labels() {
     const bool weighted = g_.is_weighted();
@@ -235,6 +292,7 @@ class PllBuilder {
     metrics::Registry& reg = metrics::registry();
     reg.sketch("pll.frontier_size").merge(frontier_sizes_);
     reg.counter("pll.visited").add(c_visited_);
+    reg.counter("pll.cover_entries").add(c_cover_entries_);
     reg.counter("pll.pruned").add(c_pruned_);
     reg.counter("pll.label_pushes").add(c_pushes_);
   }
@@ -259,27 +317,15 @@ class PllBuilder {
 
   /// True when some entry (r, d(r, u)) of u's label has a root entry
   /// (r, d(r, root)) with d(r, u) + d(r, root) <= d, i.e. an earlier hub
-  /// answers (u, root) within d.  One branch-free pass per block of
-  /// kScanBlock entries, returning at the first block with a hit; an
-  /// absent rank reads kAbsent, which exceeds every d, so it needs no
-  /// special case.
+  /// answers (u, root) within d (simd::CoverFn).
   [[nodiscard]] bool covered(Vertex u, D d) const {
-    const Entry* row = rows_[u].data();
-    const std::size_t size = rows_[u].size();
-    const auto hits = [&](const Entry& e) {
-      const D rd = root_dist_[e.rank];
-      return (rd <= d) & (e.dist <= d - rd);
-    };
-    std::size_t i = 0;
-    for (; i + kScanBlock <= size; i += kScanBlock) {
-      bool hit = false;
-      for (std::size_t j = i; j < i + kScanBlock; ++j) hit |= hits(row[j]);
-      if (hit) return true;
-    }
-    for (; i < size; ++i) {
-      if (hits(row[i])) return true;
-    }
-    return false;
+    return cover_(rows_[u].data(), rows_[u].size(), root_dist_.data(), d);
+  }
+
+  /// Count a settled vertex and the label entries its cover test is handed.
+  void count_settled(Vertex u) {
+    ++c_visited_;
+    c_cover_entries_ += rows_[u].size();
   }
 
   void push(Vertex u, std::size_t k, Dist d) {
@@ -320,7 +366,7 @@ class PllBuilder {
       // flags.
       for (std::size_t i = 0; i < frontier_.size(); ++i) {
         const Vertex u = frontier_[i];
-        ++c_visited_;
+        count_settled(u);
         if (prune_flags_[i] != 0) {
           ++c_pruned_;
           continue;
@@ -343,22 +389,15 @@ class PllBuilder {
 
   void pruned_dijkstra(std::size_t k) {
     const Vertex root = order_[k];
-    using Item = std::pair<Dist, Vertex>;
-    // The heap lives in a member buffer reused across roots (push_heap /
-    // pop_heap are exactly what priority_queue runs underneath, so the pop
-    // order — and hence the labeling — is unchanged).
-    heap_.clear();
+    queue_.reset();
     touched_.assign(1, root);
     dist_[root] = 0;
-    heap_.emplace_back(0, root);
-    const auto cmp = [](const Item& a, const Item& b) { return a > b; };
-    while (!heap_.empty()) {
-      peak_frontier_ = std::max(peak_frontier_, static_cast<std::uint64_t>(heap_.size()));
-      const auto [d, u] = heap_.front();
-      std::pop_heap(heap_.begin(), heap_.end(), cmp);
-      heap_.pop_back();
-      if (d != dist_[u]) continue;
-      ++c_visited_;
+    queue_.push(0, root);
+    while (!queue_.empty()) {
+      peak_frontier_ = std::max(peak_frontier_, static_cast<std::uint64_t>(queue_.size()));
+      const auto [d, u] = queue_.pop();
+      if (d != dist_[u]) continue;  // stale: a smaller key for u was pushed since
+      count_settled(u);
       if (covered(u, static_cast<D>(d))) {
         ++c_pruned_;
         continue;
@@ -369,8 +408,7 @@ class PllBuilder {
         if (nd < dist_[a.to]) {
           if (dist_[a.to] == kInfDist) touched_.push_back(a.to);
           dist_[a.to] = nd;
-          heap_.emplace_back(nd, a.to);
-          std::push_heap(heap_.begin(), heap_.end(), cmp);
+          queue_.push(nd, a.to);
         }
       }
     }
@@ -380,6 +418,7 @@ class PllBuilder {
   const Graph& g_;
   const std::vector<Vertex>& order_;
   std::size_t threads_;
+  CoverFn cover_;
   std::vector<std::vector<Entry>> rows_;  ///< per-vertex label, rank order
   std::vector<D> root_dist_;              ///< rank-indexed distances of current root
   std::vector<Dist> dist_;                ///< per-search tentative distances
@@ -387,11 +426,12 @@ class PllBuilder {
   std::vector<Vertex> next_;
   std::vector<Vertex> touched_;
   std::vector<std::uint8_t> prune_flags_;  ///< 1 = covered (bytes: chunks write in parallel)
-  std::vector<std::pair<Dist, Vertex>> heap_;  ///< reused Dijkstra heap
-  QuantileSketch frontier_sizes_;  ///< peak frontier / heap size per root
+  RadixHeap queue_;                        ///< reused Dijkstra queue
+  QuantileSketch frontier_sizes_;  ///< peak frontier / queue size per root
   metrics::Histogram& label_sizes_ = metrics::registry().histogram("pll.label_size");
   std::uint64_t peak_frontier_ = 0;
   std::uint64_t c_visited_ = 0;
+  std::uint64_t c_cover_entries_ = 0;
   std::uint64_t c_pruned_ = 0;
   std::uint64_t c_pushes_ = 0;
 };

@@ -21,9 +21,12 @@
 /// Construction kernel (docs/performance.md, "The construction kernel"):
 /// the builder keeps each in-progress label as one contiguous row in rank
 /// order, with 8-byte entries whenever the graph bounds every distance
-/// below 2^32 - 1, and answers every prune test with one branch-free block
-/// scan of that row.  The produced labels are invariant in
-/// `PllConfig::threads`.
+/// below 2^32 - 1, and answers every prune test with one scan of that row
+/// by the cover kernel of the active ISA tier (`simd::CoverFn`; the
+/// 16-byte rows take the scalar scan).  The weighted search pops from a
+/// monotone radix heap.  The produced labels are invariant in
+/// `PllConfig::threads`, the ISA tier and the queue's order among equal
+/// keys.
 
 namespace hublab {
 

@@ -1,8 +1,8 @@
-// Three-tier dispatch for the batched query kernel (see simd_kernel.hpp):
-// compile-time TU availability (HUBLAB_SIMD_HAVE_* definitions from
-// src/hub/CMakeLists.txt) ∧ runtime cpuid probe, with the scalar stamp
-// probe as the always-available fallback and the HUBLAB_FORCE_SCALAR
-// environment knob pinning dispatch to it.
+// Three-tier dispatch for the batched query probe and the PLL cover test
+// (see simd_kernel.hpp): compile-time TU availability (HUBLAB_SIMD_HAVE_*
+// definitions from src/hub/CMakeLists.txt) ∧ runtime cpuid probe, with the
+// scalar kernels as the always-available fallback and the
+// HUBLAB_FORCE_SCALAR environment knob pinning dispatch to them.
 
 #include "hub/simd_kernel.hpp"
 
@@ -79,6 +79,10 @@ bool force_scalar() noexcept {
 
 Tier active_tier() noexcept { return force_scalar() ? Tier::kScalar : best_supported_tier(); }
 
+Tier gather_tier(Tier tier, std::size_t table_size) noexcept {
+  return table_size > std::size_t{std::numeric_limits<std::int32_t>::max()} ? Tier::kScalar : tier;
+}
+
 namespace detail {
 
 std::uint32_t next_epoch(std::uint32_t epoch, std::span<std::uint32_t> stamp) noexcept {
@@ -119,6 +123,17 @@ ProbeFn probe_for(Tier tier) noexcept {
 #endif
   (void)tier;
   return &detail::probe_scalar;
+}
+
+CoverFn cover_for(Tier tier) noexcept {
+  // The AVX-512 tier runs the 8-entry kernel (simd_kernel.hpp).
+#if defined(HUBLAB_SIMD_HAVE_AVX2)
+  if ((tier == Tier::kAvx2 || tier == Tier::kAvx512) && cpu_supports_avx2()) {
+    return &detail::cover_avx2;
+  }
+#endif
+  (void)tier;
+  return &detail::cover_scan<std::uint32_t>;
 }
 
 }  // namespace hublab::simd

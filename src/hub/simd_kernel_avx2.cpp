@@ -1,12 +1,12 @@
-// AVX2 tier of the batched query kernel (see simd_kernel.hpp): the
-// stamp-table probe over 8 target hubs per step.  Each step gathers the 8
-// hubs' stamps and compares them against the current source group's
-// epoch; a step with hits then folds them in vector registers — two
-// 4-lane masked gathers of the source distances, an add blended back to
-// kInfDist outside the hits, and a per-lane running (dist, hub) minimum —
-// so a label whose hubs are mostly shared costs no branch per hit.  The 8
-// lane minima are folded once per probe, and a scalar loop finishes the
-// tail shorter than a step.
+// AVX2 tier of the two vector kernels (see simd_kernel.hpp).  The
+// batched query path's stamp-table probe takes 8 target hubs per step.
+// Each step gathers the 8 hubs' stamps and compares them against the
+// current source group's epoch; a step with hits then folds them in
+// vector registers — two 4-lane masked gathers of the source distances,
+// an add blended back to kInfDist outside the hits, and a per-lane
+// running (dist, hub) minimum — so a label whose hubs are mostly shared
+// costs no branch per hit.  The 8 lane minima are folded once per probe,
+// and a scalar loop finishes the tail shorter than a step.
 //
 // AVX2 has no unsigned 64-bit compare: the lane minima are kept XORed with
 // the sign bit, which turns the signed _mm256_cmpgt_epi64 into an unsigned
@@ -14,6 +14,13 @@
 // hubs arrive in ascending order, so the strict < keeps each lane's
 // smallest distance and, among equal distances, its smallest hub; the
 // cross-lane fold and the tail apply the lexicographic (dist, hub) rule.
+//
+// The PLL cover test (CoverFn) takes 8 `{rank, dist}` entries per step:
+// two loads, one shuffle each to split ranks from distances, a gather of
+// the root's distances, and `rd <= d` AND `dist <= d - rd` as unsigned
+// min-compares, returning at the first step with a hit.  A scalar loop
+// finishes the tail.  The AVX-512 tier runs this cover kernel too: a
+// 16-entry one built the same labels no faster.
 //
 // This TU is compiled with -mavx2 only when the toolchain supports it
 // (src/hub/CMakeLists.txt); raw intrinsics stay confined to the
@@ -114,6 +121,40 @@ HubQueryResult probe_avx2(const Vertex* hubs_t, const Dist* dists_t, std::size_t
     if (stamp[h] == current) fold_match(best, h, sdist[h] + dists_t[i]);
   }
   return best;
+}
+
+bool cover_avx2(const RankEntry<std::uint32_t>* row, std::size_t size,
+                const std::uint32_t* root_dist, std::uint32_t d) noexcept {
+  const __m256i vd = _mm256_set1_epi32(static_cast<int>(d));
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    const __m256 lo =
+        _mm256_castsi256_ps(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + i)));
+    const __m256 hi =
+        _mm256_castsi256_ps(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + i + 4)));
+    // Ranks are the even 32-bit words, distances the odd ones.  Both
+    // shuffles take the same entry order, so lane l of `ranks` and of
+    // `dists` is one entry (the order itself is irrelevant to an any-hit
+    // test).
+    const __m256i ranks = _mm256_castps_si256(_mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(2, 0, 2, 0)));
+    const __m256i dists = _mm256_castps_si256(_mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(3, 1, 3, 1)));
+    const __m256i rd = _mm256_i32gather_epi32(reinterpret_cast<const int*>(root_dist), ranks,
+                                              sizeof(std::uint32_t));
+    // Unsigned x <= y as min(x, y) == x.  `rd <= d` masks the lanes whose
+    // d - rd wrapped.
+    const __m256i rd_ok = _mm256_cmpeq_epi32(_mm256_min_epu32(rd, vd), rd);
+    const __m256i slack = _mm256_sub_epi32(vd, rd);
+    const __m256i dist_ok = _mm256_cmpeq_epi32(_mm256_min_epu32(dists, slack), dists);
+    if (_mm256_testz_si256(rd_ok, dist_ok) == 0) return true;
+  }
+  // The tail stays in this TU: an out-of-line copy of a header template
+  // compiled with -mavx2 could be the one the linker keeps for the scalar
+  // tier.
+  for (; i < size; ++i) {
+    const std::uint32_t rd = root_dist[row[i].rank];
+    if (rd <= d && row[i].dist <= d - rd) return true;
+  }
+  return false;
 }
 
 }  // namespace hublab::simd::detail

@@ -34,6 +34,7 @@ std::atomic<std::uint64_t> g_epoch_ns{0};
 std::atomic<bool> g_installed{false};
 std::atomic<bool> g_dumping{false};
 char g_path[512] = {};
+char g_cmdline[512] = {};  ///< the process's command line, captured at install
 
 thread_local ThreadRing* t_ring = nullptr;
 
@@ -77,6 +78,27 @@ void write_all(int fd, const char* data, std::size_t len) noexcept {
   }
 }
 
+/// Copy /proc/self/cmdline into g_cmdline, its NUL separators (and any
+/// newline inside an argument) turned into spaces so the dump keeps it on
+/// one line, and the text truncated to the buffer.  Stays empty where the
+/// file cannot be read.
+void capture_cmdline() noexcept {
+  const int fd = open("/proc/self/cmdline", O_RDONLY);
+  if (fd < 0) return;
+  std::size_t len = 0;
+  while (len + 1 < sizeof g_cmdline) {
+    const ssize_t n = read(fd, g_cmdline + len, sizeof g_cmdline - 1 - len);
+    if (n <= 0) break;
+    len += static_cast<std::size_t>(n);
+  }
+  close(fd);
+  while (len > 0 && g_cmdline[len - 1] == '\0') --len;  // the last argument's terminator
+  for (std::size_t i = 0; i < len; ++i) {
+    if (g_cmdline[i] == '\0' || g_cmdline[i] == '\n') g_cmdline[i] = ' ';
+  }
+  g_cmdline[len] = '\0';
+}
+
 #endif
 
 /// Shared dump body over a minimal sink (fd for the signal path, ostream
@@ -114,6 +136,11 @@ void dump_impl(Sink& sink, int signal_number) {
     sink.str("-1");
   } else {
     sink.num(static_cast<std::uint64_t>(signal_number));
+  }
+  sink.str("\ncmdline");
+  if (g_cmdline[0] != '\0') {
+    sink.str(" ");
+    sink.str(g_cmdline);
   }
   sink.str("\n");
   std::uint64_t index = 0;
@@ -211,6 +238,7 @@ void install_crash_handler(const char* path) noexcept {
   std::size_t n = 0;
   for (; n + 1 < sizeof g_path && src[n] != '\0'; ++n) g_path[n] = src[n];
   g_path[n] = '\0';
+  capture_cmdline();
 
   struct sigaction sa = {};
   sa.sa_handler = crash_handler;

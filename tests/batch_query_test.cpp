@@ -406,5 +406,22 @@ TEST(BatchQuery, SupportedTiersAlwaysIncludeScalar) {
   EXPECT_TRUE(active_supported);
 }
 
+TEST(BatchQuery, GatherTierDropsToScalarPastInt32Max) {
+  // The SIMD gathers index with signed 32-bit lanes: a table of 2^31 - 1
+  // entries keeps every tier, one of 2^31 entries runs both kernels on
+  // the scalar tier.  Only the sizes are passed; nothing is allocated.
+  constexpr std::size_t kLargestGathered = 0x7FFFFFFF;
+  for (const simd::Tier tier : simd::supported_tiers()) {
+    EXPECT_EQ(simd::gather_tier(tier, 0), tier);
+    EXPECT_EQ(simd::gather_tier(tier, kLargestGathered), tier);
+    EXPECT_EQ(simd::gather_tier(tier, kLargestGathered + 1), simd::Tier::kScalar);
+    EXPECT_EQ(simd::gather_tier(tier, std::size_t{0xFFFFFFFE}), simd::Tier::kScalar);
+    EXPECT_EQ(simd::probe_for(simd::gather_tier(tier, kLargestGathered + 1)),
+              &simd::detail::probe_scalar);
+    EXPECT_EQ(simd::cover_for(simd::gather_tier(tier, kLargestGathered + 1)),
+              &simd::detail::cover_scan<std::uint32_t>);
+  }
+}
+
 }  // namespace
 }  // namespace hublab

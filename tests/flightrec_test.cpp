@@ -185,6 +185,11 @@ TEST(FlightRecorderCrash, AssertFailureInWorkerProducesDump) {
   // The failing expression itself is the most recent breadcrumb.
   EXPECT_NE(dump.find("assert"), std::string::npos) << dump;
   EXPECT_NE(dump.find("chunk.index != 1"), std::string::npos) << dump;
+  // The command line follows `signal` on its own line and names this binary.
+  const std::size_t signal = dump.find("signal 6\ncmdline ");
+  ASSERT_NE(signal, std::string::npos) << dump;
+  const std::size_t cmdline = signal + 9;  // past "signal 6\n"
+  EXPECT_LT(dump.find("flightrec_test", cmdline), dump.find('\n', cmdline)) << dump;
   std::remove(path.c_str());
 }
 

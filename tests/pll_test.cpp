@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -9,8 +10,10 @@
 #include "graph/transforms.hpp"
 #include "hub/labeling.hpp"
 #include "hub/pll.hpp"
+#include "hub/simd_kernel.hpp"
 #include "lowerbound/gadget.hpp"
 #include "rs/rs_graph.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace hublab {
@@ -296,6 +299,204 @@ TEST(PllCanonical, DistanceWidthBoundary) {
     EXPECT_EQ(pruned_landmark_labeling(g, order).query(0, 2), Dist{2} * w);
   }
 }
+
+TEST(PllCanonical, WeightsSpanningThirtyOneBits) {
+  // Log-uniform weights in [1, 2^31 - 1] on a sparse graph: the rows are
+  // the wide ones, and the search queue's keys first differ from the last
+  // popped key anywhere from bit 0 to bit ~36, so every radix-heap bucket
+  // range is exercised, low buckets and high.
+  Rng rng(31);
+  const Graph base = gen::connected_gnm(80, 200, rng);
+  // Two extra vertices hang off vertex 0 by the extreme weights.
+  const auto n = static_cast<Vertex>(base.num_vertices());
+  GraphBuilder b(n + 2);
+  b.add_edge(0, n, 1);
+  b.add_edge(n, n + 1, 0x7FFFFFFF);
+  for (Vertex u = 0; u < n; ++u) {
+    for (const Arc& a : base.arcs(u)) {
+      if (u >= a.to) continue;
+      const std::uint64_t span = std::uint64_t{1} << (1 + rng.next_below(31));
+      b.add_edge(u, a.to, static_cast<Weight>(std::max<std::uint64_t>(1, rng.next_below(span))));
+    }
+  }
+  const Graph g = b.build();
+  ASSERT_EQ(g.max_weight(), Weight{0x7FFFFFFF});
+  expect_canonical(g, "gnm80 log-uniform weights");
+}
+
+// --- The cover kernels (simd::CoverFn): every tier against a reference
+// --- that states the predicate in 64 bits, with no wrap to guard.
+
+using CoverEntry = simd::RankEntry<std::uint32_t>;
+constexpr std::uint32_t kAbsentRank = 0xFFFFFFFF;  ///< root_dist of a rank not in the root's label
+
+bool cover_reference(const std::vector<CoverEntry>& row,
+                     const std::vector<std::uint32_t>& root_dist, std::uint32_t d) {
+  for (const CoverEntry& e : row) {
+    if (std::uint64_t{root_dist[e.rank]} + e.dist <= d) return true;
+  }
+  return false;
+}
+
+/// Every supported tier's kernel returns `expected` on the row.
+void expect_cover(const std::vector<CoverEntry>& row, const std::vector<std::uint32_t>& root_dist,
+                  std::uint32_t d, bool expected, const std::string& what) {
+  ASSERT_EQ(cover_reference(row, root_dist, d), expected) << what << ": reference";
+  for (const simd::Tier tier : simd::supported_tiers()) {
+    EXPECT_EQ(simd::cover_for(tier)(row.data(), row.size(), root_dist.data(), d), expected)
+        << what << " tier=" << simd::tier_name(tier);
+  }
+}
+
+TEST(PllCover, EveryRowSizeAndHitPosition) {
+  // Sizes 0..40 cover every tail length of the AVX2 kernel's 8-entry step
+  // and the scalar scan's 16-entry block.
+  // Each miss has rd + dist == d + 1; the one hit has rd + dist == d
+  // exactly, at every position: lanes 7 and 15 of a step and the first
+  // tail slot included.
+  constexpr std::uint32_t d = 100;
+  constexpr std::size_t kRanks = 64;
+  std::vector<std::uint32_t> root_dist(kRanks);
+  for (std::size_t r = 0; r < kRanks; ++r) root_dist[r] = static_cast<std::uint32_t>(r % 50);
+  for (std::size_t size = 0; size <= 40; ++size) {
+    std::vector<CoverEntry> row(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      const auto rank = static_cast<std::uint32_t>((i * 7) % kRanks);
+      row[i] = CoverEntry{rank, d + 1 - root_dist[rank]};
+    }
+    expect_cover(row, root_dist, d, false, "size " + std::to_string(size) + " no hit");
+    for (std::size_t hit = 0; hit < size; ++hit) {
+      std::vector<CoverEntry> one = row;
+      --one[hit].dist;
+      expect_cover(one, root_dist, d, true,
+                   "size " + std::to_string(size) + " hit at " + std::to_string(hit));
+    }
+  }
+}
+
+TEST(PllCover, AbsentRankNeverHits) {
+  // An absent rank reads 0xFFFFFFFF, above the largest d a search passes.
+  const std::vector<std::uint32_t> root_dist(48, kAbsentRank);
+  for (std::size_t size = 0; size <= 40; ++size) {
+    std::vector<CoverEntry> row(size);
+    for (std::size_t i = 0; i < size; ++i) row[i] = CoverEntry{static_cast<std::uint32_t>(i), 0};
+    expect_cover(row, root_dist, 0xFFFFFFFE, false, "absent, size " + std::to_string(size));
+  }
+}
+
+TEST(PllCover, WrappedSlackNeverHits) {
+  // rd = d + 1 makes d - rd wrap to 0xFFFFFFFF, which a distance of
+  // 0xFFFFFFFF would meet: only the rd <= d half of the test rejects it.
+  constexpr std::uint32_t d = 5;
+  const std::vector<std::uint32_t> root_dist(48, d + 1);
+  for (std::size_t size = 0; size <= 40; ++size) {
+    std::vector<CoverEntry> row(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      row[i] = CoverEntry{static_cast<std::uint32_t>(i), 0xFFFFFFFF};
+    }
+    expect_cover(row, root_dist, d, false, "wrapped, size " + std::to_string(size));
+  }
+}
+
+TEST(PllCover, RandomSweepMatchesReference) {
+  // Rows of 0..70 entries whose sums land near d (hits and misses by
+  // one), plus absent ranks and wrapping root distances.
+  Rng rng(2323);
+  constexpr std::size_t kRanks = 256;
+  std::vector<std::uint32_t> root_dist(kRanks);
+  std::size_t hits = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const auto d = static_cast<std::uint32_t>(rng.next_below(0xFFFFFFFF));
+    for (std::uint32_t& rd : root_dist) {
+      const std::uint64_t kind = rng.next_below(8);
+      rd = kind == 0 ? kAbsentRank
+           : kind == 1 ? static_cast<std::uint32_t>(rng.next_below(std::uint64_t{1} << 32))
+                       : static_cast<std::uint32_t>(rng.next_below(std::uint64_t{d} + 1));
+    }
+    std::vector<CoverEntry> row(rng.next_below(71));
+    for (CoverEntry& e : row) {
+      e.rank = static_cast<std::uint32_t>(rng.next_below(kRanks));
+      const std::uint32_t rd = root_dist[e.rank];
+      // Mostly a near miss, d - rd + 1 (when that fits); now and then a
+      // near hit or an arbitrary distance.
+      const std::uint64_t kind = rng.next_below(64);
+      if (kind == 0 && rd <= d) {
+        e.dist = d - rd;
+      } else if (kind == 1) {
+        e.dist = static_cast<std::uint32_t>(rng.next_below(std::uint64_t{1} << 32));
+      } else {
+        e.dist = rd < d ? d - rd + 1 : static_cast<std::uint32_t>(rng.next_below(16));
+      }
+    }
+    const bool expected = cover_reference(row, root_dist, d);
+    hits += expected ? 1 : 0;
+    expect_cover(row, root_dist, d, expected, "trial " + std::to_string(trial));
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(hits, 300u);
+  EXPECT_LT(hits, 2700u);
+}
+
+#if HUBLAB_METRICS_ENABLED
+
+struct PllCounts {
+  std::uint64_t visited = 0;
+  std::uint64_t cover_entries = 0;
+  std::uint64_t pruned = 0;
+  std::uint64_t label_pushes = 0;
+};
+
+PllCounts pll_counts(const Graph& g, const std::vector<Vertex>& order, std::size_t threads) {
+  metrics::registry().reset();
+  (void)pruned_landmark_labeling(g, order, PllConfig{threads});
+  PllCounts counts;
+  for (const auto& c : metrics::registry().counters()) {
+    if (c.name == "pll.visited") counts.visited = c.value;
+    if (c.name == "pll.cover_entries") counts.cover_entries = c.value;
+    if (c.name == "pll.pruned") counts.pruned = c.value;
+    if (c.name == "pll.label_pushes") counts.label_pushes = c.value;
+  }
+  return counts;
+}
+
+TEST(PllCounters, CoverEntriesOnThePathByHand) {
+  // Path 0 - 1 - 2 in natural order, by hand.  Root 0 settles all three
+  // vertices over empty rows (0 entries).  Root 1 settles 1 (row {0}),
+  // prunes 0 (row {0}: 1 + 0 <= 1) and labels 2 (row {0}: 1 + 2 > 1):
+  // 3 entries.  Root 2 settles 2 (row {0, 1}) and prunes 1 (row {0, 1}:
+  // rank 1 gives 1 + 0 <= 1): 4 entries.  The weighted path 0 -2- 1 -3- 2
+  // runs the Dijkstra through the same steps.
+  GraphBuilder weighted(3);
+  weighted.add_edge(0, 1, 2);
+  weighted.add_edge(1, 2, 3);
+  for (const Graph& g : {gen::path(3), weighted.build()}) {
+    const PllCounts counts = pll_counts(g, make_vertex_order(g, VertexOrder::kNatural), 1);
+    EXPECT_EQ(counts.cover_entries, 7u) << "weighted=" << g.is_weighted();
+    EXPECT_EQ(counts.visited, 8u) << "weighted=" << g.is_weighted();
+    EXPECT_EQ(counts.pruned, 2u) << "weighted=" << g.is_weighted();
+    EXPECT_EQ(counts.label_pushes, 6u) << "weighted=" << g.is_weighted();
+  }
+}
+
+TEST(PllCounters, CoverEntriesIndependentOfThreads) {
+  // K_{8,600}: the 600-leaf BFS levels run the parallel prune scan at 4
+  // threads (see PllCanonical.StructuredFamilies).
+  GraphBuilder b(608);
+  for (Vertex hub = 0; hub < 8; ++hub) {
+    for (Vertex leaf = 8; leaf < 608; ++leaf) b.add_edge(hub, leaf);
+  }
+  const Graph g = b.build();
+  const std::vector<Vertex> order = make_vertex_order(g, VertexOrder::kRandom, 3);
+  const PllCounts one = pll_counts(g, order, 1);
+  const PllCounts four = pll_counts(g, order, 4);
+  EXPECT_GT(one.cover_entries, 0u);
+  EXPECT_EQ(one.cover_entries, four.cover_entries);
+  EXPECT_EQ(one.visited, four.visited);
+  EXPECT_EQ(one.pruned, four.pruned);
+  EXPECT_EQ(one.label_pushes, four.label_pushes);
+}
+
+#endif  // HUBLAB_METRICS_ENABLED
 
 TEST(Pll, Fig1GadgetG22SampledExact) {
   // G_{2,2} (24400 vertices) is too large for a DistanceMatrix.

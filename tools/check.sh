@@ -21,11 +21,13 @@
 #  13. perf-counters smoke: bench --perf-counters banner + schema-v3 hw
 #      blocks (validated when the host has hardware counters, cleanly
 #      skipped where perf_event_open is unavailable)
-#  14. batch kernel: ISA-tier banner, HUBLAB_FORCE_SCALAR forced-scalar
-#      run, the pract.batch_query_pct_of_scalar.gnm2000 <= 70 gate, the
-#      one-pair pract.batch1_query_pct_of_scalar.gnm2000 <= 100 gate and
-#      the near-pair pract.batch_query_pct_of_scalar.road40x40_near <= 100
-#      gate
+#  14. SIMD kernels: the batch kernel's ISA-tier banner, its
+#      HUBLAB_FORCE_SCALAR forced-scalar run, the
+#      pract.batch_query_pct_of_scalar.gnm2000 <= 70 gate, the one-pair
+#      pract.batch1_query_pct_of_scalar.gnm2000 <= 100 gate and the
+#      near-pair pract.batch_query_pct_of_scalar.road40x40_near <= 100
+#      gate; then the PLL cover kernel's forced-scalar run, whose banner
+#      must say scalar and whose pll.* counters must equal stage 8's
 #  15. -Wall -Wextra -Werror build of the full tree  (preset werror)
 #  16. end-to-end benchmark self-test: perfbench/selftest.py builds the
 #      frozen perfbench/e2e.cpp into build/perfbench and runs every
@@ -304,7 +306,7 @@ else
   echo "perf-smoke: $(grep '^perf counters: ' "${perf_log}") -- hw blocks not required"
 fi
 
-stage "14/16 batch query kernel: tier banner, forced-scalar run, pct gates"
+stage "14/16 SIMD kernels: tier banners, forced-scalar runs, pct gates"
 # The batched kernel's three-tier dispatch must (a) report which ISA tier
 # it resolved, (b) degrade to the scalar tier under HUBLAB_FORCE_SCALAR=1
 # with the identity checks still green, and (c) keep its wins: on gnm2000
@@ -348,6 +350,30 @@ batch_gate() {
 batch_gate pract.batch_query_pct_of_scalar.gnm2000 70
 batch_gate pract.batch1_query_pct_of_scalar.gnm2000 100
 batch_gate pract.batch_query_pct_of_scalar.road40x40_near 100
+# The PLL cover kernel evaluates one predicate on every tier, so a build
+# forced to the scalar tier must push, settle, prune and scan exactly what
+# stage 8's run on the active tier did.
+pll_dir="${batch_dir}/pll-forced-scalar"
+mkdir -p "${pll_dir}"
+pll_log="${pll_dir}/bench_pll_orderings.log"
+(cd "${pll_dir}" \
+  && HUBLAB_FORCE_SCALAR=1 "${repo_root}/build/dev/bench/bench_pll_orderings" \
+       --smoke > "${pll_log}")
+grep -q '^pll cover: tier=scalar$' "${pll_log}"
+python3 - "${smoke_dir}/BENCH_pll_orderings.json" "${pll_dir}/BENCH_pll_orderings.json" <<'PY'
+import json, sys
+with open(sys.argv[1]) as fh:
+    active = json.load(fh)["counters"]
+with open(sys.argv[2]) as fh:
+    scalar = json.load(fh)["counters"]
+keys = ("pll.label_pushes", "pll.visited", "pll.pruned", "pll.cover_entries")
+for key in keys:
+    assert key in active and key in scalar, f"{key} missing from a BENCH_pll_orderings.json"
+    assert active[key] == scalar[key], \
+        f"{key}: {active[key]} on the active tier, {scalar[key]} forced scalar"
+print("pll-cover: forced-scalar run equals stage 8's: "
+      + ", ".join(f"{key}={active[key]}" for key in keys))
+PY
 
 stage "15/16 Werror build"
 cmake --preset werror
