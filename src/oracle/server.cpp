@@ -78,6 +78,15 @@ struct Block {
   std::vector<HubQueryResult> answers;
 };
 
+/// Arrival offset `t_ns` as an integer; InvalidArgument when the
+/// nanosecond clock cannot hold it (a --qps far too low for the run).
+std::uint64_t arrival_offset_ns(double t_ns) {
+  if (!(t_ns < 0x1p64)) {
+    throw InvalidArgument("serve: --qps is too low: an arrival offset reaches 2^64 ns");
+  }
+  return static_cast<std::uint64_t>(t_ns);
+}
+
 /// Scheduled arrival offsets (ns from loop start), ascending.  The RNG
 /// stream is salted away from the workload's so pairs and arrivals are
 /// independent draws from the one config seed.
@@ -92,7 +101,7 @@ std::vector<std::uint64_t> arrival_schedule(const ServerConfig& config) {
       // Exponential inter-arrival gap with mean gap_ns (inverse CDF;
       // next_double() < 1 keeps the log argument positive).
       t += -std::log(1.0 - rng.next_double()) * gap_ns;
-      arrivals.push_back(static_cast<std::uint64_t>(t));
+      arrivals.push_back(arrival_offset_ns(t));
     }
   } else {
     // Back-to-back groups of `burst` arrivals; group starts are spaced so
@@ -100,8 +109,8 @@ std::vector<std::uint64_t> arrival_schedule(const ServerConfig& config) {
     const std::uint64_t burst = std::max<std::uint64_t>(1, config.burst);
     for (std::uint64_t i = 0; i < config.num_queries; ++i) {
       const std::uint64_t group = i / burst;
-      arrivals.push_back(static_cast<std::uint64_t>(
-          static_cast<double>(group) * gap_ns * static_cast<double>(burst)));
+      arrivals.push_back(arrival_offset_ns(static_cast<double>(group) * gap_ns *
+                                           static_cast<double>(burst)));
     }
   }
   return arrivals;
@@ -181,7 +190,7 @@ void emit_registry_metrics(const ServerResult& result, const ServerConfig& confi
     reg.gauge("serve.window.rejected." + idx).set(static_cast<std::int64_t>(win.rejected));
   }
   metrics::ExemplarStore& store = reg.exemplar("serve.query_exemplars");
-  store.configure(config.seed, config.exemplars_per_bucket);
+  store.configure(config.seed, kExemplarsPerBucket);
   store.merge(result.exemplars);
   reg.heavy_hitter("hub.scan_cost").merge(result.hub_scan_cost);
   // Structured slow-query lines go out after the loop, never from it.
@@ -287,7 +296,10 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
   const bool virtual_timing = config.timing == TimingMode::kVirtual;
   if (g.num_vertices() == 0) throw InvalidArgument("serve: empty graph");
   if (config.num_queries == 0) throw InvalidArgument("serve: --queries must be >= 1");
-  if (!closed && !(config.qps > 0.0)) throw InvalidArgument("serve: --qps must be > 0");
+  // The offered rate is reported as an int64 gauge.
+  if (!closed && !(config.qps > 0.0 && config.qps < 0x1p63)) {
+    throw InvalidArgument("serve: --qps must be > 0 and below 2^63");
+  }
   if (config.batch == 0) throw InvalidArgument("serve: --batch must be >= 1");
   if (config.ring_capacity == 0) throw InvalidArgument("serve: --ring must be >= 1");
   constexpr std::uint64_t kMaxMs = ~std::uint64_t{0} / 1'000'000;  // the trims are kept in ns
@@ -352,8 +364,8 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
     // Per-worker seeds derive from the run seed and the fixed worker id,
     // so retained exemplars depend only on (seed, latencies).
     stats[w].exemplars = metrics::ExemplarReservoir(
-        config.seed ^ (0x9e3779b97f4a7c15ULL * (w + 1)), config.exemplars_per_bucket);
-    stats[w].slow = metrics::SlowQueryLog(config.slow_query_ns, config.slow_query_capacity);
+        config.seed ^ (0x9e3779b97f4a7c15ULL * (w + 1)), kExemplarsPerBucket);
+    stats[w].slow = metrics::SlowQueryLog(config.slow_query_ns, kSlowQueryCapacity);
   }
   const std::uint64_t window_ns = std::max<std::uint64_t>(1, config.window_ns);
   const std::size_t n = pairs.size();
@@ -503,8 +515,8 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
 
   // Merge in fixed worker order: the merged sketch structure and every
   // count are independent of runtime interleaving.
-  result.exemplars = metrics::ExemplarReservoir(config.seed, config.exemplars_per_bucket);
-  result.slow_queries = metrics::SlowQueryLog(config.slow_query_ns, config.slow_query_capacity);
+  result.exemplars = metrics::ExemplarReservoir(config.seed, kExemplarsPerBucket);
+  result.slow_queries = metrics::SlowQueryLog(config.slow_query_ns, kSlowQueryCapacity);
   result.worker_busy_ns.assign(workers, 0);
   std::map<std::uint64_t, WindowAccum> merged_windows;
   for (std::size_t w = 0; w < workers; ++w) {

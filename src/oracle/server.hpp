@@ -128,6 +128,12 @@ enum class TimingMode {
 /// whole serve loop, so this is deliberately far below par::kMaxThreads).
 inline constexpr std::size_t kMaxServeWorkers = 64;
 
+/// Latency exemplars each reservoir keeps per latency bucket.
+inline constexpr std::size_t kExemplarsPerBucket = 2;
+
+/// Slow queries the slow-query log keeps, worst first.
+inline constexpr std::size_t kSlowQueryCapacity = 32;
+
 /// One window of the per-interval serve time series.  Windows are indexed
 /// by each query's arrival offset (`offset / window_ns`; under closed
 /// arrivals, the offset at which its worker took it), so attribution is
@@ -152,7 +158,7 @@ struct ServerConfig {
   std::uint64_t num_queries = 20000;
   std::uint64_t seed = 1;
   std::size_t workers = 4;  ///< shard workers, clamped to [1, kMaxServeWorkers]
-  double qps = 50000.0;  ///< offered load (arrivals per second); > 0; open loop only
+  double qps = 50000.0;  ///< offered load (arrivals per second) in (0, 2^63); open loop only
   ArrivalKind arrival = ArrivalKind::kPoisson;
   std::uint64_t burst = 32;  ///< arrivals per burst group (kBurst only)
   AdmissionPolicy admission = AdmissionPolicy::kShed;
@@ -174,8 +180,6 @@ struct ServerConfig {
   std::uint64_t cooldown_ms = 0;
   std::uint64_t slow_query_ns = 0;  ///< slow-query log threshold; 0 disables
   std::uint64_t window_ns = 1'000'000'000;  ///< per-interval series resolution
-  std::size_t exemplars_per_bucket = 2;
-  std::size_t slow_query_capacity = 32;
   /// Emit into the global metrics registry (the CLI path).  The scaling
   /// bench turns this off so committed baselines only carry deterministic
   /// members.

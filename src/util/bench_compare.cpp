@@ -16,6 +16,9 @@ namespace {
 /// Ordered name -> value view of one comparable section of a report.
 using Series = std::map<std::string, double>;
 
+/// Base phases faster than this never gate: their wall time is mostly noise.
+constexpr double kMinGatedWallS = 1e-3;
+
 /// Phase wall times summed by name ("phase.<name>.wall_s"), plus the
 /// top-level total.  Summing makes repeated phase names (loops) well
 /// defined on both sides.
@@ -179,7 +182,7 @@ CompareReport compare_bench_json(const JsonValue& base, const JsonValue& next,
 
   Comparer comparer(report);
   comparer.section(phase_series(base), phase_series(next), options.threshold_pct,
-                   options.min_wall_s);
+                   kMinGatedWallS);
   comparer.section(metric_object_series(base, "counters", "counter"),
                    metric_object_series(next, "counters", "counter"),
                    options.structural_threshold_pct);

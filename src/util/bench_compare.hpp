@@ -19,7 +19,7 @@
 ///
 ///  - **phase wall times** (summed per phase name, plus a `total` row over
 ///    top-level phases) — noisy, so they gate through `threshold_pct` and
-///    only when the base value is at least `min_wall_s`;
+///    only when the base value is at least 1 ms;
 ///  - **sketch quantiles** (p50/p90/p99/p999 latencies) — wall-clock
 ///    noise too, gated through `threshold_pct`;
 ///  - **counters and gauges** (search-space sizes, label sizes, hub
@@ -45,7 +45,6 @@ namespace hublab {
 struct CompareOptions {
   double threshold_pct = 20.0;             ///< wall times and latency quantiles
   double structural_threshold_pct = 5.0;   ///< counters, gauges, histogram stats
-  double min_wall_s = 1e-3;                ///< base phases faster than this never gate
 };
 
 struct CompareRow {

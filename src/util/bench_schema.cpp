@@ -14,16 +14,9 @@ class Checker {
       return errors_;
     }
     const JsonValue* version = require(doc_, "schema_version", "", JsonValue::Kind::kNumber);
-    std::uint64_t version_value = kBenchSchemaVersion;
-    if (version != nullptr) {
-      version_value = static_cast<std::uint64_t>(version->number_value);
-      if (version->number_value < static_cast<double>(kBenchSchemaMinVersion) ||
-          version->number_value > static_cast<double>(kBenchSchemaVersion) ||
-          version->number_value != static_cast<double>(version_value)) {
-        fail("schema_version: expected an integer in [" +
-             std::to_string(kBenchSchemaMinVersion) + ", " +
-             std::to_string(kBenchSchemaVersion) + "]");
-      }
+    if (version != nullptr &&
+        version->number_value != static_cast<double>(kBenchSchemaVersion)) {
+      fail("schema_version: expected " + std::to_string(kBenchSchemaVersion));
     }
     const JsonValue* bench = require(doc_, "bench", "", JsonValue::Kind::kString);
     if (bench != nullptr && bench->string_value.empty()) fail("bench: must be non-empty");
@@ -32,14 +25,11 @@ class Checker {
     require(doc_, "ok", "", JsonValue::Kind::kBool);
     const JsonValue* reps = require(doc_, "repetitions", "", JsonValue::Kind::kNumber);
     if (reps != nullptr && reps->number_value < 1) fail("repetitions: must be >= 1");
-    if (version_value >= 2) {
-      const JsonValue* start = require(doc_, "start_unix_ms", "", JsonValue::Kind::kNumber);
-      if (start != nullptr && start->number_value < 0) fail("start_unix_ms: negative");
-      const JsonValue* rss = require(doc_, "peak_rss_bytes", "", JsonValue::Kind::kNumber);
-      if (rss != nullptr && rss->number_value < 0) fail("peak_rss_bytes: negative");
-    }
-    // `threads` is an optional v2 addition (reports written before the
-    // parallel layer lack it); when present it must be a number >= 1.
+    const JsonValue* start = require(doc_, "start_unix_ms", "", JsonValue::Kind::kNumber);
+    if (start != nullptr && start->number_value < 0) fail("start_unix_ms: negative");
+    const JsonValue* rss = require(doc_, "peak_rss_bytes", "", JsonValue::Kind::kNumber);
+    if (rss != nullptr && rss->number_value < 0) fail("peak_rss_bytes: negative");
+    // `threads` is optional; when present it must be a number >= 1.
     const JsonValue* threads = doc_.find("threads");
     if (threads != nullptr) {
       if (!threads->is_number()) fail("threads: wrong type");
@@ -49,9 +39,8 @@ class Checker {
     check_phases();
     check_metric_object(doc_.find("counters"), "counters");
     check_metric_object(doc_.find("gauges"), "gauges");
-    // v4 attribution members.  All optional — benches never emit them —
-    // but whenever present (any version; unknown members were never
-    // rejected) their shape must hold.
+    // Per-query attribution members.  All optional — benches never emit
+    // them — but whenever present their shape must hold.
     check_windows(doc_.find("windows"));
     check_exemplar_array(doc_.find("slow_queries"), "slow_queries");
     check_exemplar_stores(doc_.find("exemplars"));
@@ -109,8 +98,8 @@ class Checker {
       if (wall != nullptr && wall->number_value < 0) fail(prefix + ".wall_s: negative");
       const JsonValue* counters = p.find("counters");
       if (counters != nullptr) check_metric_object(counters, prefix + ".counters");
-      // v3 additions, both optional per phase (and harmless in older
-      // documents — unknown members were never rejected).
+      // Both optional per phase: `tid` is the opening thread's worker
+      // index, `hw` appears only with --perf-counters on a capable host.
       const JsonValue* tid = p.find("tid");
       if (tid != nullptr) {
         if (!tid->is_number()) fail(prefix + ".tid: wrong type");
@@ -121,7 +110,7 @@ class Checker {
     }
   }
 
-  /// Per-phase hardware-counter object (schema v3): cycles, instructions
+  /// Per-phase hardware-counter object: cycles, instructions
   /// and ipc are required; the miss counters and rates are best-effort
   /// (the perf group opens them individually and a host may refuse some).
   void check_hw(const JsonValue& hw, const std::string& prefix) {
@@ -150,7 +139,7 @@ class Checker {
     if (member != nullptr && member->number_value < 0) fail(prefix + "." + name + ": negative");
   }
 
-  /// Schema v4 `windows`: per-window throughput/latency series.
+  /// `windows`: per-window throughput/latency series.
   void check_windows(const JsonValue* windows) {
     if (windows == nullptr) return;
     if (!windows->is_array()) {
@@ -181,7 +170,7 @@ class Checker {
     }
   }
 
-  /// Schema v4 `slow_queries`: worst-first array of exemplars.
+  /// `slow_queries`: worst-first array of exemplars.
   void check_exemplar_array(const JsonValue* arr, const std::string& prefix) {
     if (arr == nullptr) return;
     if (!arr->is_array()) {
@@ -193,7 +182,7 @@ class Checker {
     }
   }
 
-  /// Schema v4 `exemplars`: stores keyed by name, each with bucketed
+  /// `exemplars`: stores keyed by name, each with bucketed
   /// witnesses.
   void check_exemplar_stores(const JsonValue* stores) {
     if (stores == nullptr) return;
@@ -230,7 +219,7 @@ class Checker {
     }
   }
 
-  /// Schema v4 `heavy_hitters`: sketches keyed by name.
+  /// `heavy_hitters`: sketches keyed by name.
   void check_heavy_hitters(const JsonValue* sketches) {
     if (sketches == nullptr) return;
     if (!sketches->is_object()) {

@@ -1,6 +1,5 @@
 #include "util/log.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <ostream>
@@ -40,52 +39,9 @@ Field::Field(std::string_view k, std::uint64_t v) : key(k), value(std::to_string
 
 Field::Field(std::string_view k, std::int64_t v) : key(k), value(std::to_string(v)) {}
 
-RateLimiter::RateLimiter(std::uint64_t max_per_window, double window_s)
-    : max_per_window_(max_per_window), window_s_(window_s > 0 ? window_s : 1.0) {}
-
-RateLimiter::Bucket* RateLimiter::find(std::string_view key) {
-  for (auto& [name, bucket] : buckets_) {
-    if (name == key) return &bucket;
-  }
-  buckets_.emplace_back(std::string(key), Bucket{});
-  return &buckets_.back().second;
-}
-
-bool RateLimiter::allow(std::string_view key, double now_s) {
-  if (max_per_window_ == 0) return true;
-  Bucket* bucket = find(key);
-  const auto window = static_cast<std::uint64_t>(std::floor(now_s / window_s_));
-  if (window != bucket->window) {
-    bucket->window = window;
-    bucket->in_window = 0;
-  }
-  if (bucket->in_window >= max_per_window_) {
-    ++bucket->suppressed;
-    return false;
-  }
-  ++bucket->in_window;
-  return true;
-}
-
-std::uint64_t RateLimiter::suppressed(std::string_view key) const {
-  for (const auto& [name, bucket] : buckets_) {
-    if (name == key) return bucket.suppressed;
-  }
-  return 0;
-}
-
 // util/log.cpp is the allowlisted home of raw stderr output (see the raw-io
 // rule in docs/correctness.md): everything else in src/ logs through here.
 Logger::Logger() : sink_(&std::cerr), epoch_ns_(monotonic_ns()) {}
-
-double Logger::now_s() const {
-  return static_cast<double>(monotonic_ns() - epoch_ns_) * 1e-9;
-}
-
-void Logger::set_rate_limit(std::uint64_t max_per_window, double window_s) {
-  limiter_ = RateLimiter(max_per_window, window_s);
-  limiting_ = max_per_window > 0;
-}
 
 void Logger::write(Level level, std::string_view component, std::string_view message,
                    std::initializer_list<Field> fields) {
@@ -99,66 +55,23 @@ void Logger::write(Level level, std::string_view component, std::string_view mes
     crumb[n] = '\0';
     fr::record(fr::EventKind::kLog, crumb, static_cast<std::uint64_t>(level));
   }
-  const double ts = now_s();
-  std::uint64_t suppressed = 0;
-  if (limiting_) {
-    std::string key(component);
-    key += '/';
-    key += message;
-    RateLimiter::Bucket* bucket = limiter_.find(key);
-    if (!limiter_.allow(key, ts)) return;
-    suppressed = bucket->suppressed;
-    bucket->suppressed = 0;
-  }
-
-  std::string line;
-  if (format_ == Format::kText) {
-    line += "level=";
-    line += level_name(level);
-    line += " ts=";
-    format_double(line, ts);
-    line += " component=";
-    line += component;
-    line += " msg=";
-    line += JsonWriter::escape(message);
-    for (const Field& f : fields) {
-      line += ' ';
-      line += f.key;
-      line += '=';
-      if (f.quoted) {
-        line += JsonWriter::escape(f.value);
-      } else {
-        line += f.value;
-      }
+  std::string line = "level=";
+  line += level_name(level);
+  line += " ts=";
+  format_double(line, static_cast<double>(monotonic_ns() - epoch_ns_) * 1e-9);
+  line += " component=";
+  line += component;
+  line += " msg=";
+  line += JsonWriter::escape(message);
+  for (const Field& f : fields) {
+    line += ' ';
+    line += f.key;
+    line += '=';
+    if (f.quoted) {
+      line += JsonWriter::escape(f.value);
+    } else {
+      line += f.value;
     }
-    if (suppressed > 0) {
-      line += " suppressed=";
-      line += std::to_string(suppressed);
-    }
-  } else {
-    line += "{\"level\": ";
-    line += JsonWriter::escape(level_name(level));
-    line += ", \"ts\": ";
-    format_double(line, ts);
-    line += ", \"component\": ";
-    line += JsonWriter::escape(component);
-    line += ", \"msg\": ";
-    line += JsonWriter::escape(message);
-    for (const Field& f : fields) {
-      line += ", ";
-      line += JsonWriter::escape(f.key);
-      line += ": ";
-      if (f.quoted) {
-        line += JsonWriter::escape(f.value);
-      } else {
-        line += f.value;
-      }
-    }
-    if (suppressed > 0) {
-      line += ", \"suppressed\": ";
-      line += std::to_string(suppressed);
-    }
-    line += '}';
   }
   line += '\n';
   *sink_ << line;

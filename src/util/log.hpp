@@ -5,39 +5,32 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 /// \file log.hpp
 /// Leveled structured logging for the serving path.
 ///
 /// Library code reports *results* through return values and exceptions
 /// (hublab_lint's stdout-in-library rule); what it may not do is narrate.
-/// The serving layer, however, needs operational narration — oracle built,
-/// workload generated, query loop progress, rate-limited warnings — and
-/// this file is the one sanctioned channel for it:
+/// The serving layer, however, reports a few operational events — slow
+/// queries past the `--slow-query-ms` threshold and the closing summary of
+/// a serve loop — and this file is the one sanctioned channel for them:
 ///
-///  - five levels (TRACE < DEBUG < INFO < WARN < ERROR) with both a
-///    runtime filter (`Logger::set_level`) and a compile-time floor:
-///    building with `-DHUBLAB_MIN_LOG_LEVEL=N` (CMake option
-///    `HUBLAB_LOG_LEVEL`) makes every `HUBLAB_LOG_*` call below N compile
-///    to nothing, like `HUBLAB_METRICS=OFF` does for counters;
-///  - structured `key=value` fields, rendered as logfmt-style text or as
-///    one JSON object per line (`Logger::set_format`), never interpolated
-///    into the message string;
-///  - token-less rate limiting per (component, message) key so a hot loop
-///    cannot flood the sink; suppressed counts are reported on the next
-///    emitted record;
+///  - six levels (TRACE < DEBUG < INFO < WARN < ERROR < OFF) with a runtime
+///    filter (`Logger::set_level`);
+///  - structured `key=value` fields rendered as logfmt-style text, never
+///    interpolated into the message string;
 ///  - an explicit sink `std::ostream*` (stderr by default — stdout stays
 ///    reserved for program output).  `hublab_lint`'s raw-io rule forbids
 ///    `fprintf`/`std::cerr` everywhere else in src/, so all diagnostics
-///    funnel through here.
+///    funnel through here;
+///  - every emitted record also lands in the crash flight recorder
+///    (util/flightrec.hpp) as a `log` event, so a post-mortem dump shows
+///    the most recent records.
 ///
 /// The global `logger()` is what the macros write to; tests swap its sink
-/// for a stringstream and restore it.  Not thread-safe by design (one
-/// logger per thread of execution, like Tracer); the serving loop is
-/// single-threaded today and the API keeps the door open for per-shard
-/// loggers later.
+/// for a stringstream and restore it.  The logger is not thread-safe: its
+/// only writers are `serve::run_server_on`'s two call sites, which run on
+/// the calling thread after every shard worker has joined.
 
 namespace hublab::log {
 
@@ -47,7 +40,7 @@ enum class Level : int { kTrace = 0, kDebug = 1, kInfo = 2, kWarn = 3, kError = 
 [[nodiscard]] std::string_view level_name(Level level) noexcept;
 
 /// One structured field.  Numbers and bools render unquoted; strings are
-/// quoted (text) or escaped (JSON).
+/// quoted and escaped.
 struct Field {
   Field(std::string_view k, std::string_view v) : key(k), value(v), quoted(true) {}
   Field(std::string_view k, const char* v) : key(k), value(v), quoted(true) {}
@@ -63,41 +56,9 @@ struct Field {
   bool quoted = false;
 };
 
-enum class Format { kText, kJson };
-
-/// Deterministic sliding-window rate limiter, keyed by string.  At most
-/// `max_per_window` events per key per `window_s`-second window; windows
-/// are aligned to multiples of window_s since time zero.  Time is passed
-/// in explicitly so the policy is unit-testable without a clock.
-class RateLimiter {
- public:
-  RateLimiter(std::uint64_t max_per_window, double window_s);
-
-  /// True when the event may pass; false when suppressed.  `now_s` must be
-  /// monotone non-decreasing per key.
-  [[nodiscard]] bool allow(std::string_view key, double now_s);
-
-  /// Events suppressed for `key` since the last allowed event; reset to 0
-  /// by the next allowed event.
-  [[nodiscard]] std::uint64_t suppressed(std::string_view key) const;
-
- private:
-  struct Bucket {
-    std::uint64_t window = 0;
-    std::uint64_t in_window = 0;
-    std::uint64_t suppressed = 0;
-  };
-  friend class Logger;
-  [[nodiscard]] Bucket* find(std::string_view key);
-
-  std::uint64_t max_per_window_;
-  double window_s_;
-  std::vector<std::pair<std::string, Bucket>> buckets_;  // few distinct keys
-};
-
 class Logger {
  public:
-  /// Sink defaults to stderr; level to kInfo; format to text.
+  /// Sink defaults to stderr; level to kInfo.
   Logger();
 
   Logger(const Logger&) = delete;
@@ -111,29 +72,17 @@ class Logger {
   [[nodiscard]] Level level() const noexcept { return level_; }
   [[nodiscard]] bool enabled(Level level) const noexcept { return level >= level_; }
 
-  void set_format(Format format) noexcept { format_ = format; }
-
-  /// At most `max_per_window` records per (component, message) key per
-  /// `window_s` seconds; 0 disables limiting (the default).
-  void set_rate_limit(std::uint64_t max_per_window, double window_s = 1.0);
-
-  /// Emit one record.  Filtering/rate limiting happen here; prefer the
-  /// HUBLAB_LOG_* macros, which add the compile-time floor.
+  /// Emit one record when `level` passes the filter and a sink is set.
   void write(Level level, std::string_view component, std::string_view message,
              std::initializer_list<Field> fields = {});
 
-  /// Records emitted (post-filter, post-rate-limit) since construction.
+  /// Records emitted (post-filter) since construction.
   [[nodiscard]] std::uint64_t records_written() const noexcept { return records_written_; }
 
  private:
-  [[nodiscard]] double now_s() const;
-
   std::ostream* sink_;
   Level level_ = Level::kInfo;
-  Format format_ = Format::kText;
   std::uint64_t records_written_ = 0;
-  RateLimiter limiter_{0, 1.0};
-  bool limiting_ = false;
   std::uint64_t epoch_ns_ = 0;  ///< monotonic_ns() at construction
 };
 
@@ -142,29 +91,16 @@ Logger& logger();
 
 }  // namespace hublab::log
 
-/// Compile-time floor: calls below this level cost nothing (the condition
-/// is `if constexpr`).  0 = trace .. 4 = error, 5 = off.
-#ifndef HUBLAB_MIN_LOG_LEVEL
-#define HUBLAB_MIN_LOG_LEVEL 0
-#endif
-
-#define HUBLAB_LOG_AT(level_, component_, message_, ...)                            \
-  do {                                                                              \
-    if constexpr (static_cast<int>(level_) >= HUBLAB_MIN_LOG_LEVEL) {               \
-      auto& hublab_logger_ = ::hublab::log::logger();                               \
-      if (hublab_logger_.enabled(level_)) {                                         \
-        hublab_logger_.write((level_), (component_), (message_), {__VA_ARGS__});    \
-      }                                                                             \
-    }                                                                               \
+/// The fields are only built when the level passes the runtime filter.
+#define HUBLAB_LOG_AT(level_, component_, message_, ...)                         \
+  do {                                                                           \
+    auto& hublab_logger_ = ::hublab::log::logger();                              \
+    if (hublab_logger_.enabled(level_)) {                                        \
+      hublab_logger_.write((level_), (component_), (message_), {__VA_ARGS__});   \
+    }                                                                            \
   } while (false)
 
-#define HUBLAB_LOG_TRACE(component_, message_, ...) \
-  HUBLAB_LOG_AT(::hublab::log::Level::kTrace, component_, message_ __VA_OPT__(, ) __VA_ARGS__)
-#define HUBLAB_LOG_DEBUG(component_, message_, ...) \
-  HUBLAB_LOG_AT(::hublab::log::Level::kDebug, component_, message_ __VA_OPT__(, ) __VA_ARGS__)
 #define HUBLAB_LOG_INFO(component_, message_, ...) \
   HUBLAB_LOG_AT(::hublab::log::Level::kInfo, component_, message_ __VA_OPT__(, ) __VA_ARGS__)
 #define HUBLAB_LOG_WARN(component_, message_, ...) \
   HUBLAB_LOG_AT(::hublab::log::Level::kWarn, component_, message_ __VA_OPT__(, ) __VA_ARGS__)
-#define HUBLAB_LOG_ERROR(component_, message_, ...) \
-  HUBLAB_LOG_AT(::hublab::log::Level::kError, component_, message_ __VA_OPT__(, ) __VA_ARGS__)

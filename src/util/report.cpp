@@ -47,7 +47,7 @@ void write_run_report_json(std::ostream& os, const ReportHeader& header, const T
       w.end_object();
     }
     if (r.hw.valid) {
-      // Schema v3 `hw` object: raw deltas plus the derived rates, so the
+      // The `hw` object: raw deltas plus the derived rates, so the
       // trajectory tooling reads IPC without re-deriving it.
       w.key("hw").begin_object();
       w.kv("cycles", r.hw.cycles);

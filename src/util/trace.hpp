@@ -18,7 +18,7 @@
 /// When hardware counters are enabled (util/perfcount.hpp, opt-in via
 /// `perf::set_enabled`), each span additionally carries the cycle /
 /// instruction / cache-miss deltas over its lifetime (`Record::hw`), which
-/// the bench reports emit as the per-phase `hw` object (schema v3).  Spans
+/// the bench reports emit as the per-phase `hw` object.  Spans
 /// also record the worker index of the opening thread (`Record::tid`) so
 /// Chrome traces lay out on real lanes, and leave begin/end breadcrumbs in
 /// the flight recorder (util/flightrec.hpp) for post-mortem dumps.

@@ -11,14 +11,14 @@
 namespace hublab {
 namespace {
 
-/// A minimal schema-v2 report with one slow phase, one fast phase, a
+/// A minimal report with one slow phase, one fast phase, a
 /// counter, a gauge, a histogram and a latency sketch — enough surface to
 /// exercise every comparison section.
 std::string fixture_json(double build_wall_s, double tiny_wall_s, double counter_value,
                          double sketch_p99) {
   std::ostringstream os;
   os << R"({
-    "schema_version": 2,
+    "schema_version": 4,
     "bench": "fixture",
     "git_rev": "deadbeef",
     "smoke": true,
@@ -89,7 +89,7 @@ TEST(BenchCompare, DetectsInjectedTwoTimesSlowdown) {
   EXPECT_TRUE(build_regressed);
   EXPECT_TRUE(total_regressed);
   EXPECT_TRUE(p99_regressed);
-  // Phases under min_wall_s never gate, even when doubled: too noisy.
+  // Phases under 1 ms never gate, even when doubled: too noisy.
   EXPECT_FALSE(tiny_regressed);
 }
 

@@ -5,12 +5,12 @@
 //   violations/    one seeded violation file per rule; every finding is
 //                  asserted here by exact (file, line, rule);
 //   suppressed/    the same kinds of violations silenced by inline
-//                  markers (both spellings) and the committed baseline;
+//                  markers;
 //   selfcontained/ one header that fails the -fsyntax-only probe (kept
 //                  separate so the other fixtures run without a compiler).
 //
-// The exit-code contract (0 clean / 1 findings / 2 usage) and the SARIF /
-// JSON emitters are exercised through the real binary (HUBLAB_LINT_BIN).
+// The exit-code contract (0 clean / 1 findings / 2 usage) and the SARIF
+// emitter are exercised through the real binary (HUBLAB_LINT_BIN).
 
 #include <gtest/gtest.h>
 
@@ -41,12 +41,10 @@ using hublab::lint::run_lint;
 const std::string kFixtures = HUBLAB_LINT_FIXTURES;
 const std::string kLintBin = HUBLAB_LINT_BIN;
 
-Report lint_fixture(const std::string& name, bool check_headers = false,
-                    bool use_baseline = true) {
+Report lint_fixture(const std::string& name, bool check_headers = false) {
   Options opt;
   opt.root = kFixtures + "/" + name;
   opt.check_headers = check_headers;
-  opt.use_baseline = use_baseline;
   return run_lint(opt);
 }
 
@@ -71,8 +69,7 @@ std::vector<Triple> triples(const Report& report) {
 }
 
 TEST(LintFixtures, ViolationsReportExactFileLineRule) {
-  const Report report = lint_fixture("violations", /*check_headers=*/false,
-                                     /*use_baseline=*/false);
+  const Report report = lint_fixture("violations");
   const std::vector<Triple> expected = {
       {"bench/bench_bad.cpp", 1, "bench-harness"},
       {"docs/observability.md", 8, "metric-doc-drift"},
@@ -106,7 +103,6 @@ TEST(LintFixtures, ViolationsReportExactFileLineRule) {
   };
   EXPECT_EQ(triples(report), expected);
   EXPECT_EQ(report.suppressed, 0U);
-  EXPECT_EQ(report.baselined, 0U);
 }
 
 TEST(LintFixtures, SelfContainmentProbeFlagsBrokenHeader) {
@@ -119,7 +115,7 @@ TEST(LintFixtures, SelfContainmentProbeFlagsBrokenHeader) {
 
 TEST(LintFixtures, EveryCatalogRuleIsProvenLive) {
   std::set<std::string> fired;
-  for (const Finding& f : lint_fixture("violations", false, false).findings) {
+  for (const Finding& f : lint_fixture("violations").findings) {
     fired.insert(f.rule);
   }
   for (const Finding& f : lint_fixture("selfcontained", true).findings) {
@@ -131,48 +127,25 @@ TEST(LintFixtures, EveryCatalogRuleIsProvenLive) {
                                "and every finding must use a cataloged rule id";
 }
 
-TEST(LintFixtures, InlineMarkersAndBaselineSilenceEverything) {
+TEST(LintFixtures, InlineMarkersSilenceEverything) {
   const Report report = lint_fixture("suppressed");
   EXPECT_TRUE(report.findings.empty());
-  EXPECT_EQ(report.suppressed, 3U);  // new + legacy spellings, simd escape
-  EXPECT_EQ(report.baselined, 1U);   // tools/lint_baseline.json entry
-}
-
-TEST(LintFixtures, BaselineMatchesByFileAndRuleNotLine) {
-  // The baselined fixture finding is at line 6; the baseline entry has no
-  // line at all, proving line churn cannot invalidate entries.
-  const Report no_baseline = lint_fixture("suppressed", false, /*use_baseline=*/false);
-  ASSERT_EQ(no_baseline.findings.size(), 1U);
-  EXPECT_EQ(no_baseline.findings[0].file, "src/util/base_thread.cpp");
-  EXPECT_EQ(no_baseline.findings[0].rule, "raw-thread");
-  EXPECT_EQ(no_baseline.findings[0].line, 6U);
-}
-
-TEST(LintFixtures, MalformedBaselineThrows) {
-  const std::string path = testing::TempDir() + "/hublab_bad_baseline.json";
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "{\"version\": 2, \"findings\": []}\n";
-  }
-  EXPECT_THROW((void)hublab::lint::load_baseline(path), std::runtime_error);
-  std::remove(path.c_str());
+  EXPECT_EQ(report.suppressed, 3U);  // raw-io, wall-clock, simd
 }
 
 TEST(LintBinary, ExitCodeContract) {
   const std::string violations = kFixtures + "/violations";
   const std::string suppressed = kFixtures + "/suppressed";
-  EXPECT_EQ(run_binary("--root " + violations + " --no-header-check --no-baseline"), 1);
+  EXPECT_EQ(run_binary("--root " + violations + " --no-header-check"), 1);
   EXPECT_EQ(run_binary("--root " + suppressed), 0);
   EXPECT_EQ(run_binary("--bogus-flag"), 2);
   EXPECT_EQ(run_binary("--root " + kFixtures + "/does-not-exist"), 2);
-  // --baseline combined with --no-baseline is contradictory.
-  EXPECT_EQ(run_binary("--root " + suppressed + " --no-baseline --baseline x.json"), 2);
 }
 
 TEST(LintBinary, SarifOutputIsValidAndComplete) {
   const std::string sarif_path = testing::TempDir() + "/hublab_lint_test.sarif";
   const int rc = run_binary("--root " + kFixtures +
-                            "/violations --no-header-check --no-baseline --sarif " +
+                            "/violations --no-header-check --sarif " +
                             sarif_path);
   EXPECT_EQ(rc, 1);
 
@@ -222,33 +195,16 @@ TEST(LintBinary, SarifOutputIsValidAndComplete) {
   std::remove(sarif_path.c_str());
 }
 
-TEST(LintBinary, JsonOutputRoundTrips) {
-  const std::string json_path = testing::TempDir() + "/hublab_lint_test.json";
-  const std::string cmd = kLintBin + " --root " + kFixtures +
-                          "/violations --no-header-check --no-baseline --json > " +
-                          json_path + " 2>/dev/null";
-  (void)std::system(cmd.c_str());
-
-  std::ifstream in(json_path);
-  ASSERT_TRUE(in.good());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const hublab::JsonValue doc = hublab::parse_json(buf.str());
-  ASSERT_TRUE(doc.is_object());
-  const hublab::JsonValue* findings = doc.find("findings");
-  ASSERT_NE(findings, nullptr);
-  EXPECT_EQ(findings->array_items.size(), 29U);
-  std::remove(json_path.c_str());
-}
-
-TEST(LintModel, InlineSuppressionBothSpellingsAndPlacements) {
+TEST(LintModel, InlineSuppressionPlacements) {
   hublab::lint::SourceFile f;
   f.rel = "src/x.cpp";
   f.raw_lines = {
       "int a;  // hublab-lint-allow(raw-io)",
       "int b;",
-      "// hublab-lint: allow wall-clock",
+      "// hublab-lint-allow(wall-clock)",
       "int c;",
+      "// hublab-lint: allow raw-thread",
+      "int d;",
   };
   EXPECT_TRUE(hublab::lint::inline_suppressed(f, 1, "raw-io"));
   EXPECT_FALSE(hublab::lint::inline_suppressed(f, 1, "wall-clock"));
@@ -257,6 +213,9 @@ TEST(LintModel, InlineSuppressionBothSpellingsAndPlacements) {
   EXPECT_FALSE(hublab::lint::inline_suppressed(f, 3, "raw-io"));
   EXPECT_TRUE(hublab::lint::inline_suppressed(f, 4, "wall-clock"));  // line above
   EXPECT_FALSE(hublab::lint::inline_suppressed(f, 4, "raw-io"));
+  // Only the hublab-lint-allow(<rule>) spelling is a marker.
+  EXPECT_FALSE(hublab::lint::inline_suppressed(f, 5, "raw-thread"));
+  EXPECT_FALSE(hublab::lint::inline_suppressed(f, 6, "raw-thread"));
 }
 
 TEST(LintModel, LastIdentifierPeelsIndexAndCallSuffixes) {

@@ -5,7 +5,7 @@
 #include <sstream>
 #include <string>
 
-#include "util/json.hpp"
+#include "util/flightrec.hpp"
 
 namespace hublab::log {
 namespace {
@@ -17,14 +17,10 @@ class SinkCapture {
   SinkCapture() {
     logger().set_sink(&buffer_);
     logger().set_level(Level::kInfo);
-    logger().set_format(Format::kText);
-    logger().set_rate_limit(0);
   }
   ~SinkCapture() {
     logger().set_sink(nullptr);
     logger().set_level(Level::kInfo);
-    logger().set_format(Format::kText);
-    logger().set_rate_limit(0);
   }
   [[nodiscard]] std::string text() const { return buffer_.str(); }
 
@@ -69,7 +65,7 @@ TEST(Logger, TextFormatIsLogfmt) {
   SinkCapture capture;
   logger().write(Level::kInfo, "serve", "oracle built",
                  {Field("oracle", "pll"), Field("queries", std::uint64_t{42}),
-                  Field("ok", true), Field("ratio", 0.5)});
+                  Field("ok", true), Field("ratio", 0.5), Field("tag", "a\nb")});
   const std::string out = capture.text();
   EXPECT_NE(out.find("level=info"), std::string::npos);
   EXPECT_NE(out.find("component=serve"), std::string::npos);
@@ -78,27 +74,8 @@ TEST(Logger, TextFormatIsLogfmt) {
   EXPECT_NE(out.find("queries=42"), std::string::npos);
   EXPECT_NE(out.find("ok=true"), std::string::npos);
   EXPECT_NE(out.find("ratio=0.5"), std::string::npos);
-  EXPECT_EQ(out.back(), '\n');
-}
-
-TEST(Logger, JsonFormatParsesBackAsOneObjectPerLine) {
-  SinkCapture capture;
-  logger().set_format(Format::kJson);
-  logger().write(Level::kWarn, "serve", "queue \"deep\"",
-                 {Field("depth", std::uint64_t{9}), Field("tag", "a\nb")});
-  std::string line = capture.text();
-  ASSERT_FALSE(line.empty());
-  ASSERT_EQ(line.back(), '\n');
-  line.pop_back();
-  EXPECT_EQ(line.find('\n'), std::string::npos);  // exactly one line
-
-  const JsonValue doc = parse_json(line);
-  EXPECT_EQ(doc.find("level")->string_value, "warn");
-  EXPECT_EQ(doc.find("component")->string_value, "serve");
-  EXPECT_EQ(doc.find("msg")->string_value, "queue \"deep\"");
-  EXPECT_EQ(doc.find("depth")->number_value, 9.0);
-  EXPECT_EQ(doc.find("tag")->string_value, "a\nb");
-  EXPECT_NE(doc.find("ts"), nullptr);
+  EXPECT_NE(out.find("tag=\"a\\nb\""), std::string::npos);  // escaped, not a line break
+  EXPECT_EQ(out.find('\n'), out.size() - 1);                // one record, one line
 }
 
 TEST(Logger, NegativeAndSignedFields) {
@@ -125,72 +102,33 @@ TEST(Logger, NullSinkDropsOutputSafely) {
   SinkCapture capture;  // restore a sane sink for the remaining tests
 }
 
-TEST(RateLimiter, AllowsUpToMaxPerWindow) {
-  RateLimiter limiter(2, 1.0);
-  EXPECT_TRUE(limiter.allow("k", 0.0));
-  EXPECT_TRUE(limiter.allow("k", 0.1));
-  EXPECT_FALSE(limiter.allow("k", 0.2));
-  EXPECT_FALSE(limiter.allow("k", 0.9));
-  EXPECT_EQ(limiter.suppressed("k"), 2u);
-  // New window: quota refills, suppressed persists until the next allow.
-  EXPECT_TRUE(limiter.allow("k", 1.0));
-  EXPECT_TRUE(limiter.allow("k", 1.5));
-  EXPECT_FALSE(limiter.allow("k", 1.6));
-}
-
-TEST(RateLimiter, KeysAreIndependent) {
-  RateLimiter limiter(1, 1.0);
-  EXPECT_TRUE(limiter.allow("a", 0.0));
-  EXPECT_TRUE(limiter.allow("b", 0.0));
-  EXPECT_FALSE(limiter.allow("a", 0.5));
-  EXPECT_FALSE(limiter.allow("b", 0.5));
-  EXPECT_EQ(limiter.suppressed("a"), 1u);
-  EXPECT_EQ(limiter.suppressed("b"), 1u);
-  EXPECT_EQ(limiter.suppressed("never-seen"), 0u);
-}
-
-TEST(RateLimiter, WindowsAlignToMultiplesOfWindowSize) {
-  RateLimiter limiter(1, 10.0);
-  EXPECT_TRUE(limiter.allow("k", 3.0));    // window [0, 10)
-  EXPECT_FALSE(limiter.allow("k", 9.9));   // same window
-  EXPECT_TRUE(limiter.allow("k", 10.0));   // window [10, 20)
-  EXPECT_FALSE(limiter.allow("k", 19.9));
-  EXPECT_TRUE(limiter.allow("k", 40.0));   // windows may be skipped entirely
-}
-
-TEST(Logger, RateLimitSuppressesHotLoopAndReportsSuppressedCount) {
+TEST(Macros, RuntimeFilterGatesInfoAndWarn) {
   SinkCapture capture;
-  logger().set_rate_limit(3, 1000.0);  // one huge window for the whole test
-  for (int i = 0; i < 50; ++i) {
-    logger().write(Level::kInfo, "loop", "hot message", {Field("i", i)});
-  }
-  const std::string out = capture.text();
-  // Exactly 3 records; the other 47 are suppressed silently (their count
-  // would be reported on the next allowed record in a later window).
-  std::size_t records = 0;
-  for (const char c : out) records += c == '\n' ? 1 : 0;
-  EXPECT_EQ(records, 3u);
-
-  // A different key is not affected by the hot key's suppression.
-  logger().write(Level::kInfo, "loop", "other message");
-  EXPECT_NE(capture.text().find("other message"), std::string::npos);
-}
-
-TEST(Macros, CompileTimeFloorAndRuntimeFilterCompose) {
-  SinkCapture capture;
-  logger().set_level(Level::kTrace);
-  // HUBLAB_MIN_LOG_LEVEL is 0 in the test build, so everything below is a
-  // runtime decision; all five macros must compile and emit.
-  HUBLAB_LOG_TRACE("macro", "trace msg");
-  HUBLAB_LOG_DEBUG("macro", "debug msg", log::Field("k", 1));
   HUBLAB_LOG_INFO("macro", "info msg");
-  HUBLAB_LOG_WARN("macro", "warn msg");
-  HUBLAB_LOG_ERROR("macro", "error msg", log::Field("code", 7));
+  HUBLAB_LOG_WARN("macro", "warn msg", log::Field("code", 7));
+  logger().set_level(Level::kWarn);
+  HUBLAB_LOG_INFO("macro", "filtered msg");
   const std::string out = capture.text();
-  for (const char* needle :
-       {"trace msg", "debug msg", "info msg", "warn msg", "error msg", "code=7"}) {
+  for (const char* needle : {"level=info", "info msg", "level=warn", "warn msg", "code=7"}) {
     EXPECT_NE(out.find(needle), std::string::npos) << needle;
   }
+  EXPECT_EQ(out.find("filtered msg"), std::string::npos);
+}
+
+TEST(Logger, EmittedRecordsLeaveAFlightRecorderBreadcrumb) {
+  {
+    SinkCapture capture;
+    logger().write(Level::kWarn, "test", "crumb-kept-5f3a");
+    logger().write(Level::kDebug, "test", "crumb-below-level-5f3a");
+  }
+  logger().set_sink(nullptr);
+  logger().write(Level::kError, "test", "crumb-null-sink-5f3a");
+  std::ostringstream dump;
+  fr::dump(dump);
+  const std::string ring = dump.str();
+  EXPECT_NE(ring.find("log 3 crumb-kept-5f3a"), std::string::npos) << ring;
+  EXPECT_EQ(ring.find("crumb-below-level-5f3a"), std::string::npos) << ring;
+  EXPECT_EQ(ring.find("crumb-null-sink-5f3a"), std::string::npos) << ring;
 }
 
 }  // namespace

@@ -383,14 +383,16 @@ TEST(BenchSchema, ValidatorRejectsBrokenDocuments) {
   // Not an object at top level.
   EXPECT_FALSE(validate_bench_json(parse_json("[1, 2]")).empty());
 
-  // Wrong schema version (the validator accepts [kBenchSchemaMinVersion,
-  // kBenchSchemaVersion], nothing newer).
+  // Any schema version but the current one: the versions before it
+  // (1-3), a newer one, and non-integers.
   const std::string version_member = "\"schema_version\": 4";
   ASSERT_NE(good.find(version_member), std::string::npos);
-  std::string wrong_version = good;
-  wrong_version.replace(wrong_version.find(version_member), version_member.size(),
-                        "\"schema_version\": 99");
-  EXPECT_FALSE(validate_bench_json(parse_json(wrong_version)).empty());
+  for (const char* version : {"1", "2", "3", "5", "99", "3.5", "\"4\""}) {
+    std::string wrong_version = good;
+    wrong_version.replace(wrong_version.find(version_member), version_member.size(),
+                          std::string("\"schema_version\": ") + version);
+    EXPECT_FALSE(validate_bench_json(parse_json(wrong_version)).empty()) << version;
+  }
 
   // Empty bench name.
   std::string empty_name = good;
@@ -398,15 +400,35 @@ TEST(BenchSchema, ValidatorRejectsBrokenDocuments) {
                      std::string("\"bench\": \"schema_probe\"").size(), "\"bench\": \"\"");
   EXPECT_FALSE(validate_bench_json(parse_json(empty_name)).empty());
 
-  // Required top-level members must all be present (start_unix_ms and
-  // peak_rss_bytes became required in schema version 2).
+  // Required top-level members must all be present.
   for (const char* member :
-       {"bench", "git_rev", "smoke", "ok", "repetitions", "graphs", "phases", "counters",
-        "gauges", "start_unix_ms", "peak_rss_bytes"}) {
+       {"schema_version", "bench", "git_rev", "smoke", "ok", "repetitions", "graphs", "phases",
+        "counters", "gauges", "start_unix_ms", "peak_rss_bytes"}) {
     JsonValue doc = parse_json(good);
     std::erase_if(doc.object_members,
                   [&](const auto& kv) { return kv.first == member; });
     EXPECT_FALSE(validate_bench_json(doc).empty()) << "missing " << member << " accepted";
+  }
+
+  // A version-1 document, which lacked start_unix_ms and peak_rss_bytes.
+  std::string v1 = good;
+  v1.replace(v1.find(version_member), version_member.size(), "\"schema_version\": 1");
+  JsonValue v1_doc = parse_json(v1);
+  std::erase_if(v1_doc.object_members, [](const auto& kv) {
+    return kv.first == "start_unix_ms" || kv.first == "peak_rss_bytes";
+  });
+  EXPECT_FALSE(validate_bench_json(v1_doc).empty());
+
+  // Reports written while PLL took a bit-parallel root count carry a
+  // `bp_roots` member; the harness no longer writes it, and the validator
+  // ignores it whatever its value.
+  EXPECT_EQ(good.find("bp_roots"), std::string::npos);
+  for (const char* value : {"64", "-1", "\"lots\""}) {
+    std::string old_report = good;
+    old_report.insert(old_report.find("\"graphs\""), std::string("\"bp_roots\": ") + value + ", ");
+    const std::vector<std::string> old_errors = validate_bench_json(parse_json(old_report));
+    EXPECT_TRUE(old_errors.empty())
+        << value << ": " << (old_errors.empty() ? "" : old_errors.front());
   }
 }
 
@@ -441,40 +463,6 @@ TEST(BenchSchema, ThreadsMemberIsOptionalButValidated) {
   mistyped.replace(mistyped.find(threads_member), threads_member.size(),
                    "\"threads\": \"four\"");
   EXPECT_FALSE(validate_bench_json(parse_json(mistyped)).empty());
-}
-
-TEST(BenchSchema, ValidatorAcceptsVersion1WithoutV2Members) {
-  // Committed v1 baselines predate start_unix_ms / peak_rss_bytes; they
-  // must keep validating so bench-compare can diff old against new.
-  std::string v1 = make_harness_json(true);
-  const std::string version_member = "\"schema_version\": 4";
-  ASSERT_NE(v1.find(version_member), std::string::npos);
-  v1.replace(v1.find(version_member), version_member.size(), "\"schema_version\": 1");
-  JsonValue doc = parse_json(v1);
-  std::erase_if(doc.object_members, [](const auto& kv) {
-    return kv.first == "start_unix_ms" || kv.first == "peak_rss_bytes";
-  });
-  const std::vector<std::string> errors = validate_bench_json(doc);
-  EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors.front());
-
-  // A document *claiming* version 2 is rejected without them.
-  JsonValue v2_doc = parse_json(make_harness_json(true));
-  std::erase_if(v2_doc.object_members,
-                [](const auto& kv) { return kv.first == "peak_rss_bytes"; });
-  EXPECT_FALSE(validate_bench_json(v2_doc).empty());
-
-  // Reports written while PLL took a bit-parallel root count carry a
-  // `bp_roots` member; the harness no longer writes it, and the validator
-  // ignores it whatever its value.
-  const std::string current = make_harness_json(true);
-  EXPECT_EQ(current.find("bp_roots"), std::string::npos);
-  for (const char* value : {"64", "-1", "\"lots\""}) {
-    std::string old_report = current;
-    old_report.insert(old_report.find("\"graphs\""), std::string("\"bp_roots\": ") + value + ", ");
-    const std::vector<std::string> old_errors = validate_bench_json(parse_json(old_report));
-    EXPECT_TRUE(old_errors.empty())
-        << value << ": " << (old_errors.empty() ? "" : old_errors.front());
-  }
 }
 
 }  // namespace

@@ -110,10 +110,10 @@ TEST(PerfCount, EnableFollowsAvailability) {
   EXPECT_FALSE(perf::read_thread().valid);
 }
 
-/// Minimal schema-v3 document with one phase carrying the new `tid` and
-/// `hw` members; tests below mutate copies of it.
-const char* kV3Doc = R"({
-  "schema_version": 3,
+/// Minimal report with one phase carrying the optional `tid` and `hw`
+/// members; tests below mutate copies of it.
+const char* kHwDoc = R"({
+  "schema_version": 4,
   "bench": "probe",
   "git_rev": "abc",
   "smoke": true,
@@ -135,13 +135,13 @@ std::vector<std::string> validate(const std::string& text) {
 }
 
 std::string with(const std::string& from, const std::string& to) {
-  std::string doc = kV3Doc;
+  std::string doc = kHwDoc;
   doc.replace(doc.find(from), from.size(), to);
   return doc;
 }
 
 TEST(BenchSchemaV3, AcceptsPhaseTidAndHw) {
-  const std::vector<std::string> errors = validate(kV3Doc);
+  const std::vector<std::string> errors = validate(kHwDoc);
   EXPECT_TRUE(errors.empty()) << (errors.empty() ? "" : errors.front());
 }
 
@@ -178,7 +178,7 @@ TEST(BenchSchemaV3, RejectsNonObjectHw) {
 }
 
 TEST(BenchSchemaV3, RejectsVersionAboveCurrent) {
-  EXPECT_FALSE(validate(with(R"("schema_version": 3)", R"("schema_version": 5)")).empty());
+  EXPECT_FALSE(validate(with(R"("schema_version": 4)", R"("schema_version": 5)")).empty());
 }
 
 }  // namespace

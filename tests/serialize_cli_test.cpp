@@ -304,6 +304,13 @@ TEST(Cli, ErrorsAreReportedNotThrown) {
                     &output),
             1);
   EXPECT_NE(output.find("error: "), std::string::npos) << output;
+  // An empty graph has no vertex to draw trace queries from.
+  TempFile empty("errors_trace_empty");
+  ASSERT_EQ(run_cli({"gen", "tree", "--n", "0", "-o", empty.path()}, &output), 0);
+  for (const char* queries : {"1000", "0"}) {
+    EXPECT_EQ(run_cli({"trace", empty.path(), "--queries", queries}, &output), 1) << queries;
+    EXPECT_NE(output.find("trace: empty graph"), std::string::npos) << output;
+  }
 }
 
 TEST(Cli, ExplainAgreesWithReferenceOnFig1Gadget) {
@@ -478,6 +485,10 @@ TEST(Cli, NumericOptionsRejectBadValues) {
       {"serve", graph.path(), "--arrival", "closed", "--queries", "abc"},
       {"serve", graph.path(), "--queries", "99999999999999999999999"},
       {"serve", graph.path(), "--qps", "1e999"},
+      // Rates whose arrival offsets or offered-qps gauge overflow.
+      {"serve", graph.path(), "--qps", "1e-12"},
+      {"serve", graph.path(), "--qps", "inf"},
+      {"serve", graph.path(), "--qps", "1e300"},
       {"serve", graph.path(), "--workers", "-2"},
       {"serve", graph.path(), "--batch", "4x"},
       // Durations whose nanosecond count is NaN, infinite or past 2^64.

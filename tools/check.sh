@@ -18,7 +18,7 @@
 #  12. open-loop serve smoke: `hublab serve` at low wall QPS (nothing
 #      shed) and under virtual-time overload (deterministic shedding),
 #      both reports schema-validated
-#  13. perf-counters smoke: bench --perf-counters banner + schema-v3 hw
+#  13. perf-counters smoke: bench --perf-counters banner + per-phase hw
 #      blocks (validated when the host has hardware counters, cleanly
 #      skipped where perf_event_open is unavailable)
 #  14. SIMD kernels: the batch kernel's ISA-tier banner, its
@@ -285,7 +285,7 @@ print(f"serve-open: low rejected=0/{low['offered']}, "
 PY
 echo "serve-open: SERVE_open_*.json schema-valid, admission behaves at both extremes"
 
-stage "13/16 perf-counters smoke + schema-v3 hw validation"
+stage "13/16 perf-counters smoke + per-phase hw validation"
 # The banner always states a verdict ("hardware ..." / "unavailable ...");
 # hw blocks in the JSON are required only on hardware-capable hosts —
 # containers and locked-down kernels degrade to the timer-only fallback.

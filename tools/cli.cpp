@@ -342,6 +342,7 @@ int cmd_trace(Args& args, std::ostream& out) {
   auto load_span = tracer.span("load-graph");
   const Graph g = io::load_edge_list(*file);
   load_span.end();
+  if (g.num_vertices() == 0) throw InvalidArgument("trace: empty graph");
 
   const std::string order_name = args.option("--order").value_or("degree");
   auto order_span = tracer.span("order-" + order_name);
@@ -709,13 +710,12 @@ int cmd_bench_compare(Args& args, std::ostream& out) {
   if (!base_path || !next_path) {
     throw InvalidArgument(
         "bench-compare: usage: bench-compare BASE.json NEW.json [--threshold PCT] "
-        "[--structural-threshold PCT] [--min-wall-s S] [--all]");
+        "[--structural-threshold PCT] [--all]");
   }
   CompareOptions options;
   options.threshold_pct = args.option_double("--threshold", options.threshold_pct);
   options.structural_threshold_pct =
       args.option_double("--structural-threshold", options.structural_threshold_pct);
-  options.min_wall_s = args.option_double("--min-wall-s", options.min_wall_s);
 
   JsonValue docs[2];
   const std::string* paths[2] = {&*base_path, &*next_path};

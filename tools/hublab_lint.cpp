@@ -3,11 +3,10 @@
 //
 // Usage:
 //   hublab_lint [--root DIR] [--compiler CXX] [--no-header-check]
-//               [--baseline FILE | --no-baseline]
-//               [--json] [--sarif OUT.sarif]
+//               [--sarif OUT.sarif]
 //
-// Exit codes: 0 clean, 1 findings, 2 usage/configuration error.  Text (or
-// --json) goes to stdout; --sarif additionally writes a SARIF 2.1.0 file.
+// Exit codes: 0 clean, 1 findings, 2 usage/configuration error.  Text goes
+// to stdout; --sarif additionally writes a SARIF 2.1.0 file.
 
 #include <exception>
 #include <fstream>
@@ -20,8 +19,7 @@ namespace {
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--root DIR] [--compiler CXX] [--no-header-check]\n"
-               "       [--baseline FILE | --no-baseline] [--json] [--sarif OUT.sarif]\n";
+            << " [--root DIR] [--compiler CXX] [--no-header-check] [--sarif OUT.sarif]\n";
   return 2;
 }
 
@@ -30,7 +28,6 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
   hublab::lint::Options opt;
   opt.root = hublab::lint::fs::current_path();
-  bool json = false;
   std::string sarif_out;
 
   for (int i = 1; i < argc; ++i) {
@@ -41,19 +38,12 @@ int main(int argc, char** argv) {
       opt.compiler = argv[++i];
     } else if (arg == "--no-header-check") {
       opt.check_headers = false;
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      opt.baseline_path = argv[++i];
-    } else if (arg == "--no-baseline") {
-      opt.use_baseline = false;
-    } else if (arg == "--json") {
-      json = true;
     } else if (arg == "--sarif" && i + 1 < argc) {
       sarif_out = argv[++i];
     } else {
       return usage(argv[0]);
     }
   }
-  if (!opt.use_baseline && !opt.baseline_path.empty()) return usage(argv[0]);
 
   hublab::lint::Report report;
   try {
@@ -71,10 +61,6 @@ int main(int argc, char** argv) {
     }
     hublab::lint::write_sarif(out, report);
   }
-  if (json) {
-    hublab::lint::write_json(std::cout, report);
-  } else {
-    hublab::lint::write_text(std::cout, report);
-  }
+  hublab::lint::write_text(std::cout, report);
   return report.findings.empty() ? 0 : 1;
 }

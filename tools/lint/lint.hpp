@@ -43,11 +43,8 @@
 ///                (simd).
 ///
 /// Findings can be silenced inline with a `hublab-lint-allow(<rule>)`
-/// comment on the offending line or the line above (the legacy
-/// `hublab-lint: allow <rule>` spelling is still honoured), or grandfathered
-/// through a committed baseline file (tools/lint_baseline.json), which this
-/// repo keeps empty.  Reports are emitted as human-readable text, JSON, or
-/// SARIF 2.1.0.
+/// comment on the offending line or the line above.  Reports are emitted
+/// as human-readable text and, on request, SARIF 2.1.0.
 
 namespace hublab::lint {
 
@@ -113,20 +110,16 @@ struct Options {
   fs::path root;
   std::string compiler = "c++";
   bool check_headers = true;        ///< run the -fsyntax-only self-containment probe
-  bool use_baseline = true;         ///< apply ROOT/tools/lint_baseline.json when present
-  fs::path baseline_path;           ///< explicit baseline file; empty = default
 };
 
 struct Report {
   std::vector<Finding> findings;    ///< surviving, sorted by (file, line, rule)
   std::size_t files_scanned = 0;
   std::size_t suppressed = 0;       ///< silenced by inline markers
-  std::size_t baselined = 0;        ///< silenced by the baseline file
 };
 
 /// Run every pass over `opt.root` and return the surviving findings.
-/// Throws std::runtime_error on configuration errors (missing src/,
-/// unreadable or malformed baseline).
+/// Throws std::runtime_error when `opt.root` has no src/.
 Report run_lint(const Options& opt);
 
 // --- source model (source_model.cpp) ---------------------------------------
@@ -160,24 +153,9 @@ void pass_concurrency(const std::vector<SourceFile>& files, const Options& opt, 
 void pass_drift(const std::vector<SourceFile>& files, const Options& opt, Sink& sink);
 void pass_simd(const std::vector<SourceFile>& files, const Options& opt, Sink& sink);
 
-// --- baseline (baseline.cpp) -----------------------------------------------
-
-/// Grandfathered findings: every (file, rule) pair listed in the baseline is
-/// silenced (line numbers in the file are advisory, so line churn does not
-/// invalidate entries).  This repo ships an empty baseline.
-struct BaselineEntry {
-  std::string file;
-  std::string rule;
-};
-
-/// Parse tools/lint_baseline.json: {"version": 1, "findings": [{"file":
-/// "...", "rule": "..."}]}.  Throws std::runtime_error on malformed input.
-[[nodiscard]] std::vector<BaselineEntry> load_baseline(const fs::path& path);
-
 // --- reporting (report.cpp) ------------------------------------------------
 
 void write_text(std::ostream& out, const Report& report);
-void write_json(std::ostream& out, const Report& report);
 void write_sarif(std::ostream& out, const Report& report);
 
 }  // namespace hublab::lint

@@ -1,6 +1,6 @@
-// Report emission: human-readable text, machine-readable JSON, and SARIF
-// 2.1.0 (one reportingDescriptor per rule in the catalog, one result per
-// finding) for code-scanning UIs.
+// Report emission: human-readable text, and SARIF 2.1.0 (one
+// reportingDescriptor per rule in the catalog, one result per finding) for
+// code-scanning UIs.
 
 #include <ostream>
 
@@ -49,27 +49,6 @@ void write_text(std::ostream& out, const Report& report) {
   out << "hublab_lint: " << report.findings.size() << " finding(s) across "
       << report.files_scanned << " file(s)";
   if (report.suppressed != 0) out << ", " << report.suppressed << " suppressed inline";
-  if (report.baselined != 0) out << ", " << report.baselined << " baselined";
-  out << "\n";
-}
-
-void write_json(std::ostream& out, const Report& report) {
-  JsonWriter w(out);
-  w.begin_object();
-  w.kv("files_scanned", static_cast<std::uint64_t>(report.files_scanned));
-  w.kv("suppressed", static_cast<std::uint64_t>(report.suppressed));
-  w.kv("baselined", static_cast<std::uint64_t>(report.baselined));
-  w.key("findings").begin_array();
-  for (const Finding& f : report.findings) {
-    w.begin_object();
-    w.kv("file", f.file);
-    w.kv("line", static_cast<std::uint64_t>(f.line));
-    w.kv("rule", f.rule);
-    w.kv("message", f.message);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
   out << "\n";
 }
 

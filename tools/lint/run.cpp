@@ -1,9 +1,7 @@
-// run_lint: load the tree, run the six passes over the shared model,
-// apply the baseline, and return the surviving findings sorted by
-// (file, line, rule).
+// run_lint: load the tree, run the six passes over the shared model, and
+// return the findings sorted by (file, line, rule).
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 #include <tuple>
 
@@ -30,26 +28,7 @@ Report run_lint(const Options& opt) {
   Report report;
   report.files_scanned = files.size();
   report.suppressed = sink.suppressed;
-
-  std::set<std::pair<std::string, std::string>> grandfathered;
-  if (opt.use_baseline) {
-    fs::path baseline = opt.baseline_path;
-    if (baseline.empty()) baseline = opt.root / "tools" / "lint_baseline.json";
-    // The default baseline is optional; an explicitly requested one is not.
-    if (!opt.baseline_path.empty() || fs::exists(baseline)) {
-      for (const BaselineEntry& entry : load_baseline(baseline)) {
-        grandfathered.emplace(entry.file, entry.rule);
-      }
-    }
-  }
-
-  for (Finding& f : sink.findings) {
-    if (grandfathered.count({f.file, f.rule}) != 0) {
-      ++report.baselined;
-      continue;
-    }
-    report.findings.push_back(std::move(f));
-  }
+  report.findings = std::move(sink.findings);
   std::sort(report.findings.begin(), report.findings.end(),
             [](const Finding& a, const Finding& b) {
               return std::tie(a.file, a.line, a.rule, a.message) <

@@ -202,11 +202,8 @@ std::vector<SourceFile> load_tree(const fs::path& root) {
 
 bool inline_suppressed(const SourceFile& file, std::size_t line, const std::string& rule) {
   const std::string marker = std::string("hublab-lint-allow(") + rule + ")";
-  const std::string legacy = std::string("hublab-lint: allow ") + rule;
   const auto carries = [&](std::size_t idx) {
-    if (idx >= file.raw_lines.size()) return false;
-    const std::string& raw = file.raw_lines[idx];
-    return raw.find(marker) != std::string::npos || raw.find(legacy) != std::string::npos;
+    return idx < file.raw_lines.size() && file.raw_lines[idx].find(marker) != std::string::npos;
   };
   if (line == 0) line = 1;
   return carries(line - 1) || (line >= 2 && carries(line - 2));
