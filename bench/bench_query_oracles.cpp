@@ -13,8 +13,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <string>
 #include <utility>
@@ -168,13 +172,14 @@ void record_label_bytes(const char* family, const Workload& w) {
 /// `pract.batch1_query_pct_of_scalar.<family>` the same pairs answered as
 /// one-pair query_batch calls — the block a lightly loaded server worker
 /// drains (lower is better for both; bench-compare's increase-only gate
-/// fires when the batched kernel's advantage erodes).  Before timing, every
-/// host-supported dispatch tier is swept over the full block and checked
-/// byte-identical — distance AND meeting hub — against per-query
-/// query_with_hub.
+/// fires when the batched kernel's advantage erodes).  The three loops run
+/// in interleaved rounds, each round rotating which loop goes first, so
+/// host drift lands on all three alike; each gauge is the median of the
+/// per-round percentages.  Before timing, every host-supported dispatch
+/// tier is swept over the full block and checked byte-identical — distance
+/// AND meeting hub — against per-query query_with_hub.
 bool run_batch_phase(bench::Harness& harness, const char* family, const HubLabeling& labels,
                      std::span<const std::pair<Vertex, Vertex>> pairs) {
-  const std::size_t passes = harness.smoke() ? 32 : 256;
   std::vector<HubQueryResult> answers(pairs.size());
 
   bool identical = true;
@@ -191,51 +196,66 @@ bool run_batch_phase(bench::Harness& harness, const char* family, const HubLabel
     }
   }
 
-  std::uint64_t scalar_sum = 0;
-  Timer scalar_timer;
-  for (std::size_t p = 0; p < passes; ++p) {
-    for (const auto& [u, v] : pairs) {
-      const Dist d = labels.query(u, v);
-      if (d != kInfDist) scalar_sum += d;
-    }
-  }
-  const double scalar_s = scalar_timer.elapsed_s();
-
-  std::uint64_t batch_sum = 0;
-  Timer batch_timer;
-  for (std::size_t p = 0; p < passes; ++p) {
-    labels.query_batch(pairs, answers);
-    for (const HubQueryResult& r : answers) {
-      if (r.dist != kInfDist) batch_sum += r.dist;
-    }
-  }
-  const double batch_s = batch_timer.elapsed_s();
-
-  std::uint64_t batch1_sum = 0;
+  // One pass of each loop over the pairs, adding every finite distance to
+  // the loop's checksum.
+  enum Loop : std::size_t { kScalar, kBatch, kBatch1, kLoops };
+  std::array<std::uint64_t, kLoops> sums{};
   HubQueryResult one;
-  Timer batch1_timer;
-  for (std::size_t p = 0; p < passes; ++p) {
-    for (const std::pair<Vertex, Vertex>& pair : pairs) {
-      labels.query_batch({&pair, 1}, {&one, 1});
-      if (one.dist != kInfDist) batch1_sum += one.dist;
+  const std::array<std::function<void()>, kLoops> pass = {
+      [&] {
+        for (const auto& [u, v] : pairs) {
+          const Dist d = labels.query(u, v);
+          if (d != kInfDist) sums[kScalar] += d;
+        }
+      },
+      [&] {
+        labels.query_batch(pairs, answers);
+        for (const HubQueryResult& r : answers) {
+          if (r.dist != kInfDist) sums[kBatch] += r.dist;
+        }
+      },
+      [&] {
+        for (const std::pair<Vertex, Vertex>& pair : pairs) {
+          labels.query_batch({&pair, 1}, {&one, 1});
+          if (one.dist != kInfDist) sums[kBatch1] += one.dist;
+        }
+      }};
+  constexpr std::size_t kRounds = 8;
+  const std::size_t passes = harness.smoke() ? 4 : 32;  // per loop and round
+  std::array<double, kLoops> total_s{};
+  std::vector<double> pct;
+  std::vector<double> pct1;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    std::array<double, kLoops> round_s{};
+    for (std::size_t k = 0; k < kLoops; ++k) {
+      const std::size_t loop = (round + k) % kLoops;
+      Timer timer;
+      for (std::size_t p = 0; p < passes; ++p) pass[loop]();
+      round_s[loop] = timer.elapsed_s();
+      total_s[loop] += round_s[loop];
     }
+    const double scalar_s = round_s[kScalar];
+    pct.push_back(scalar_s > 0.0 ? 100.0 * round_s[kBatch] / scalar_s : 100.0);
+    pct1.push_back(scalar_s > 0.0 ? 100.0 * round_s[kBatch1] / scalar_s : 100.0);
   }
-  const double batch1_s = batch1_timer.elapsed_s();
-
-  const double pct = scalar_s > 0.0 ? 100.0 * batch_s / scalar_s : 100.0;
-  const double pct1 = scalar_s > 0.0 ? 100.0 * batch1_s / scalar_s : 100.0;
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return (v[(v.size() - 1) / 2] + v[v.size() / 2]) / 2.0;
+  };
+  const double pct_mid = median(pct);
+  const double pct1_mid = median(pct1);
   metrics::Registry& reg = metrics::registry();
   reg.gauge("pract.batch_query_pct_of_scalar." + std::string(family))
-      .set(static_cast<std::int64_t>(pct));
+      .set(static_cast<std::int64_t>(pct_mid));
   reg.gauge("pract.batch1_query_pct_of_scalar." + std::string(family))
-      .set(static_cast<std::int64_t>(pct1));
+      .set(static_cast<std::int64_t>(pct1_mid));
   reg.gauge("pract.query_pairs." + std::string(family))
       .set(static_cast<std::int64_t>(pairs.size()));
-  const bool sums_agree = scalar_sum == batch_sum && scalar_sum == batch1_sum;
+  const bool sums_agree = sums[kScalar] == sums[kBatch] && sums[kScalar] == sums[kBatch1];
   std::printf(
       "batch/%s: scalar=%.3fms batch=%.3fms (%.0f%%) batch1=%.3fms (%.0f%%), checksums %s\n",
-      family, scalar_s * 1e3, batch_s * 1e3, pct, batch1_s * 1e3, pct1,
-      sums_agree ? "agree" : "DISAGREE");
+      family, total_s[kScalar] * 1e3, total_s[kBatch] * 1e3, pct_mid, total_s[kBatch1] * 1e3,
+      pct1_mid, sums_agree ? "agree" : "DISAGREE");
   return identical && sums_agree;
 }
 

@@ -34,6 +34,15 @@ void sort_row(std::vector<HubEntry>& row) {
             row.end());
 }
 
+/// Appends the row's distances and its sentinel to `column`.
+template <class D>
+void append_dists(std::vector<D>& column, const std::vector<HubEntry>& row, D sentinel) {
+  const std::size_t at = column.size();
+  column.resize(at + row.size() + 1, sentinel);
+  D* dists = column.data() + at;
+  for (std::size_t i = 0; i < row.size(); ++i) dists[i] = static_cast<D>(row[i].dist);
+}
+
 /// Sorts every row in place and returns the entry count left.
 std::size_t sort_rows(std::vector<std::vector<HubEntry>>& rows) {
   std::size_t entries = 0;
@@ -53,28 +62,41 @@ HubLabeling::HubLabeling(std::size_t num_vertices, std::size_t num_entries,
                     "vertex count must stay below the kInvalidVertex sentinel");
   offsets_.reserve(num_vertices + 1);
   hubs_.reserve(num_entries + num_vertices);  // one sentinel per label
-  dists_.reserve(num_entries + num_vertices);
+  narrow_dists_.reserve(num_entries + num_vertices);
   std::vector<HubEntry> row;
   for (Vertex v = 0; v < num_vertices; ++v) {
     row.clear();
     fill_row(v, row);
     sort_row(row);
-    // Grow both columns by the row and its sentinel, which the fill value
+    // Grow the columns by the row and its sentinel, which the fill value
     // writes, and copy the row through raw pointers: per-entry push_back
     // costs a capacity check and a store of the end pointer.
     const std::size_t at = hubs_.size();
     offsets_.push_back(at);
     hubs_.resize(at + row.size() + 1, kInvalidVertex);
-    dists_.resize(at + row.size() + 1, kInfDist);
     Vertex* hubs = hubs_.data() + at;
-    Dist* dists = dists_.data() + at;
+    Dist top = 0;
     for (std::size_t i = 0; i < row.size(); ++i) {
       HUBLAB_ASSERT_RANGE(row[i].hub, num_vertices);  // S(v) is a subset of V
       hubs[i] = row[i].hub;
-      dists[i] = row[i].dist;
+      top = std::max(top, row[i].dist);
+    }
+    if (!wide() && top <= kMaxNarrowDist) {
+      append_dists(narrow_dists_, row, kNarrowSentinel);
+    } else {
+      if (!wide()) widen();  // the first distance past the narrow range
+      append_dists(wide_dists_, row, kInfDist);
     }
   }
   offsets_.push_back(hubs_.size());
+}
+
+void HubLabeling::widen() {
+  wide_dists_.reserve(narrow_dists_.capacity());
+  for (const std::uint32_t d : narrow_dists_) {
+    wide_dists_.push_back(d == kNarrowSentinel ? kInfDist : d);
+  }
+  std::vector<std::uint32_t>().swap(narrow_dists_);
 }
 
 HubLabeling::HubLabeling(std::vector<std::vector<HubEntry>> rows)
@@ -143,31 +165,39 @@ void HubLabeling::query_batch_tier(std::span<const std::pair<Vertex, Vertex>> pa
   std::sort(s.order.begin(), s.order.end());
   // Scatter each source group's label into the tables once under a fresh
   // epoch, then answer every query of the group with one linear probe scan
-  // of its target label — no merge, no data-dependent branches.
-  // One dispatch per block; hub ids index the stamp tables.
-  const simd::ProbeFn probe = simd::probe_for(simd::gather_tier(tier, num_vertices_));
-  std::uint64_t groups = 0;
-  Vertex prev_source = kInvalidVertex;  // never a valid source
-  for (const std::uint64_t key : s.order) {
-    const auto idx = static_cast<std::uint32_t>(key);
-    const auto [u, v] = pairs[idx];
-    HUBLAB_ASSERT_RANGE(u, num_vertices_);
-    HUBLAB_ASSERT_RANGE(v, num_vertices_);
-    if (u != prev_source) {
-      ++groups;
-      s.epoch = simd::detail::next_epoch(s.epoch, s.stamp);
-      const Vertex* sh = hubs_.data() + offsets_[u];
-      const Dist* sd = dists_.data() + offsets_[u];
-      const std::size_t sn = label_size(u);
-      for (std::size_t i = 0; i < sn; ++i) {
-        s.stamp[sh[i]] = s.epoch;
-        s.sdist[sh[i]] = sd[i];
+  // of its target label — no merge, no data-dependent branches.  The
+  // scatter widens the source distances into the 64-bit `sdist` table.
+  // One dispatch per block, on the column's width; hub ids index the stamp
+  // tables.
+  const auto probe_groups = [&](const auto* dists, const auto probe) {
+    std::uint64_t groups = 0;
+    Vertex prev_source = kInvalidVertex;  // never a valid source
+    for (const std::uint64_t key : s.order) {
+      const auto idx = static_cast<std::uint32_t>(key);
+      const auto [u, v] = pairs[idx];
+      HUBLAB_ASSERT_RANGE(u, num_vertices_);
+      HUBLAB_ASSERT_RANGE(v, num_vertices_);
+      if (u != prev_source) {
+        ++groups;
+        s.epoch = simd::detail::next_epoch(s.epoch, s.stamp);
+        const Vertex* sh = hubs_.data() + offsets_[u];
+        const auto* sd = dists + offsets_[u];
+        const std::size_t sn = label_size(u);
+        for (std::size_t i = 0; i < sn; ++i) {
+          s.stamp[sh[i]] = s.epoch;
+          s.sdist[sh[i]] = sd[i];
+        }
+        prev_source = u;
       }
-      prev_source = u;
+      out[idx] = probe(hubs_.data() + offsets_[v], dists + offsets_[v], label_size(v),
+                       s.stamp.data(), s.sdist.data(), s.epoch);
     }
-    out[idx] = probe(hubs_.data() + offsets_[v], dists_.data() + offsets_[v], label_size(v),
-                     s.stamp.data(), s.sdist.data(), s.epoch);
-  }
+    return groups;
+  };
+  const simd::Tier gathered = simd::gather_tier(tier, num_vertices_);
+  const std::uint64_t groups =
+      wide() ? probe_groups(wide_dists_.data(), simd::probe_for<Dist>(gathered))
+             : probe_groups(narrow_dists_.data(), simd::probe_for<std::uint32_t>(gathered));
   // Looked up once per process: the registry's lookup takes its global
   // mutex, and reset() zeroes values in place, so the handles stay valid.
   static metrics::Counter& calls = metrics::registry().counter("query.batch.calls");

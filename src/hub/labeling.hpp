@@ -1,6 +1,9 @@
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <utility>
@@ -34,14 +37,68 @@ struct HubQueryResult {
   Vertex meeting_hub = kInvalidVertex;
 };
 
+/// Read-only view of one label's distances, whichever width the labeling
+/// stores them at: `operator[]` and the iterators return `Dist`.
+class DistView {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Dist;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = Dist;
+
+    iterator() = default;
+    iterator(const std::uint32_t* narrow, const Dist* wide) : narrow_(narrow), wide_(wide) {}
+    Dist operator*() const { return wide_ != nullptr ? *wide_ : *narrow_; }
+    iterator& operator++() {
+      if (wide_ != nullptr) ++wide_;
+      else ++narrow_;
+      return *this;
+    }
+    iterator operator++(int) {
+      const iterator before = *this;
+      ++*this;
+      return before;
+    }
+    bool operator==(const iterator&) const = default;
+
+   private:
+    const std::uint32_t* narrow_ = nullptr;
+    const Dist* wide_ = nullptr;
+  };
+
+  /// Exactly one of `narrow` and `wide` is non-null.
+  DistView(const std::uint32_t* narrow, const Dist* wide, std::size_t size)
+      : narrow_(narrow), wide_(wide), size_(size) {}
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] Dist operator[](std::size_t i) const {
+    return wide_ != nullptr ? wide_[i] : narrow_[i];
+  }
+  [[nodiscard]] iterator begin() const { return {narrow_, wide_}; }
+  [[nodiscard]] iterator end() const {
+    return wide_ != nullptr ? iterator{nullptr, wide_ + size_} : iterator{narrow_ + size_, nullptr};
+  }
+
+ private:
+  const std::uint32_t* narrow_;
+  const Dist* wide_;
+  std::size_t size_;
+};
+
 /// A hub labeling for an n-vertex undirected graph, stored as flat
 /// structure-of-arrays columns for the query fast path:
 ///
-///  - `offsets_[v]` — CSR-style start of v's label in the hub/dist arrays;
+///  - `offsets_[v]` — CSR-style start of v's label in the hub/dist columns;
 ///  - `hubs_`      — all hub ids, each label sorted ascending and
 ///                   terminated by a `kInvalidVertex` sentinel;
-///  - `dists_`     — distances parallel to `hubs_` (sentinel slots hold
-///                   `kInfDist`).
+///  - one distance column parallel to `hubs_`: `narrow_dists_` (u32,
+///    sentinel slots hold `kNarrowSentinel`) when every distance is at
+///    most `kMaxNarrowDist`, else `wide_dists_` (`Dist`, sentinel slots
+///    hold `kInfDist`).  The other column is empty.  The width follows
+///    from the distances alone; `dist_bytes()` reports it.
 ///
 /// Splitting hubs from distances keeps the merge loop's comparisons on a
 /// dense u32 stream, and the sentinel (== the maximum u32, sorting after
@@ -53,6 +110,10 @@ struct HubQueryResult {
 /// structure is immutable; build a new one to change a label.
 class HubLabeling {
  public:
+  /// The largest distance the narrow column holds; one above it is the
+  /// narrow sentinel, which no kernel reads.
+  static constexpr Dist kMaxNarrowDist = 0xFFFFFFFE;
+
   HubLabeling() = default;
 
   /// Fills S(v) into `row`, which arrives empty: hubs in any order,
@@ -66,7 +127,9 @@ class HubLabeling {
   /// subset of V; HUBLAB_ASSERT_RANGE), and appends the row and its
   /// sentinel.  The columns are reserved once for `num_entries` entries
   /// plus the n sentinels, so a producer passing the exact count after
-  /// deduplication gets capacity == size.
+  /// deduplication gets capacity == size.  Distances go to the narrow
+  /// column until the first one above kMaxNarrowDist, which moves the
+  /// column to the wide one once, at the same capacity.
   HubLabeling(std::size_t num_vertices, std::size_t num_entries, const RowFiller& fill_row);
 
   /// Build from per-vertex rows (rows[v] is S(v)) through the construction
@@ -92,9 +155,16 @@ class HubLabeling {
   }
 
   /// Distances parallel to hubs(v).
-  [[nodiscard]] std::span<const Dist> dists(Vertex v) const {
+  [[nodiscard]] DistView dists(Vertex v) const {
     HUBLAB_ASSERT_RANGE(v, num_vertices_);
-    return {dists_.data() + offsets_[v], label_size(v)};
+    if (wide()) return {nullptr, wide_dists_.data() + offsets_[v], label_size(v)};
+    return {narrow_dists_.data() + offsets_[v], nullptr, label_size(v)};
+  }
+
+  /// Bytes per stored distance: 4 when every distance is at most
+  /// kMaxNarrowDist, else 8.
+  [[nodiscard]] std::size_t dist_bytes() const {
+    return wide() ? sizeof(Dist) : sizeof(std::uint32_t);
   }
 
   /// Sum of label sizes over all vertices (sentinels excluded).
@@ -132,33 +202,8 @@ class HubLabeling {
     HUBLAB_ASSERT_RANGE(u, num_vertices_);
     HUBLAB_ASSERT_RANGE(v, num_vertices_);
     stats.labels(label_size(u), label_size(v));
-    const Vertex* ha = hubs_.data() + offsets_[u];
-    const Dist* da = dists_.data() + offsets_[u];
-    const Vertex* hb = hubs_.data() + offsets_[v];
-    const Dist* db = dists_.data() + offsets_[v];
-    HubQueryResult best;
-    for (;;) {
-      const Vertex a = *ha;
-      const Vertex b = *hb;
-      if (a == b) {
-        if (a == kInvalidVertex) break;  // both cursors hit their sentinels
-        stats.scanned();
-        stats.matched();
-        const Dist d = *da + *db;
-        if (d < best.dist) {
-          best.dist = d;
-          best.meeting_hub = a;
-        }
-        ++ha, ++da;
-        ++hb, ++db;
-      } else if (a < b) {
-        stats.scanned();
-        ++ha, ++da;
-      } else {
-        stats.scanned();
-        ++hb, ++db;
-      }
-    }
+    const HubQueryResult best = wide() ? merge(wide_dists_.data(), u, v, stats)
+                                       : merge(narrow_dists_.data(), u, v, stats);
     stats.meeting(best.meeting_hub);
     return best;
   }
@@ -182,11 +227,12 @@ class HubLabeling {
   void query_batch_tier(std::span<const std::pair<Vertex, Vertex>> pairs,
                         std::span<HubQueryResult> out, simd::Tier tier) const;
 
-  /// Actual heap footprint: array capacities (offsets, hub and distance
-  /// columns, sentinels included).
+  /// Actual heap footprint: array capacities (offsets, hub and live
+  /// distance column, sentinels included; the other column holds none).
   [[nodiscard]] std::size_t memory_bytes() const {
     return offsets_.capacity() * sizeof(std::size_t) + hubs_.capacity() * sizeof(Vertex) +
-           dists_.capacity() * sizeof(Dist);
+           narrow_dists_.capacity() * sizeof(std::uint32_t) +
+           wide_dists_.capacity() * sizeof(Dist);
   }
 
   /// Deep invariant audit (see util/audit.hpp): every label is sorted
@@ -203,10 +249,52 @@ class HubLabeling {
                                   std::uint64_t seed = 1, std::size_t threads = 1) const;
 
  private:
+  static constexpr std::uint32_t kNarrowSentinel = 0xFFFFFFFF;
+
+  [[nodiscard]] bool wide() const { return !wide_dists_.empty(); }
+
+  /// Moves the narrow column into the wide one, at the same capacity.
+  void widen();
+
+  /// The sentinel merge over distance column `dists`, of either width;
+  /// sums are taken in Dist.
+  template <class D, class Stats>
+  [[nodiscard]] HubQueryResult merge(const D* dists, Vertex u, Vertex v, Stats& stats) const {
+    const Vertex* ha = hubs_.data() + offsets_[u];
+    const D* da = dists + offsets_[u];
+    const Vertex* hb = hubs_.data() + offsets_[v];
+    const D* db = dists + offsets_[v];
+    HubQueryResult best;
+    for (;;) {
+      const Vertex a = *ha;
+      const Vertex b = *hb;
+      if (a == b) {
+        if (a == kInvalidVertex) break;  // both cursors hit their sentinels
+        stats.scanned();
+        stats.matched();
+        const Dist d = Dist{*da} + *db;
+        if (d < best.dist) {
+          best.dist = d;
+          best.meeting_hub = a;
+        }
+        ++ha, ++da;
+        ++hb, ++db;
+      } else if (a < b) {
+        stats.scanned();
+        ++ha, ++da;
+      } else {
+        stats.scanned();
+        ++hb, ++db;
+      }
+    }
+    return best;
+  }
+
   std::size_t num_vertices_ = 0;
-  std::vector<std::size_t> offsets_;  ///< size n + 1, counting sentinels
-  std::vector<Vertex> hubs_;          ///< per-label sorted, sentinel-terminated
-  std::vector<Dist> dists_;           ///< parallel to hubs_
+  std::vector<std::size_t> offsets_;         ///< size n + 1, counting sentinels
+  std::vector<Vertex> hubs_;                 ///< per-label sorted, sentinel-terminated
+  std::vector<std::uint32_t> narrow_dists_;  ///< parallel to hubs_, or empty
+  std::vector<Dist> wide_dists_;             ///< parallel to hubs_, or empty
 };
 
 class DistanceMatrix;  // algo/distance_matrix.hpp

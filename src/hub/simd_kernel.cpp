@@ -91,7 +91,8 @@ std::uint32_t next_epoch(std::uint32_t epoch, std::span<std::uint32_t> stamp) no
   return 1;
 }
 
-HubQueryResult probe_scalar(const Vertex* hubs_t, const Dist* dists_t, std::size_t size_t_,
+template <typename D>
+HubQueryResult probe_scalar(const Vertex* hubs_t, const D* dists_t, std::size_t size_t_,
                             const std::uint32_t* stamp, const Dist* sdist,
                             std::uint32_t current) {
   HubQueryResult best;
@@ -99,9 +100,10 @@ HubQueryResult probe_scalar(const Vertex* hubs_t, const Dist* dists_t, std::size
     const Vertex h = hubs_t[i];
     if (stamp[h] == current) {
       const Dist d = sdist[h] + dists_t[i];
-      // Lexicographic (dist, hub) fold: with the ascending target scan and
-      // strict <, identical to the sentinel merge's update rule.
-      if (d < best.dist || (d == best.dist && h < best.meeting_hub)) {
+      // The sentinel merge's update rule: over the ascending target scan
+      // the strict < keeps the smallest hub of the minimum, and a sum of
+      // kInfDist records no hub.
+      if (d < best.dist) {
         best.dist = d;
         best.meeting_hub = h;
       }
@@ -110,9 +112,16 @@ HubQueryResult probe_scalar(const Vertex* hubs_t, const Dist* dists_t, std::size
   return best;
 }
 
+template HubQueryResult probe_scalar(const Vertex*, const std::uint32_t*, std::size_t,
+                                     const std::uint32_t*, const Dist*, std::uint32_t);
+template HubQueryResult probe_scalar(const Vertex*, const Dist*, std::size_t,
+                                     const std::uint32_t*, const Dist*, std::uint32_t);
+
 }  // namespace detail
 
-ProbeFn probe_for(Tier tier) noexcept {
+template <typename D>
+ProbeFn<D> probe_for(Tier tier) noexcept {
+  // The return type picks the AVX overload for D.
 #if defined(HUBLAB_SIMD_HAVE_AVX512)
   if (tier == Tier::kAvx512 && cpu_supports_avx512()) return &detail::probe_avx512;
 #endif
@@ -122,8 +131,11 @@ ProbeFn probe_for(Tier tier) noexcept {
   }
 #endif
   (void)tier;
-  return &detail::probe_scalar;
+  return &detail::probe_scalar<D>;
 }
+
+template ProbeFn<std::uint32_t> probe_for<std::uint32_t>(Tier) noexcept;
+template ProbeFn<Dist> probe_for<Dist>(Tier) noexcept;
 
 CoverFn cover_for(Tier tier) noexcept {
   // The AVX-512 tier runs the 8-entry kernel (simd_kernel.hpp).

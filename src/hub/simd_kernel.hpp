@@ -47,8 +47,10 @@
 /// achieving the minimal distance, matching the per-query sentinel merge's
 /// ascending-order strict-< update).  In a SIMD lane the target hubs also
 /// arrive in ascending order, so a strict unsigned < keeps the lane's
-/// smallest (dist, hub), and the cross-lane fold and the scalar tail apply
-/// the lexicographic rule.  The cover test evaluates one predicate per
+/// smallest (dist, hub); the cross-lane fold applies the lexicographic
+/// rule, and the scalar tail, whose hubs follow the vector steps', the
+/// strict < again.  A common hub whose sum is kInfDist is never reported,
+/// on any tier, as in the merge.  The cover test evaluates one predicate per
 /// entry on every tier, so only the order of evaluation differs.  Set
 /// `HUBLAB_FORCE_SCALAR=1` in the environment to pin `active_tier()`, and
 /// with it both kernels, to the scalar fallback (read once, like
@@ -92,21 +94,28 @@ enum class Tier { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 /// Stamp-table probe, the batched kernel for every block size.
 /// `query_batch` scatters each source group's label into dense per-hub
 /// tables (`stamp[h] == current` marks h ∈ S(source), `sdist[h]` its
-/// distance), then answers every query of the group with one linear scan
-/// of the *target* label — `size_t_` entries of `hubs_t`/`dists_t` —
-/// probing the tables per hub.  The touched table entries stay
-/// cache-resident across the group, and the scan has no merge branches to
-/// mispredict; the AVX2/AVX-512 tiers gather the stamps and fold a step's
-/// hits in vector registers, with no branch per hit.  Same answer as the
-/// per-query sentinel merge (`HubLabeling::query_with_hub`) on the same
-/// labels: the lexicographic (dist, hub) minimum over the common hubs.
-using ProbeFn = HubQueryResult (*)(const Vertex* hubs_t, const Dist* dists_t, std::size_t size_t_,
+/// distance, widened to 64 bits), then answers every query of the group
+/// with one linear scan of the *target* label — `size_t_` entries of
+/// `hubs_t`/`dists_t` — probing the tables per hub.  `D` is the type of
+/// the labeling's distance column: `std::uint32_t` (narrow) or `Dist`
+/// (wide); the two instantiations of each tier differ only in how they
+/// load the target distances, and every sum is taken in 64 bits.  The
+/// touched table entries stay cache-resident across the group, and the
+/// scan has no merge branches to mispredict; the AVX2/AVX-512 tiers gather
+/// the stamps and fold a step's hits in vector registers, with no branch
+/// per hit.  Same answer as the per-query sentinel merge
+/// (`HubLabeling::query_with_hub`) on the same labels: the lexicographic
+/// (dist, hub) minimum over the common hubs.
+template <typename D>
+using ProbeFn = HubQueryResult (*)(const Vertex* hubs_t, const D* dists_t, std::size_t size_t_,
                                    const std::uint32_t* stamp, const Dist* sdist,
                                    std::uint32_t current);
 
-/// Resolve `tier` to its stamp-table probe kernel (unavailable tiers
-/// degrade to the scalar probe).
-[[nodiscard]] ProbeFn probe_for(Tier tier) noexcept;
+/// Resolve `tier` to its stamp-table probe kernel over `D` target
+/// distances (unavailable tiers degrade to the scalar probe).  Defined for
+/// D = std::uint32_t and D = Dist.
+template <typename D>
+[[nodiscard]] ProbeFn<D> probe_for(Tier tier) noexcept;
 
 /// One entry of a PLL builder's in-progress label: the hub's rank and the
 /// distance `D` from it.  {u32, u32} is the 8-byte entry the cover kernels
@@ -171,19 +180,28 @@ template <typename D>
 [[nodiscard]] std::uint32_t next_epoch(std::uint32_t epoch,
                                        std::span<std::uint32_t> stamp) noexcept;
 
-/// Scalar stamp-table probe (see ProbeFn).
-[[nodiscard]] HubQueryResult probe_scalar(const Vertex* hubs_t, const Dist* dists_t,
+/// Scalar stamp-table probe (see ProbeFn); defined, for D = std::uint32_t
+/// and D = Dist, in simd_kernel.cpp, a baseline-ISA TU.
+template <typename D>
+[[nodiscard]] HubQueryResult probe_scalar(const Vertex* hubs_t, const D* dists_t,
                                           std::size_t size_t_, const std::uint32_t* stamp,
                                           const Dist* sdist, std::uint32_t current);
 
 /// 8-lane AVX2 stamp-table probe (gathered stamps, hits folded in vector
-/// registers); defined in simd_kernel_avx2.cpp (only linked when the
-/// toolchain can target AVX2).
+/// registers) over narrow and wide target distances; defined in
+/// simd_kernel_avx2.cpp (only linked when the toolchain can target AVX2).
+[[nodiscard]] HubQueryResult probe_avx2(const Vertex* hubs_t, const std::uint32_t* dists_t,
+                                        std::size_t size_t_, const std::uint32_t* stamp,
+                                        const Dist* sdist, std::uint32_t current);
 [[nodiscard]] HubQueryResult probe_avx2(const Vertex* hubs_t, const Dist* dists_t,
                                         std::size_t size_t_, const std::uint32_t* stamp,
                                         const Dist* sdist, std::uint32_t current);
 
-/// 16-lane AVX-512 stamp-table probe; defined in simd_kernel_avx512.cpp.
+/// 16-lane AVX-512 stamp-table probe over narrow and wide target
+/// distances; defined in simd_kernel_avx512.cpp.
+[[nodiscard]] HubQueryResult probe_avx512(const Vertex* hubs_t, const std::uint32_t* dists_t,
+                                          std::size_t size_t_, const std::uint32_t* stamp,
+                                          const Dist* sdist, std::uint32_t current);
 [[nodiscard]] HubQueryResult probe_avx512(const Vertex* hubs_t, const Dist* dists_t,
                                           std::size_t size_t_, const std::uint32_t* stamp,
                                           const Dist* sdist, std::uint32_t current);

@@ -6,14 +6,17 @@
 // an add blended back to kInfDist outside the hits, and a per-lane
 // running (dist, hub) minimum — so a label whose hubs are mostly shared
 // costs no branch per hit.  The 8 lane minima are folded once per probe,
-// and a scalar loop finishes the tail shorter than a step.
+// and a scalar loop finishes the tail shorter than a step.  One template
+// runs both distance widths: the narrow entry point zero-extends 4 u32
+// target distances per half-step, the wide one loads 4 u64.
 //
 // AVX2 has no unsigned 64-bit compare: the lane minima are kept XORed with
 // the sign bit, which turns the signed _mm256_cmpgt_epi64 into an unsigned
 // one.  Byte-identical to every other tier: within one lane the target
 // hubs arrive in ascending order, so the strict < keeps each lane's
 // smallest distance and, among equal distances, its smallest hub; the
-// cross-lane fold and the tail apply the lexicographic (dist, hub) rule.
+// cross-lane fold applies the lexicographic (dist, hub) rule, and the
+// tail, whose hubs follow the steps', the strict < again.
 //
 // The PLL cover test (CoverFn) takes 8 `{rank, dist}` entries per step:
 // two loads, one shuffle each to split ranks from distances, a gather of
@@ -38,11 +41,23 @@ namespace hublab::simd::detail {
 
 namespace {
 
-/// Fold a matched hub into the running (dist, hub) lexicographic minimum.
+/// Fold a tail hit into the running minimum.  Its hub follows every
+/// earlier hit's, so the strict < keeps the smallest hub of the minimum,
+/// and a sum of kInfDist records no hub, as in the sentinel merge.
 inline void fold_match(HubQueryResult& best, Vertex hub, Dist d) {
-  if (d < best.dist || (d == best.dist && hub < best.meeting_hub)) {
+  if (d < best.dist) {
     best.dist = d;
     best.meeting_hub = hub;
+  }
+}
+
+/// 4 target distances as 64-bit lanes.
+template <typename D>
+inline __m256i load_dists(const D* dists_t) {
+  if constexpr (sizeof(D) == sizeof(std::uint32_t)) {
+    return _mm256_cvtepu32_epi64(_mm_loadu_si128(reinterpret_cast<const __m128i*>(dists_t)));
+  } else {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dists_t));
   }
 }
 
@@ -50,22 +65,21 @@ inline void fold_match(HubQueryResult& best, Vertex hub, Dist d) {
 /// lanes whose hub is in the source label) into the lanes' running minima,
 /// both sides sign-flipped.  Lanes without a hit compare as kInfDist, which
 /// never updates a lane.
+template <typename D>
 inline void fold_half(__m256i& best_x, __m256i& best_h, __m256i hit, __m128i hubs,
-                      const Dist* dists_t, const Dist* sdist, __m256i inf, __m256i sign) {
+                      const D* dists_t, const Dist* sdist, __m256i inf, __m256i sign) {
   const __m256i src = _mm256_mask_i32gather_epi64(
       inf, reinterpret_cast<const long long*>(sdist), hubs, hit, sizeof(Dist));
-  const __m256i sum =
-      _mm256_add_epi64(src, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dists_t)));
+  const __m256i sum = _mm256_add_epi64(src, load_dists(dists_t));
   const __m256i d_x = _mm256_xor_si256(_mm256_blendv_epi8(inf, sum, hit), sign);
   const __m256i lower = _mm256_cmpgt_epi64(best_x, d_x);
   best_x = _mm256_blendv_epi8(best_x, d_x, lower);
   best_h = _mm256_blendv_epi8(best_h, _mm256_cvtepu32_epi64(hubs), lower);
 }
 
-}  // namespace
-
-HubQueryResult probe_avx2(const Vertex* hubs_t, const Dist* dists_t, std::size_t size_t_,
-                          const std::uint32_t* stamp, const Dist* sdist, std::uint32_t current) {
+template <typename D>
+HubQueryResult probe(const Vertex* hubs_t, const D* dists_t, std::size_t size_t_,
+                     const std::uint32_t* stamp, const Dist* sdist, std::uint32_t current) {
   HubQueryResult best;
   std::size_t i = 0;
   if (size_t_ >= 8) {
@@ -121,6 +135,18 @@ HubQueryResult probe_avx2(const Vertex* hubs_t, const Dist* dists_t, std::size_t
     if (stamp[h] == current) fold_match(best, h, sdist[h] + dists_t[i]);
   }
   return best;
+}
+
+}  // namespace
+
+HubQueryResult probe_avx2(const Vertex* hubs_t, const std::uint32_t* dists_t, std::size_t size_t_,
+                          const std::uint32_t* stamp, const Dist* sdist, std::uint32_t current) {
+  return probe(hubs_t, dists_t, size_t_, stamp, sdist, current);
+}
+
+HubQueryResult probe_avx2(const Vertex* hubs_t, const Dist* dists_t, std::size_t size_t_,
+                          const std::uint32_t* stamp, const Dist* sdist, std::uint32_t current) {
+  return probe(hubs_t, dists_t, size_t_, stamp, sdist, current);
 }
 
 bool cover_avx2(const RankEntry<std::uint32_t>* row, std::size_t size,

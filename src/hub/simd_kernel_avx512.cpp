@@ -6,12 +6,15 @@
 // of the target distances, and a per-lane running (dist, hub) minimum —
 // so a label whose hubs are mostly shared costs no branch per hit.  The
 // 16 lane minima are folded once per probe, and a scalar loop finishes
-// the tail shorter than a step.
+// the tail shorter than a step.  One template runs both distance widths:
+// the narrow entry point zero-extends 8 u32 target distances per
+// half-step, the wide one loads 8 u64.
 //
 // Byte-identical to every other tier: within one lane the target hubs
 // arrive in ascending order, so the strict unsigned < keeps each lane's
 // smallest distance and, among equal distances, its smallest hub; the
-// cross-lane fold and the tail apply the lexicographic (dist, hub) rule.
+// cross-lane fold applies the lexicographic (dist, hub) rule, and the
+// tail, whose hubs follow the steps', the strict < again.
 //
 // This TU is compiled with -mavx512f only when the toolchain supports it
 // (src/hub/CMakeLists.txt); raw intrinsics stay confined to the
@@ -29,26 +32,38 @@ namespace hublab::simd::detail {
 
 namespace {
 
+/// Fold a tail hit into the running minimum.  Its hub follows every
+/// earlier hit's, so the strict < keeps the smallest hub of the minimum,
+/// and a sum of kInfDist records no hub, as in the sentinel merge.
 inline void fold_match(HubQueryResult& best, Vertex hub, Dist d) {
-  if (d < best.dist || (d == best.dist && hub < best.meeting_hub)) {
+  if (d < best.dist) {
     best.dist = d;
     best.meeting_hub = hub;
+  }
+}
+
+/// 8 target distances as 64-bit lanes.
+template <typename D>
+inline __m512i load_dists(const D* dists_t) {
+  if constexpr (sizeof(D) == sizeof(std::uint32_t)) {
+    return _mm512_cvtepu32_epi64(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(dists_t)));
+  } else {
+    return _mm512_loadu_si512(dists_t);
   }
 }
 
 /// Fold one half-step (8 target hubs, `hit` marking those in the source
 /// label) into the lanes' running minima.  Lanes without a hit keep
 /// kInfDist, which never updates a lane.
+template <typename D>
 inline void fold_half(__m512i& best_d, __m512i& best_h, __mmask8 hit, __m256i hubs,
-                      const Dist* dists_t, const Dist* sdist, __m512i inf) {
+                      const D* dists_t, const Dist* sdist, __m512i inf) {
   const __m512i src = _mm512_mask_i32gather_epi64(inf, hit, hubs, sdist, sizeof(Dist));
-  const __m512i d = _mm512_mask_add_epi64(inf, hit, src, _mm512_loadu_si512(dists_t));
+  const __m512i d = _mm512_mask_add_epi64(inf, hit, src, load_dists(dists_t));
   const __mmask8 lower = _mm512_cmplt_epu64_mask(d, best_d);
   best_d = _mm512_mask_mov_epi64(best_d, lower, d);
   best_h = _mm512_mask_mov_epi64(best_h, lower, _mm512_cvtepu32_epi64(hubs));
 }
-
-}  // namespace
 
 // GCC's _mm512_i32gather_epi32 routes a self-initialized
 // _mm512_undefined_epi32() don't-care merge source through the builtin;
@@ -59,9 +74,9 @@ inline void fold_half(__m512i& best_d, __m512i& best_h, __mmask8 hit, __m256i hu
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
-HubQueryResult probe_avx512(const Vertex* hubs_t, const Dist* dists_t, std::size_t size_t_,
-                            const std::uint32_t* stamp, const Dist* sdist,
-                            std::uint32_t current) {
+template <typename D>
+HubQueryResult probe(const Vertex* hubs_t, const D* dists_t, std::size_t size_t_,
+                     const std::uint32_t* stamp, const Dist* sdist, std::uint32_t current) {
   HubQueryResult best;
   std::size_t i = 0;
   if (size_t_ >= 16) {
@@ -118,6 +133,20 @@ HubQueryResult probe_avx512(const Vertex* hubs_t, const Dist* dists_t, std::size
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
+
+}  // namespace
+
+HubQueryResult probe_avx512(const Vertex* hubs_t, const std::uint32_t* dists_t,
+                            std::size_t size_t_, const std::uint32_t* stamp, const Dist* sdist,
+                            std::uint32_t current) {
+  return probe(hubs_t, dists_t, size_t_, stamp, sdist, current);
+}
+
+HubQueryResult probe_avx512(const Vertex* hubs_t, const Dist* dists_t, std::size_t size_t_,
+                            const std::uint32_t* stamp, const Dist* sdist,
+                            std::uint32_t current) {
+  return probe(hubs_t, dists_t, size_t_, stamp, sdist, current);
+}
 
 }  // namespace hublab::simd::detail
 

@@ -296,8 +296,7 @@ ServerResult run_server_on(const Graph& g, const DistanceOracle& oracle,
   const bool virtual_timing = config.timing == TimingMode::kVirtual;
   if (g.num_vertices() == 0) throw InvalidArgument("serve: empty graph");
   if (config.num_queries == 0) throw InvalidArgument("serve: --queries must be >= 1");
-  // The offered rate is reported as an int64 gauge.
-  if (!closed && !(config.qps > 0.0 && config.qps < 0x1p63)) {
+  if (!closed && !valid_open_qps(config.qps)) {
     throw InvalidArgument("serve: --qps must be > 0 and below 2^63");
   }
   if (config.batch == 0) throw InvalidArgument("serve: --batch must be >= 1");

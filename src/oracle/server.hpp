@@ -152,6 +152,12 @@ struct WindowStats {
   std::uint64_t rejected = 0;
 };
 
+/// True when `qps` is a rate an open-loop run accepts: positive and below
+/// 2^63, since the offered rate is reported as an int64 gauge.
+[[nodiscard]] constexpr bool valid_open_qps(double qps) noexcept {
+  return qps > 0.0 && qps < 0x1p63;
+}
+
 struct ServerConfig {
   OracleKind oracle = OracleKind::kPllFlat;
   WorkloadKind workload = WorkloadKind::kUniform;

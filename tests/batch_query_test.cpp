@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -32,8 +33,7 @@ constexpr std::size_t kBlockSizes[] = {1, 7, 64, 4096};
 /// The batched-query contract: for every host-reachable ISA tier and every
 /// block size, `query_batch_tier` answers byte-identically — distance AND
 /// meeting hub — to the per-query reference `query_with_hub`.
-void expect_batch_identity(const Graph& g) {
-  const HubLabeling flat = pruned_landmark_labeling(g);
+void expect_batch_identity(const Graph& g, const HubLabeling& flat) {
   for (const std::size_t block : kBlockSizes) {
     const std::vector<std::pair<Vertex, Vertex>> pairs =
         serve::WorkloadGenerator(g, serve::WorkloadKind::kUniform, 7 + block).block(block);
@@ -62,6 +62,10 @@ void expect_batch_identity(const Graph& g) {
   }
 }
 
+void expect_batch_identity(const Graph& g) {
+  expect_batch_identity(g, pruned_landmark_labeling(g));
+}
+
 TEST(BatchQuery, ByteIdenticalOnDegree3Gadget) {
   // The Figure 1 hard instance: the unweighted max-degree-3 expansion of
   // the layered gadget.
@@ -88,6 +92,31 @@ TEST(BatchQuery, ByteIdenticalOnWeightedRoadGraph) {
   // different weighted paths exercise the lexicographic (dist, hub) rule.
   Rng rng(31);
   expect_batch_identity(gen::road_like(6, 6, 0.2, 9, rng));
+}
+
+TEST(BatchQuery, ByteIdenticalOnWideDistances) {
+  // Weights spanning 31 bits on a sparse graph, and a pendant path of
+  // three 2^31 - 1 edges whose far end is more than 2^32 from every other
+  // vertex: the labels need the 8-byte distance column, whose probes load
+  // the target distances as they are.
+  Rng rng(31);
+  const Graph base = gen::connected_gnm(80, 200, rng);
+  const auto n = static_cast<Vertex>(base.num_vertices());
+  GraphBuilder b(n + 3);
+  b.add_edge(0, n, 0x7FFFFFFF);
+  b.add_edge(n, n + 1, 0x7FFFFFFF);
+  b.add_edge(n + 1, n + 2, 0x7FFFFFFF);
+  for (Vertex u = 0; u < n; ++u) {
+    for (const Arc& a : base.arcs(u)) {
+      if (u >= a.to) continue;
+      const std::uint64_t span = std::uint64_t{1} << (1 + rng.next_below(31));
+      b.add_edge(u, a.to, static_cast<Weight>(std::max<std::uint64_t>(1, rng.next_below(span))));
+    }
+  }
+  const Graph g = b.build();
+  const HubLabeling flat = pruned_landmark_labeling(g);
+  ASSERT_EQ(flat.dist_bytes(), 8u);
+  expect_batch_identity(g, flat);
 }
 
 TEST(BatchQuery, OracleBatchEntryPointsAgree) {
@@ -248,27 +277,34 @@ class LaneFoldCases {
     cases_.push_back({std::move(what), std::move(dists), want});
   }
 
-  /// Answers every case as one block on every supported tier; each answer
-  /// must equal the case's and query_with_hub's.
-  void check() const {
-    const HubLabeling flat = build();
+  /// Answers every case as one block on every supported tier, from the
+  /// cases' own labeling, whose distances take `dist_bytes` bytes, and
+  /// from one widened by an extra vertex holding a distance past 32 bits;
+  /// each answer must equal the case's and query_with_hub's.
+  void check(std::size_t dist_bytes) const {
     const auto source = static_cast<Vertex>(2 * kMaxSize);
     std::vector<std::pair<Vertex, Vertex>> pairs;
     for (std::size_t c = 0; c < cases_.size(); ++c) {
       pairs.emplace_back(source, static_cast<Vertex>(source + 1 + c));
     }
     std::vector<HubQueryResult> out(pairs.size());
-    for (const simd::Tier tier : simd::supported_tiers()) {
-      flat.query_batch_tier(pairs, out, tier);
-      for (std::size_t c = 0; c < cases_.size(); ++c) {
-        const Case& want = cases_[c];
-        const HubQueryResult ref = flat.query_with_hub(pairs[c].first, pairs[c].second);
-        ASSERT_EQ(ref.dist, want.want.dist) << "query_with_hub, " << want.what;
-        ASSERT_EQ(ref.meeting_hub, want.want.meeting_hub) << "query_with_hub, " << want.what;
-        ASSERT_EQ(out[c].dist, want.want.dist)
-            << "tier=" << simd::tier_name(tier) << ", " << want.what;
-        ASSERT_EQ(out[c].meeting_hub, want.want.meeting_hub)
-            << "tier=" << simd::tier_name(tier) << ", " << want.what;
+    for (const bool widened : {false, true}) {
+      const HubLabeling flat = build(widened);
+      ASSERT_EQ(flat.dist_bytes(), widened ? 8u : dist_bytes);
+      const std::string width = "dist_bytes=" + std::to_string(flat.dist_bytes()) + ", ";
+      for (const simd::Tier tier : simd::supported_tiers()) {
+        flat.query_batch_tier(pairs, out, tier);
+        for (std::size_t c = 0; c < cases_.size(); ++c) {
+          const Case& want = cases_[c];
+          const HubQueryResult ref = flat.query_with_hub(pairs[c].first, pairs[c].second);
+          ASSERT_EQ(ref.dist, want.want.dist) << "query_with_hub, " << width << want.what;
+          ASSERT_EQ(ref.meeting_hub, want.want.meeting_hub)
+              << "query_with_hub, " << width << want.what;
+          ASSERT_EQ(out[c].dist, want.want.dist)
+              << "tier=" << simd::tier_name(tier) << ", " << width << want.what;
+          ASSERT_EQ(out[c].meeting_hub, want.want.meeting_hub)
+              << "tier=" << simd::tier_name(tier) << ", " << width << want.what;
+        }
       }
     }
   }
@@ -281,10 +317,12 @@ class LaneFoldCases {
   };
 
   /// Vertices [0, 2 * kMaxSize) are the hubs (empty labels), the next one
-  /// is the source (every even hub), and then one target per case.
-  [[nodiscard]] HubLabeling build() const {
+  /// is the source (every even hub), and then one target per case; when
+  /// `widened`, one last vertex holds hub 0 at distance 2^32.
+  [[nodiscard]] HubLabeling build(bool widened) const {
     const std::size_t hubs = 2 * kMaxSize;
     std::vector<std::vector<HubEntry>> rows(hubs + 1 + cases_.size());
+    if (widened) rows.push_back({{0, Dist{1} << 32}});
     for (std::size_t h = 0; h < hubs; h += 2) {
       rows[hubs].push_back({static_cast<Vertex>(h), kSourceDist});
     }
@@ -304,8 +342,9 @@ class LaneFoldCases {
 
 TEST(BatchQuery, LaneFoldTiesAndBoundaries) {
   // Target sizes 0-40 cover every 8- and 16-hub step and every tail length
-  // of both SIMD probes.  Positions a case does not name are hits whose
-  // sums exceed the case's minimum.
+  // of both SIMD probes, over the 4-byte distance column and the 8-byte
+  // one.  Positions a case does not name are hits whose sums exceed the
+  // case's minimum.
   constexpr Dist kFar = 1000;
   const auto far_hits = [](std::size_t size) {
     std::vector<Dist> dists(size);
@@ -313,6 +352,7 @@ TEST(BatchQuery, LaneFoldTiesAndBoundaries) {
     return dists;
   };
   LaneFoldCases cases;
+  LaneFoldCases wide_sums;
   for (std::size_t size = 0; size <= LaneFoldCases::kMaxSize; ++size) {
     const std::string label = "size=" + std::to_string(size);
     // No target hub hit: kInfDist and kInvalidVertex.
@@ -337,18 +377,33 @@ TEST(BatchQuery, LaneFoldTiesAndBoundaries) {
                   std::move(dists), LaneFoldCases::meet(a, 1));
       }
     }
+    // Target distances past 2^31, the smallest at the last position: the
+    // narrow probes must zero-extend them, in the vector steps and the
+    // tail.
+    if (size > 0) {
+      std::vector<Dist> dists(size);
+      for (std::size_t i = 0; i < size; ++i) dists[i] = Dist{0x80000000} + size - i;
+      cases.add(label + " past 2^31", std::move(dists),
+                LaneFoldCases::meet(size - 1, Dist{0x80000000} + 1));
+    }
     // One lane first sees a sum >= 2^63, then a smaller one 16 positions
     // on (the same lane of both probes): a signed 64-bit lane compare
-    // would keep the first.
+    // would keep the first.  Only the 8-byte column holds such distances.
     for (std::size_t p = 0; p + 16 < size; ++p) {
       std::vector<Dist> dists(size, LaneFoldCases::kMiss);
       dists[p] = Dist{1} << 63;
       dists[p + 16] = 3;
-      cases.add(label + " 2^63@" + std::to_string(p), std::move(dists),
-                LaneFoldCases::meet(p + 16, 3));
+      wide_sums.add(label + " 2^63@" + std::to_string(p), std::move(dists),
+                    LaneFoldCases::meet(p + 16, 3));
     }
+    // Every target hub hit at a sum of exactly kInfDist: no meeting hub,
+    // in the vector steps and the tail alike, as in the merge.
+    wide_sums.add(label + " sums of kInfDist",
+                  std::vector<Dist>(size, kInfDist - LaneFoldCases::kSourceDist),
+                  HubQueryResult{});
   }
-  cases.check();
+  cases.check(4);
+  wide_sums.check(8);
 }
 
 TEST(BatchQuery, EpochWrapZeroesStampsAndRestartsAtOne) {
@@ -416,8 +471,10 @@ TEST(BatchQuery, GatherTierDropsToScalarPastInt32Max) {
     EXPECT_EQ(simd::gather_tier(tier, kLargestGathered), tier);
     EXPECT_EQ(simd::gather_tier(tier, kLargestGathered + 1), simd::Tier::kScalar);
     EXPECT_EQ(simd::gather_tier(tier, std::size_t{0xFFFFFFFE}), simd::Tier::kScalar);
-    EXPECT_EQ(simd::probe_for(simd::gather_tier(tier, kLargestGathered + 1)),
-              &simd::detail::probe_scalar);
+    EXPECT_EQ(simd::probe_for<std::uint32_t>(simd::gather_tier(tier, kLargestGathered + 1)),
+              &simd::detail::probe_scalar<std::uint32_t>);
+    EXPECT_EQ(simd::probe_for<Dist>(simd::gather_tier(tier, kLargestGathered + 1)),
+              &simd::detail::probe_scalar<Dist>);
     EXPECT_EQ(simd::cover_for(simd::gather_tier(tier, kLargestGathered + 1)),
               &simd::detail::cover_scan<std::uint32_t>);
   }

@@ -116,11 +116,13 @@ TEST(FlatHubLabeling, MemoryBytesCoversArrays) {
   const Graph g = gen::connected_gnm(40, 80, rng);
   const HubLabeling flat = pruned_landmark_labeling(g);
   // The exact payload of the three arrays (offsets n+1, one sentinel per
-  // vertex after each label): the builder sizes them once.
+  // vertex after each label): the builder sizes them once.  An unweighted
+  // graph's distances take the 4-byte column.
   const std::size_t n = g.num_vertices();
   const std::size_t slots = flat.total_hubs() + n;
+  EXPECT_EQ(flat.dist_bytes(), 4u);
   EXPECT_EQ(flat.memory_bytes(),
-            (n + 1) * sizeof(std::size_t) + slots * (sizeof(Vertex) + sizeof(Dist)));
+            (n + 1) * sizeof(std::size_t) + slots * (sizeof(Vertex) + flat.dist_bytes()));
 }
 
 }  // namespace

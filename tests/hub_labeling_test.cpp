@@ -6,6 +6,7 @@
 #include "hub/constructions.hpp"
 #include "hub/labeling.hpp"
 #include "hub/pll.hpp"
+#include "hub/simd_kernel.hpp"
 #include "util/audit.hpp"
 #include "util/rng.hpp"
 
@@ -87,7 +88,55 @@ TEST(HubLabeling, Statistics) {
   EXPECT_EQ(l.max_label_size(), 2u);
   // The rows constructor sizes the columns exactly: n + 1 offsets and one
   // hub and one distance per entry and per sentinel.
-  EXPECT_EQ(l.memory_bytes(), 4 * sizeof(std::size_t) + 6 * (sizeof(Vertex) + sizeof(Dist)));
+  EXPECT_EQ(l.memory_bytes(), 4 * sizeof(std::size_t) + 6 * (sizeof(Vertex) + l.dist_bytes()));
+}
+
+TEST(HubLabeling, WidensOnceForALateWideDistance) {
+  // Only the last vertex holds the distance under test, so the column
+  // starts narrow and, past kMaxNarrowDist, widens once after n - 1 rows.
+  for (const Dist late : {Dist{0xFFFFFFFE}, Dist{0xFFFFFFFF}, Dist{1} << 40, kInfDist}) {
+    SCOPED_TRACE("late distance " + std::to_string(late));
+    const std::vector<std::vector<HubEntry>> rows = {
+        {{0, 0}, {1, 5}}, {{1, 0}}, {{1, 7}, {2, 1}}, {{2, late}, {3, 0}}};
+    const HubLabeling l(rows);
+    const bool wide = late > HubLabeling::kMaxNarrowDist;
+    EXPECT_EQ(l.dist_bytes(), wide ? 8u : 4u);
+    // n + 1 offsets, and one hub and one distance per entry and sentinel.
+    EXPECT_EQ(l.memory_bytes(), 5 * sizeof(std::size_t) + 11 * (sizeof(Vertex) + l.dist_bytes()));
+    for (Vertex v = 0; v < rows.size(); ++v) {
+      ASSERT_EQ(l.label_size(v), rows[v].size());
+      for (std::size_t i = 0; i < rows[v].size(); ++i) {
+        EXPECT_EQ(l.hubs(v)[i], rows[v][i].hub) << "v=" << v << " i=" << i;
+        EXPECT_EQ(l.dists(v)[i], rows[v][i].dist) << "v=" << v << " i=" << i;
+      }
+    }
+    std::vector<std::pair<Vertex, Vertex>> pairs;
+    for (Vertex u = 0; u < rows.size(); ++u) {
+      for (Vertex v = 0; v < rows.size(); ++v) {
+        // The reference merge: the first common hub, in ascending order,
+        // with the smallest sum.  Sums wrap in 64 bits on every path.
+        HubQueryResult want;
+        for (const HubEntry& a : rows[u]) {
+          for (const HubEntry& b : rows[v]) {
+            if (a.hub == b.hub && a.dist + b.dist < want.dist) want = {a.dist + b.dist, a.hub};
+          }
+        }
+        const HubQueryResult got = l.query_with_hub(u, v);
+        EXPECT_EQ(got.dist, want.dist) << "(" << u << "," << v << ")";
+        EXPECT_EQ(got.meeting_hub, want.meeting_hub) << "(" << u << "," << v << ")";
+        pairs.emplace_back(u, v);
+      }
+    }
+    std::vector<HubQueryResult> out(pairs.size());
+    for (const simd::Tier tier : simd::supported_tiers()) {
+      l.query_batch_tier(pairs, out, tier);
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        const HubQueryResult ref = l.query_with_hub(pairs[i].first, pairs[i].second);
+        EXPECT_EQ(out[i].dist, ref.dist) << simd::tier_name(tier) << " pair#" << i;
+        EXPECT_EQ(out[i].meeting_hub, ref.meeting_hub) << simd::tier_name(tier) << " pair#" << i;
+      }
+    }
+  }
 }
 
 TEST(VerifyLabeling, AcceptsCorrectCover) {

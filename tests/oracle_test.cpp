@@ -65,7 +65,8 @@ TEST(Oracles, SpaceAccounting) {
   // the entry payload the paper's bounds count.
   const FlatHubLabelOracle hubs(pruned_landmark_labeling(g));
   EXPECT_EQ(hubs.space_bytes(), hubs.labeling().memory_bytes());
-  EXPECT_GE(hubs.space_bytes(), hubs.labeling().total_hubs() * (sizeof(Vertex) + sizeof(Dist)));
+  EXPECT_GE(hubs.space_bytes(),
+            hubs.labeling().total_hubs() * (sizeof(Vertex) + hubs.labeling().dist_bytes()));
   const LandmarkOracle lm(g, {0, 1, 2});
   EXPECT_EQ(lm.space_bytes(), 3u * 36u * sizeof(Dist));
 }

@@ -287,8 +287,9 @@ TEST(PllCanonical, WeightedAndZeroWeightEdges) {
 
 TEST(PllCanonical, DistanceWidthBoundary) {
   // (n - 1) * max_weight = 0xFFFFFFFE: 32-bit rows, holding the largest
-  // distance below their "absent" value.  One weight unit more needs the
-  // 64-bit rows, with a distance of 2^32 between the ends.
+  // distance below their "absent" value, and the 4-byte served column.
+  // One weight unit more needs the 64-bit rows and the 8-byte column, with
+  // a distance of 2^32 between the ends.
   for (const Weight w : {Weight{0x7FFFFFFF}, Weight{0x80000000}}) {
     GraphBuilder b(3);
     b.add_edge(0, 1, w);
@@ -296,7 +297,9 @@ TEST(PllCanonical, DistanceWidthBoundary) {
     const Graph g = b.build();
     expect_canonical(g, "path3 w=" + std::to_string(w));
     const std::vector<Vertex> order = make_vertex_order(g, VertexOrder::kNatural);
-    EXPECT_EQ(pruned_landmark_labeling(g, order).query(0, 2), Dist{2} * w);
+    const HubLabeling labels = pruned_landmark_labeling(g, order);
+    EXPECT_EQ(labels.query(0, 2), Dist{2} * w);
+    EXPECT_EQ(labels.dist_bytes(), w == 0x7FFFFFFF ? 4u : 8u) << "w=" << w;
   }
 }
 

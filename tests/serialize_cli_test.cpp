@@ -77,6 +77,39 @@ TEST(Serialize, RoundTripKeepsTheServingArrays) {
   EXPECT_EQ(loaded.memory_bytes(), original.memory_bytes());
 }
 
+TEST(Serialize, RoundTripsWideLabeling) {
+  // Road weights scaled by 2^28: distances past 2^32, so the labels take
+  // the 8-byte column.  Save, load and save again give the same bytes, the
+  // same footprint and the same answers.
+  Rng rng(6);
+  const Graph road = gen::road_like(6, 6, 0.2, 9, rng);
+  GraphBuilder b(road.num_vertices());
+  for (Vertex u = 0; u < road.num_vertices(); ++u) {
+    for (const Arc& a : road.arcs(u)) {
+      if (u < a.to) b.add_edge(u, a.to, a.weight << 28);
+    }
+  }
+  const Graph g = b.build();
+  const HubLabeling original = pruned_landmark_labeling(g);
+  ASSERT_EQ(original.dist_bytes(), 8u);
+  std::stringstream first;
+  save_labeling(original, first);
+  const HubLabeling loaded = load_labeling(first);
+  std::stringstream second;
+  save_labeling(loaded, second);
+  EXPECT_EQ(first.str(), second.str());
+  EXPECT_EQ(loaded.dist_bytes(), 8u);
+  EXPECT_EQ(loaded.memory_bytes(), original.memory_bytes());
+  for (Vertex u = 0; u < g.num_vertices(); ++u) {
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      const HubQueryResult want = original.query_with_hub(u, v);
+      const HubQueryResult got = loaded.query_with_hub(u, v);
+      ASSERT_EQ(got.dist, want.dist) << "(" << u << "," << v << ")";
+      ASSERT_EQ(got.meeting_hub, want.meeting_hub) << "(" << u << "," << v << ")";
+    }
+  }
+}
+
 TEST(Serialize, QueriesIdenticalAfterReload) {
   Rng rng(2);
   const Graph g = gen::road_like(6, 6, 0.2, 9, rng);
@@ -224,6 +257,8 @@ TEST(Cli, LabelOrders) {
   ASSERT_EQ(run_cli({"gen", "grid", "--rows", "5", "--cols", "5", "-o", graph.path()}, &output), 0);
   for (const char* order : {"degree", "natural", "random", "betweenness"}) {
     EXPECT_EQ(run_cli({"label", graph.path(), "--order", order}, &output), 0) << order;
+    // An unweighted graph's distances take the 4-byte column.
+    EXPECT_NE(output.find(" dist_bytes=4\n"), std::string::npos) << output;
   }
   EXPECT_EQ(run_cli({"label", graph.path(), "--order", "bogus"}, &output), 1);
 }
@@ -471,6 +506,16 @@ TEST(Cli, ServeQpsSweepReportsEveryRate) {
     args.insert(args.end(), flags.begin(), flags.end());
     EXPECT_EQ(run_cli(args, &output), 1) << flags.back() << ": " << output;
     EXPECT_NE(output.find("error: "), std::string::npos) << output;
+  }
+  // Every rate is checked against the open-loop bound before any point
+  // runs, and the error names the sweep.
+  for (const char* rates : {"20000,1e300", "20000,inf"}) {
+    EXPECT_EQ(run_cli({"serve", graph.path(), "--smoke", "--queries", "100", "--qps-sweep", rates},
+                      &output),
+              1)
+        << rates << ": " << output;
+    EXPECT_NE(output.find("--qps-sweep"), std::string::npos) << rates << ": " << output;
+    EXPECT_EQ(output.find("sweep qps="), std::string::npos) << rates << ": " << output;
   }
 }
 

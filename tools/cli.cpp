@@ -234,7 +234,7 @@ int cmd_label(Args& args, std::ostream& out) {
   const HubLabeling labels = pruned_landmark_labeling(g, order, pll);
   out << "PLL(" << order_name << "): avg=" << labels.average_label_size()
       << " max=" << labels.max_label_size() << " total=" << labels.total_hubs()
-      << " bytes=" << labels.memory_bytes() << "\n";
+      << " bytes=" << labels.memory_bytes() << " dist_bytes=" << labels.dist_bytes() << "\n";
   if (const auto output = args.option("-o")) {
     save_labeling_file(labels, *output);
     out << "wrote " << *output << "\n";
@@ -513,7 +513,9 @@ int cmd_serve(Args& args, std::ostream& out) {
     while (std::getline(ss, tok, ',')) {
       if (tok.empty()) continue;
       const double rate = parse_number<double>(tok, "--qps-sweep");
-      if (!(rate > 0.0)) throw InvalidArgument("serve: --qps-sweep rates must be > 0");
+      if (!serve::valid_open_qps(rate)) {
+        throw InvalidArgument("serve: --qps-sweep rates must be > 0 and below 2^63");
+      }
       ladder.push_back(rate);
     }
     if (ladder.empty()) throw InvalidArgument("serve: --qps-sweep has no rates");
